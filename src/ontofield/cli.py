@@ -16,14 +16,14 @@ no silent defaults: the config must state them, with ``null`` as the
 explicit way to request an uncut lattice.  The seed defaults to 0 and the
 ``--seed`` flag overrides the config; ``--output-dir`` (or the
 ONTOFIELD_OUTPUT_DIR environment variable) overrides the config's output
-directory; ``--threads`` is a hint recorded in the manifest, since numerical
-backends fix their thread pools at import time.
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -46,11 +46,15 @@ from ontofield.dynamics import (
     stability_bound,
     wavefront_measure,
 )
-from ontofield.kernels import WINDOWS, KernelSpec, QuadratureError, decay_fit, kernel_table
+from ontofield.kernels import (
+    _METHODS, WINDOWS, KernelSpec, QuadratureError, _spec_problems, decay_fit, kernel_table,
+)
 from ontofield.ladder import (
+    TimedOperator,
     build_mode,
     b_eigensystem,
     commutator_defect,
+    evolve_operator,
     reconstruct_a,
     truncate_from_a,
 )
@@ -176,7 +180,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
         "kind": (_choice("F1", "F2"), True, None),
         "mass": (_nonneg_real, True, None),
         "cutoff": (_nullable(_pos_real), True, None),
-        "method": (_choice("direct_quadrature", "radial_reduced", "contour"), True, None),
+        "method": (_choice(*_METHODS), True, None),
         "t": (_real, False, 0.0),
         "window": (_WINDOW_CHOICE, False, "cosine"),
         "taper_frac": (_taper, False, 0.1),
@@ -187,7 +191,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
     "decay": {
         "mass": (_nonneg_real, True, None),
         "cutoff": (_nullable(_pos_real), True, None),
-        "method": (_choice("direct_quadrature", "radial_reduced", "contour"), False, "contour"),
+        "method": (_choice(*_METHODS), False, "contour"),
         "window": (_WINDOW_CHOICE, False, "cosine"),
         "taper_frac": (_taper, False, 0.1),
         "z_start": (_pos_real, True, None),
@@ -242,35 +246,48 @@ def _check_geometry_consistency(params: dict) -> list[str]:
     return errors
 
 
-def _extra_kernel(params: dict) -> list[str]:
+def _kernel_fields(params: dict) -> dict:
+    # The decay experiment tabulates the static kernel and states no kind or t.
+    names = [field.name for field in dataclasses.fields(KernelSpec)]
+    return {"kind": "F1", "t": 0.0, **{name: params[name] for name in names if name in params}}
+
+
+def _check_kernel(params: dict) -> list[str]:
+    """The library's objections to the kernel request, plus the z-grid rules."""
+    fields = _kernel_fields(params)
     errors = []
     if params["z_stop"] <= params["z_start"]:
         errors.append("key 'z_stop': must exceed z_start")
-    if params["method"] != "contour" and params["cutoff"] is None:
-        errors.append("key 'cutoff': the windowed radial route needs a finite cutoff")
-    if params["kind"] == "F1" and params.get("t", 0.0) != 0.0:
-        errors.append("key 't': the static kernel takes no time argument")
-    if params["kind"] == "F2" and params["method"] == "contour":
-        if not params["z_start"] > abs(params.get("t", 0.0)):
-            errors.append("key 'z_start': contour route needs the spacelike regime z > |t|")
+    errors.extend(f"key {key!r}: {message}" for key, message in _spec_problems(**fields))
+    # Contour routes need every grid point spacelike.  A valid F1 request has
+    # t = 0, where this always holds.
+    if fields["method"] == "contour" and not params["z_start"] > abs(fields["t"]):
+        errors.append("key 'z_start': contour route needs the spacelike regime z > |t|")
     return errors
 
 
-def _extra_decay(params: dict) -> list[str]:
-    errors = []
-    if params["z_stop"] <= params["z_start"]:
-        errors.append("key 'z_stop': must exceed z_start")
-    if params["method"] != "contour" and params["cutoff"] is None:
-        errors.append("key 'cutoff': the windowed radial route needs a finite cutoff")
+def _check_front(params: dict) -> list[str]:
+    errors = _check_geometry_consistency(params)
+    if not errors and _build_lattice(params).dims != 1:
+        errors.append("key 'box_length': the front experiment is one-dimensional")
+    return errors
+
+
+def _check_interact(params: dict) -> list[str]:
+    errors = _check_geometry_consistency(params)
+    if not errors:
+        bound = stability_bound(_build_lattice(params))
+        if not params["dt"] < bound:
+            errors.append(f"key 'dt': must be below the leapfrog stability bound {bound!r}")
     return errors
 
 
 _EXTRA_CHECKS: dict[str, Callable[[dict], list[str]]] = {
-    "kernel": _extra_kernel,
-    "decay": _extra_decay,
-    "front": _check_geometry_consistency,
+    "kernel": _check_kernel,
+    "decay": _check_kernel,
+    "front": _check_front,
     "evolve": _check_geometry_consistency,
-    "interact": _check_geometry_consistency,
+    "interact": _check_interact,
     "vacuum": lambda p: _check_geometry_consistency({**p, "k0": None}),
 }
 
@@ -349,8 +366,8 @@ def _run_identities(params: dict, seed: int, out: Path) -> dict:
     pairs = rng.uniform(0.0, 4.0 * np.pi / omega, size=(params["time_pairs"], 2))
     timed_defect = 0.0
     for t1, t2 in pairs:
-        bt1 = ops.b * np.exp(-1j * omega * t1)
-        bdag_t2 = ops.b_dag * np.exp(1j * omega * t2)
+        bt1 = evolve_operator(TimedOperator(ops.b, omega, "lowering"), t1)
+        bdag_t2 = evolve_operator(TimedOperator(ops.b_dag, omega, "raising"), t2)
         timed_defect = max(timed_defect, float(np.max(np.abs(bt1 @ bdag_t2 - bdag_t2 @ bt1))))
     results = {
         "n_levels": n,
@@ -398,20 +415,8 @@ def _run_spectrum(params: dict, seed: int, out: Path) -> dict:
     }
 
 
-def _kernel_spec(params: dict) -> KernelSpec:
-    return KernelSpec(
-        kind=params.get("kind", "F1"),
-        mass=params["mass"],
-        cutoff=params["cutoff"],
-        t=params.get("t", 0.0),
-        method=params["method"],
-        window=params["window"],
-        taper_frac=params["taper_frac"],
-    )
-
-
 def _run_kernel(params: dict, seed: int, out: Path) -> dict:
-    spec = _kernel_spec(params)
+    spec = KernelSpec(**_kernel_fields(params))
     z = np.linspace(params["z_start"], params["z_stop"], params["z_count"])
     table = kernel_table(spec, z)
     table.write_csv(out / "kernel.csv")
@@ -424,7 +429,7 @@ def _run_kernel(params: dict, seed: int, out: Path) -> dict:
 
 
 def _run_decay(params: dict, seed: int, out: Path) -> dict:
-    spec = _kernel_spec(params)
+    spec = KernelSpec(**_kernel_fields(params))
     z = np.linspace(params["z_start"], params["z_stop"], params["z_count"])
     table = kernel_table(spec, z)
     table.write_csv(out / "decay.csv")
@@ -456,8 +461,6 @@ def _initial_packet(params: dict, lattice) -> ComplexField:
 
 def _run_front(params: dict, seed: int, out: Path) -> dict:
     lattice = _build_lattice(params)
-    if lattice.dims != 1:
-        raise ValueError("the front experiment is one-dimensional")
     packet = _initial_packet(params, lattice)
     run = spectral_run(packet, lattice, params["dt"], params["steps"], params["record_every"])
     measured = wavefront_measure(run, params["k0"])
@@ -612,7 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to a JSON config")
     run.add_argument("--output-dir", help="override the config's output directory")
     run.add_argument("--seed", type=int, help="override the config's seed")
-    run.add_argument("--threads", type=int, help="worker hint recorded in the manifest")
     check = sub.add_parser("validate", help="report schema violations, run nothing")
     check.add_argument("config", help="path to a JSON config")
     return parser
@@ -670,7 +672,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": experiment,
         "config": _jsonable({**params, "experiment": experiment, "seed": seed}),
         "library_version": __version__,
-        "threads_hint": getattr(args, "threads", None),
         "results": _jsonable(results),
         "timing": {
             "started_utc": started.isoformat(),

@@ -46,7 +46,7 @@ __all__ = [
     "wavefront_measure",
 ]
 
-_METHODS = ("spectral", "convolution_F2", "leapfrog_second_order")
+_METHODS = ("spectral", "leapfrog_second_order")
 
 
 class InstabilityError(RuntimeError):
@@ -92,11 +92,9 @@ class EvolutionRun:
         if stamps.size >= 2 and not np.all(np.diff(stamps) > 0.0):
             raise ValueError("snapshot times must strictly increase")
         if self.method == "leapfrog_second_order":
-            if not self.dt < stability_bound(self.lattice):
-                raise ValueError(
-                    f"dt={self.dt!r} violates the leapfrog stability bound "
-                    f"{stability_bound(self.lattice)!r}"
-                )
+            bound = stability_bound(self.lattice)
+            if not self.dt < bound:
+                raise ValueError(f"dt={self.dt!r} violates the leapfrog stability bound {bound!r}")
 
     @property
     def times(self) -> np.ndarray:
@@ -152,7 +150,7 @@ def stability_bound(lattice: MomentumLattice) -> float:
     integrated, ``sqrt(sum_a 4/dx_a^2 + M^2)``.
     """
     top = np.sqrt(sum(4.0 / dx**2 for dx in lattice.spacings) + lattice.mass**2)
-    return 2.0 / top
+    return float(2.0 / top)
 
 
 def _require_position(field: ComplexField, lattice: MomentumLattice) -> None:
@@ -204,7 +202,6 @@ def evolve_convolution(
     lattice: MomentumLattice,
     t: float,
     *,
-    coupling: float = 0.0,
     path: str = "transform",
 ) -> ComplexField:
     """Free evolution as convolution with the lattice finite-time kernel.
@@ -215,8 +212,6 @@ def evolve_convolution(
     sums the real-space displacements explicitly, which is quadratic in the
     site count and meant for small grids as the independent check.
     """
-    if coupling != 0.0:
-        raise ValueError("convolution evolution is free-theory only (coupling must be 0)")
     _require_position(b0, lattice)
     if path == "transform":
         return to_position(spectral_evolve(to_momentum(b0, lattice), lattice, t), lattice)

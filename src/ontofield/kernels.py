@@ -122,10 +122,6 @@ WINDOWS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 
 def _window(cutoff: float, window: str, taper_frac: float) -> Callable[[float], float]:
-    if window not in WINDOWS:
-        raise ValueError(f"unknown window {window!r}; choose from {sorted(WINDOWS)}")
-    if not 0.0 < taper_frac <= 1.0:
-        raise ValueError(f"taper_frac must be in (0, 1], got {taper_frac!r}")
     profile = WINDOWS[window]
     k_start = (1.0 - taper_frac) * cutoff
 
@@ -139,17 +135,32 @@ def _window(cutoff: float, window: str, taper_frac: float) -> Callable[[float], 
     return weight
 
 
-def _check_point(z: float, mass: float) -> None:
+def _windowed(spec: KernelSpec, integral: Callable[[Callable[[float], float], float], tuple]) -> tuple:
+    """Windowed integral at the cutoff and its error bound.
+
+    ``integral(weight, lam)`` integrates up to ``lam`` under the taper
+    ``weight``.  The bound adds the shift seen when the cutoff moves to
+    ``0.75 * cutoff``, so it covers the sensitivity to the cutoff placement.
+    """
+
+    def at(lam: float) -> tuple:
+        return integral(_window(lam, spec.window, spec.taper_frac), lam)
+
+    value, error = at(spec.cutoff)
+    probe, probe_error = at(0.75 * spec.cutoff)
+    return value, error + probe_error + abs(value - probe)
+
+
+def _check_positive(z: float) -> None:
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z!r}")
-    if not mass >= 0.0:
-        raise ValueError(f"mass must be nonnegative, got {mass!r}")
 
 
 # --- F1 --------------------------------------------------------------------
 
-def _f1_contour(z: float, mass: float) -> tuple[float, float]:
-    _check_point(z, mass)
+def _f1_contour(spec: KernelSpec, z: float) -> tuple[float, float]:
+    _check_positive(z)
+    mass = spec.mass
 
     # p = M + s/z turns the contour integrand into exp(-s) times a slowly
     # varying factor, so the infinite range converges on a few panels.
@@ -169,29 +180,19 @@ def f1_contour(z: float, mass: float) -> float:
     after the substitution ``p = M + s/z``.  Massless limit:
     ``f1_contour(z, 0) = -1/(pi^2 z^4)``.
     """
-    return _f1_contour(z, mass)[0]
+    return _evaluate(KernelSpec("F1", mass, method="contour"), z)[0]
 
 
-def _f1_direct(
-    z: float,
-    mass: float,
-    cutoff: float,
-    window: str = "cosine",
-    taper_frac: float = 0.1,
-    quad_limit: int = 400,
-) -> tuple[float, float]:
-    _check_point(z, mass)
-    if not cutoff > 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff!r}")
+def _f1_direct(spec: KernelSpec, z: float, quad_limit: int) -> tuple[float, float]:
+    _check_positive(z)
+    mass = spec.mass
 
     # The radial integrand k*omega(k)*sin(kz) grows like k^2; windowing that
     # growth directly leaves a taper artifact far above the target accuracy.
     # Split off the polynomial part k^2 + M^2/2, whose regularized sine
     # moments are known in closed form, and window only the O(k^-2)
     # remainder R(k) = k*omega(k) - k^2 - M^2/2.
-    def evaluate(lam: float) -> tuple[float, float]:
-        weight = _window(lam, window, taper_frac)
-
+    def integral(weight: Callable[[float], float], lam: float) -> tuple[float, float]:
         def remainder(k: float) -> float:
             if k == 0.0:
                 return -0.5 * mass * mass
@@ -202,12 +203,10 @@ def _f1_direct(
             epsabs=1e-13, epsrel=1e-12,
         )
 
-    tail, tail_err = evaluate(cutoff)
-    probe, probe_err = evaluate(0.75 * cutoff)
+    tail, tail_err = _windowed(spec, integral)
     regularized = -2.0 / z**3 + 0.5 * mass * mass / z
     value = (regularized + tail) / (_TWO_PI_SQ * z)
-    error = (tail_err + probe_err + abs(tail - probe)) / (_TWO_PI_SQ * z)
-    return value, _err_floor(value, error)
+    return value, _err_floor(value, tail_err / (_TWO_PI_SQ * z))
 
 
 def f1_direct(
@@ -228,58 +227,34 @@ def f1_direct(
     independent check of :func:`f1_contour`; the reported error combines the
     quadrature estimate with the sensitivity to the cutoff placement.
     """
-    return _f1_direct(z, mass, cutoff, window, taper_frac, quad_limit)[0]
+    spec = KernelSpec("F1", mass, cutoff, window=window, taper_frac=taper_frac)
+    return _evaluate(spec, z, quad_limit)[0]
 
 
 # --- F2 --------------------------------------------------------------------
 
-def _f2_direct(
-    z: float,
-    t: float,
-    mass: float,
-    cutoff: float,
-    window: str = "cosine",
-    taper_frac: float = 0.1,
-    quad_limit: int = 400,
-) -> tuple[complex, float]:
+def _f2_direct(spec: KernelSpec, z: float, quad_limit: int) -> tuple[complex, float]:
     if not z >= 0.0:
         raise ValueError(f"z must be nonnegative, got {z!r}")
-    if not mass >= 0.0:
-        raise ValueError(f"mass must be nonnegative, got {mass!r}")
-    if not cutoff > 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff!r}")
+    mass, t = spec.mass, spec.t
+    # At z = 0 the factor sin(kz)/z degenerates to k: the radial weight
+    # becomes k^2 and the sine-weighted rule gives way to plain subdivision.
+    sine = {} if z == 0.0 else {"weight": "sin", "wvar": z}
+    scale = _TWO_PI_SQ if z == 0.0 else _TWO_PI_SQ * z
 
-    def evaluate(lam: float) -> tuple[complex, float]:
-        weight = _window(lam, window, taper_frac)
+    def integral(weight: Callable[[float], float], lam: float) -> tuple[complex, float]:
+        def part(trig: Callable[[float], float], sign: float) -> tuple[float, float]:
+            def integrand(k: float) -> float:
+                radial = sign * k * k if z == 0.0 else sign * k
+                return radial * trig(np.sqrt(k * k + mass * mass) * t) * weight(k)
 
-        def omega(k: float) -> float:
-            return np.sqrt(k * k + mass * mass)
+            return _quad(integrand, 0.0, lam, limit=quad_limit, epsabs=1e-12, epsrel=1e-11, **sine)
 
-        if z == 0.0:
-            re, re_err = _quad(
-                lambda k: k * k * np.cos(omega(k) * t) * weight(k),
-                0.0, lam, limit=quad_limit, epsabs=1e-12, epsrel=1e-11,
-            )
-            im, im_err = _quad(
-                lambda k: -k * k * np.sin(omega(k) * t) * weight(k),
-                0.0, lam, limit=quad_limit, epsabs=1e-12, epsrel=1e-11,
-            )
-            return (re + 1j * im) / _TWO_PI_SQ, (re_err + im_err) / _TWO_PI_SQ
-        re, re_err = _quad(
-            lambda k: k * np.cos(omega(k) * t) * weight(k),
-            0.0, lam, weight="sin", wvar=z, limit=quad_limit,
-            epsabs=1e-12, epsrel=1e-11,
-        )
-        im, im_err = _quad(
-            lambda k: -k * np.sin(omega(k) * t) * weight(k),
-            0.0, lam, weight="sin", wvar=z, limit=quad_limit,
-            epsabs=1e-12, epsrel=1e-11,
-        )
-        return (re + 1j * im) / (_TWO_PI_SQ * z), (re_err + im_err) / (_TWO_PI_SQ * z)
+        re, re_err = part(np.cos, 1.0)
+        im, im_err = part(np.sin, -1.0)
+        return (re + 1j * im) / scale, (re_err + im_err) / scale
 
-    value, quad_err = evaluate(cutoff)
-    probe, probe_err = evaluate(0.75 * cutoff)
-    error = quad_err + probe_err + abs(value - probe)
+    value, error = _windowed(spec, integral)
     return value, _err_floor(abs(value), error)
 
 
@@ -303,11 +278,13 @@ def f2_direct(
     window ripple by construction.  The spatial oscillation is handled by a
     sine-weighted rule; the temporal phase by adaptive subdivision.
     """
-    return _f2_direct(z, t, mass, cutoff, window, taper_frac, quad_limit)[0]
+    spec = KernelSpec("F2", mass, cutoff, t, window=window, taper_frac=taper_frac)
+    return _evaluate(spec, z, quad_limit)[0]
 
 
-def _f2_contour(z: float, t: float, mass: float) -> tuple[complex, float]:
-    _check_point(z, mass)
+def _f2_contour(spec: KernelSpec, z: float) -> tuple[complex, float]:
+    _check_positive(z)
+    mass, t = spec.mass, spec.t
     if not abs(t) < z:
         raise ValueError(f"contour route needs the spacelike regime |t| < z, got z={z!r}, t={t!r}")
 
@@ -331,7 +308,7 @@ def f2_contour(z: float, t: float, mass: float) -> complex:
     ``exp(-M*sqrt(z^2 - t^2))``.  No cutoff or window enters, which makes
     this the reference for suppression scans.
     """
-    return _f2_contour(z, t, mass)[0]
+    return _evaluate(KernelSpec("F2", mass, t=t, method="contour"), z)[0]
 
 
 def f2_eval(
@@ -352,13 +329,19 @@ def f2_eval(
     Both need a finite ``cutoff``.  ``contour`` ignores the cutoff and is
     restricted to the spacelike regime ``|t| < z``.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
-    if method == "contour":
-        return f2_contour(z, t, mass)
-    if cutoff is None:
-        raise ValueError("the windowed radial route needs a finite cutoff")
-    return f2_direct(z, t, mass, cutoff, window=window, taper_frac=taper_frac)
+    return _evaluate(KernelSpec("F2", mass, cutoff, t, method, window, taper_frac), z)[0]
+
+
+def _evaluate(spec: KernelSpec, z: float, quad_limit: int = 400) -> tuple[complex, float]:
+    """Value and error bound of the requested kernel at radius ``z``.
+
+    The one place where ``(kind, method)`` selects a route.
+    """
+    if spec.method == "contour":
+        return _f1_contour(spec, z) if spec.kind == "F1" else _f2_contour(spec, z)
+    if spec.kind == "F1":
+        return _f1_direct(spec, z, quad_limit)
+    return _f2_direct(spec, z, quad_limit)
 
 
 # --- derived diagnostics ---------------------------------------------------
@@ -457,10 +440,11 @@ def spacelike_suppression_scan(
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if not z[0] > t:
         raise ValueError(f"scan range must sit strictly above t={t!r}, got z_min={z[0]!r}")
+    spec = KernelSpec("F2", mass, t=t, method="contour")
     magnitudes = np.empty_like(z)
     errors = np.empty_like(z)
     for i, zi in enumerate(z):
-        value, error = _f2_contour(zi, t, mass)
+        value, error = _evaluate(spec, zi)
         magnitudes[i] = abs(value)
         errors[i] = error
     violations = int(
@@ -486,6 +470,28 @@ def spacelike_suppression_scan(
 
 # --- tables ----------------------------------------------------------------
 
+def _spec_problems(
+    kind: str, mass: float, cutoff: float | None, t: float, method: str, window: str, taper_frac: float
+) -> list[tuple[str, str]]:
+    """Every ``(field, message)`` reason the kernel request cannot be evaluated."""
+    problems = []
+    if kind not in ("F1", "F2"):
+        problems.append(("kind", f"must be 'F1' or 'F2', got {kind!r}"))
+    elif kind == "F1" and t != 0.0:
+        problems.append(("t", "the static kernel takes no time argument"))
+    if not mass >= 0.0:
+        problems.append(("mass", f"must be nonnegative, got {mass!r}"))
+    if method not in _METHODS:
+        problems.append(("method", f"unknown method {method!r}; choose from {_METHODS}"))
+    elif method != "contour" and (cutoff is None or not cutoff > 0.0):
+        problems.append(("cutoff", "the windowed radial route needs a positive finite cutoff"))
+    if window not in WINDOWS:
+        problems.append(("window", f"unknown window {window!r}; choose from {sorted(WINDOWS)}"))
+    if not 0.0 < taper_frac <= 1.0:
+        problems.append(("taper_frac", f"must be in (0, 1], got {taper_frac!r}"))
+    return problems
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel to evaluate, by which route, with which regulator."""
@@ -499,20 +505,9 @@ class KernelSpec:
     taper_frac: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("F1", "F2"):
-            raise ValueError(f"kind must be 'F1' or 'F2', got {self.kind!r}")
-        if not self.mass >= 0.0:
-            raise ValueError(f"mass must be nonnegative, got {self.mass!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {_METHODS}")
-        if self.kind == "F1" and self.t != 0.0:
-            raise ValueError("the static kernel takes no time argument")
-        if self.method != "contour" and (self.cutoff is None or not self.cutoff > 0.0):
-            raise ValueError("the windowed radial route needs a positive finite cutoff")
-        if self.window not in WINDOWS:
-            raise ValueError(f"unknown window {self.window!r}; choose from {sorted(WINDOWS)}")
-        if not 0.0 < self.taper_frac <= 1.0:
-            raise ValueError(f"taper_frac must be in (0, 1], got {self.taper_frac!r}")
+        problems = _spec_problems(**vars(self))
+        if problems:
+            raise ValueError("; ".join(f"{key}: {message}" for key, message in problems))
 
 
 @dataclass(frozen=True)
@@ -566,20 +561,7 @@ def kernel_table(spec: KernelSpec, z_values: Sequence[float]) -> KernelTable:
     values = np.empty(z.size, dtype=complex)
     errors = np.empty(z.size, dtype=float)
     for i, zi in enumerate(z):
-        if spec.kind == "F1":
-            if spec.method == "contour":
-                value, error = _f1_contour(zi, spec.mass)
-            else:
-                value, error = _f1_direct(
-                    zi, spec.mass, spec.cutoff, spec.window, spec.taper_frac
-                )
-        else:
-            if spec.method == "contour":
-                value, error = _f2_contour(zi, spec.t, spec.mass)
-            else:
-                value, error = _f2_direct(
-                    zi, spec.t, spec.mass, spec.cutoff, spec.window, spec.taper_frac
-                )
+        value, error = _evaluate(spec, zi)
         values[i] = value
         errors[i] = error
     return KernelTable(

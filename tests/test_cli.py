@@ -74,6 +74,47 @@ def test_validate_catches_cross_field_inconsistencies():
     assert any("z_stop" in v for v in validate_config(backwards))
 
 
+FRONT_2D = {
+    "experiment": "front",
+    "mass": 1.0,
+    "box_length": [8.0, 8.0],
+    "points": [16, 16],
+    "cutoff": None,
+    "k0": [1.0, 0.0],
+    "width": 2.0,
+    "dt": 0.5,
+    "steps": 4,
+}
+
+# dt = 0.6 lies above the leapfrog stability bound 0.485 of this lattice.
+INTERACT_UNSTABLE_STEP = {
+    "experiment": "interact",
+    "mass": 1.0,
+    "box_length": 32.0,
+    "points": 64,
+    "cutoff": None,
+    "k0": 1.0,
+    "width": 3.0,
+    "lambda": 0.1,
+    "dt": 0.6,
+    "steps": 10,
+}
+
+
+@pytest.mark.parametrize(
+    "payload, needle",
+    [(FRONT_2D, "one-dimensional"), (INTERACT_UNSTABLE_STEP, "stability bound 0.485")],
+)
+def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
+    assert main(["validate", write_config(tmp_path, payload)]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert any(needle in v for v in violations)
+    assert not any("np.float64" in v for v in violations)
+    code, out_dir = run_cli(tmp_path, payload)
+    assert code == 2
+    assert not out_dir.exists()
+
+
 def test_validate_catches_geometry_dimension_mismatch():
     config = {
         "experiment": "front",
