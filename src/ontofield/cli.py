@@ -24,7 +24,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -383,7 +385,7 @@ def _run_identities(params: dict, seed: int, out: Path) -> dict:
         "qp_defect": report.qp_defect,
         "qp_top_entry": [report.qp_top_entry.real, report.qp_top_entry.imag],
     }
-    (out / "identities.json").write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    (out / "identities.json").write_text(_dumps(_jsonable(results), indent=2, sort_keys=True) + "\n")
     return results
 
 
@@ -583,29 +585,37 @@ _RUNNERS: dict[str, Callable[[dict, int, Path], dict]] = {
 # --- entry point ---------------------------------------------------------------
 
 def _jsonable(value):
+    """Plain JSON values; non-finite floats become ``null``."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
+
+
+def _dumps(value, **kwargs) -> str:
+    """Strict JSON: a NaN or infinity that reaches here is a bug, not output."""
+    return json.dumps(value, allow_nan=False, **kwargs)
 
 
 def _error_record(kind: str, message: str, exit_code: int, out: Path | None) -> int:
     record = {"error": {"type": kind, "message": message}, "exit_code": exit_code}
-    print(json.dumps(record), file=sys.stderr)
+    print(_dumps(record), file=sys.stderr)
     if out is not None:
         try:
-            (out / "error.json").write_text(json.dumps(record, indent=2) + "\n")
+            (out / "error.json").write_text(_dumps(record, indent=2) + "\n")
         except OSError:
             pass
     return exit_code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="ontofield",
         description="Experiments for the deterministic scalar-boson formulation.",
@@ -639,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
     violations = validate_config(raw)
     if args.command == "validate":
         report = {"valid": not violations, "violations": violations}
-        print(json.dumps(report, indent=2))
+        print(_dumps(report, indent=2))
         return 0 if not violations else EXIT_SCHEMA
     if violations:
         message = "; ".join(violations)
@@ -651,11 +661,11 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(out_name)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
     except OSError as exc:
         return _error_record("io", f"cannot prepare output directory: {exc}", EXIT_IO, None)
+    if not os.access(out, os.W_OK):
+        message = f"cannot prepare output directory: {out} is not writable"
+        return _error_record("io", message, EXIT_IO, None)
 
     params = _apply_defaults(experiment, raw)
     started = datetime.now(timezone.utc)
@@ -668,21 +678,22 @@ def main(argv: list[str] | None = None) -> int:
         return _error_record("io", str(exc), EXIT_IO, out)
     wall = time.perf_counter() - clock
 
+    results = _jsonable(results)
     manifest = {
         "experiment": experiment,
         "config": _jsonable({**params, "experiment": experiment, "seed": seed}),
         "library_version": __version__,
-        "results": _jsonable(results),
+        "results": results,
         "timing": {
             "started_utc": started.isoformat(),
             "wall_seconds": wall,
         },
     }
     try:
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        (out / "manifest.json").write_text(_dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         return _error_record("io", str(exc), EXIT_IO, out)
-    print(json.dumps({"experiment": experiment, "output_dir": str(out), "results": _jsonable(results)}))
+    print(_dumps({"experiment": experiment, "output_dir": str(out), "results": results}))
     return 0
 
 

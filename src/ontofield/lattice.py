@@ -185,8 +185,11 @@ def evolution_phase(lattice: MomentumLattice, t: float) -> np.ndarray:
     """Per-mode multiplier ``exp(-1j * omega * t)`` with the cutoff applied.
 
     Frozen modes get multiplier 1, zeroed modes 0, so any evolution built on
-    this array treats the cutoff identically.
+    this array treats the cutoff identically.  A non-finite ``t`` is
+    rejected rather than turned into a field of NaNs.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
     phase = np.exp(-1j * lattice.omega * t)
     if lattice.cutoff is not None:
         if lattice.cutoff_mode == "freeze":

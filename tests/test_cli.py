@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import ontofield.cli as cli
 from ontofield.cli import main, validate_config
 from ontofield.kernels import f1_contour
 from ontofield.lattice import load_field
+from ontofield.vacuum import CorrelatorEstimate
 
 SPECTRUM = {"experiment": "spectrum", "n_states": 6, "delta_t": 0.5}
 
@@ -349,6 +351,40 @@ def test_vacuum_run_reports_static_and_evolved_pulls(tmp_path):
     assert manifest["results"]["evolved"]["max_offdiagonal_pull"] < 3.0
     assert (out / "correlator.csv").exists()
     assert (out / "correlator_evolved.csv").exists()
+
+
+def test_non_finite_results_are_written_as_null_in_strict_json(tmp_path, capsys, monkeypatch):
+    # A zero standard error makes the vacuum pulls x/0 (infinite) and 0/0
+    # (NaN), which plain json.dumps would write as Infinity and NaN.
+    def degenerate(spec, evolve_time=0.0):
+        n = int(np.prod(spec.lattice.grid_points))
+        zeros = np.zeros((n, n))
+        return CorrelatorEstimate(
+            mean=2.0 * np.eye(n, dtype=complex), stderr=zeros, count=spec.count,
+            zero_variance=zeros == 0.0,
+        )
+
+    monkeypatch.setattr(cli, "ensemble_correlator", degenerate)
+    payload = {
+        "experiment": "vacuum",
+        "mass": 1.0,
+        "box_length": 8.0,
+        "points": 4,
+        "cutoff": None,
+        "samples": 100,
+    }
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    stdout = json.loads(capsys.readouterr().out, parse_constant=reject)
+    for results in (manifest["results"], stdout["results"]):
+        assert results["static"]["max_diagonal_pull"] is None
+        assert results["static"]["max_offdiagonal_pull"] is None
+        assert results["static"]["zero_variance_entries"] == 16
 
 
 # --- reproducibility and routing ----------------------------------------------------

@@ -124,6 +124,16 @@ def test_evolution_preserves_the_norm():
     assert np.linalg.norm(evolved.values) == pytest.approx(np.linalg.norm(field.values))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_evolution_rejects_a_non_finite_time(t):
+    lat = build_lattice(2 * np.pi, 8, 1.0)
+    field = ComplexField("momentum", np.ones(8, dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        evolution_phase(lat, t)
+    with pytest.raises(ValueError, match="finite"):
+        spectral_evolve(field, lat, t)
+
+
 def test_cutoff_freeze_keeps_high_modes_static():
     lat = build_lattice(2 * np.pi, 8, 1.0, cutoff=2.5)
     assert int(lat.excluded.sum()) == 3

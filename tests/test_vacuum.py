@@ -1,10 +1,21 @@
 """Tests for phase-noise vacuum sampling and the correlator estimate."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ontofield.lattice import build_lattice, to_position
-from ontofield.vacuum import EnsembleSpec, ensemble_correlator, sample_vacuum
+from ontofield.lattice import build_lattice, evolution_phase, spectral_evolve, to_position
+from ontofield.vacuum import (
+    CorrelatorEstimate,
+    EnsembleSpec,
+    _draw_phases,
+    _position_block,
+    ensemble_correlator,
+    sample_vacuum,
+)
 
 
 def small_spec(count=400, seed=6):
@@ -101,3 +112,90 @@ def test_correlator_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x_index,y_index,re,im,stderr"
     assert len(lines) == 1 + 16 * 16
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_correlator_rejects_a_non_finite_evolve_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        ensemble_correlator(small_spec(), evolve_time=t)
+
+
+def _csv_writer_bytes(estimate, path):
+    # The row-by-row csv.writer layout that write_csv must keep byte for byte.
+    fmt = "%.17g"
+    n = estimate.mean.shape[0]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_index", "y_index", "re", "im", "stderr"])
+        for x in range(n):
+            for y in range(n):
+                m = estimate.mean[x, y]
+                writer.writerow([str(x), str(y), fmt % m.real, fmt % m.imag, fmt % estimate.stderr[x, y]])
+    return path.read_bytes()
+
+
+def test_correlator_csv_matches_the_csv_module_on_awkward_values(tmp_path):
+    # 65 sites give 4225 rows, more than one formatting block.
+    n = 65
+    rng = np.random.default_rng(11)
+    mean = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    stderr = np.abs(rng.normal(size=(n, n)))
+    awkward = [-0.0, 5e-324, 1e300, 1.0, -1.5e-17]
+    # Flat pair indices at both ends and on both sides of the block edge.
+    for flat, value in zip([1, 2, 4095, 4096, n * n - 1], awkward):
+        mean.flat[flat] = complex(value, -value)
+        stderr.flat[flat] = abs(value)
+    estimate = CorrelatorEstimate(
+        mean=mean, stderr=stderr, count=100, zero_variance=stderr == 0.0
+    )
+    path = tmp_path / "correlator.csv"
+    estimate.write_csv(path)
+    assert path.read_bytes() == _csv_writer_bytes(estimate, tmp_path / "reference.csv")
+    assert b"\r\n0,1,-0,0,0\r\n" in path.read_bytes()
+
+
+_seeds = st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**10), st.integers(2**64, 2**70))
+
+
+@st.composite
+def _ensembles(draw):
+    dims = draw(st.integers(1, 3))
+    points = draw(st.lists(st.sampled_from([2, 4, 6]), min_size=dims, max_size=dims))
+    cutoff = draw(st.one_of(st.none(), st.floats(0.5, 3.0)))
+    mode = draw(st.sampled_from(["freeze", "zero"]))
+    lattice = build_lattice([2 * np.pi] * dims, points, 1.0, cutoff, mode)
+    start = draw(st.integers(0, 40))
+    stop = draw(st.integers(start + 1, start + 12))
+    return EnsembleSpec(lattice=lattice, count=100, seed=draw(_seeds)), start, stop
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ensembles())
+def test_block_draws_equal_per_sample_draws(case):
+    spec, start, stop = case
+    grid = spec.lattice.grid_points
+    block = _draw_phases(spec, start, stop)
+    assert block.shape == (stop - start, *grid)
+    for row, index in enumerate(range(start, stop)):
+        # A fresh generator per sample is the stream's definition.
+        key = np.array([spec.seed % 2**64, index], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        expected = np.exp(1j * fresh.uniform(0.0, 2.0 * np.pi, size=grid))
+        assert block[row].tobytes() == expected.tobytes()
+        assert block[row].tobytes() == sample_vacuum(spec, index).values.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ensembles(), st.sampled_from([0.0, 0.37, -2.5]))
+def test_batched_transform_equals_per_sample_transform(case, t):
+    # The block path of ensemble_correlator, row by row against the public
+    # one-field functions.
+    spec, start, stop = case
+    lattice = spec.lattice
+    block = _position_block(spec, start, stop, evolution_phase(lattice, t) if t != 0.0 else None)
+    assert block.shape == (stop - start, *lattice.grid_points)
+    for row, index in enumerate(range(start, stop)):
+        field = sample_vacuum(spec, index)
+        if t != 0.0:
+            field = spectral_evolve(field, lattice, t)
+        assert block[row].tobytes() == to_position(field, lattice).values.tobytes()
