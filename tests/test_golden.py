@@ -3,7 +3,9 @@
 Each ```json block in README.md is run through the CLI and the sha256 of
 every data file it writes is compared with the digest recorded below.
 ``manifest.json`` is skipped because its ``timing`` block changes per run.
-A refactor that moves one byte of one artifact fails here.
+A refactor that moves one byte of one artifact fails here.  One more digest
+covers a 3D snapshot of 6144 sites, large enough that the snapshot writer
+formats it in more than one block.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64);
 a different numpy, scipy or BLAS build may legitimately change the last bits
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from ontofield.cli import main
+from ontofield.dynamics import gaussian_packet
+from ontofield.lattice import build_lattice, save_field, spectral_evolve, to_momentum, to_position
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -75,3 +79,15 @@ def test_readme_config_artifacts_match_the_golden_digests(tmp_path, experiment):
         if path.name != "manifest.json"
     }
     assert digests == GOLDEN[experiment]
+
+
+MULTI_BLOCK_SNAPSHOT = "471bd01e63607851b1dae10b881499f8ef2da58ac76018cd22a6456a1d704a2b"
+
+
+def test_multi_block_snapshot_matches_the_golden_digest(tmp_path):
+    lattice = build_lattice([8.0, 8.0, 12.0], [16, 16, 24], 1.0)
+    packet = gaussian_packet(lattice, [1.0, -0.5, 0.25], [4.0, 4.0, 6.0], 1.5)
+    field = to_position(spectral_evolve(to_momentum(packet, lattice), lattice, 0.75), lattice)
+    path = tmp_path / "snapshot.csv"
+    save_field(field, lattice, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MULTI_BLOCK_SNAPSHOT
