@@ -26,6 +26,7 @@ import numpy as np
 from ontofield.lattice import (  # noqa: F401
     ComplexField,
     MomentumLattice,
+    _write_csv_rows,
     evolution_phase,
     spectral_evolve,
     to_position,
@@ -40,7 +41,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CSV_ROW = "%d,%d,%.17g,%.17g,%.17g\r\n"
-_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -141,16 +141,12 @@ class CorrelatorEstimate:
         them.
         """
         n = self.mean.shape[0]
-        mean, stderr = self.mean.ravel(), self.stderr.ravel()
+        x, y = np.indices((n, n)).reshape(2, -1)
+        mean = self.mean.ravel()
+        table = np.column_stack([x, y, mean.real, mean.imag, self.stderr.ravel()])
         with Path(path).open("w", newline="") as fh:
             fh.write("x_index,y_index,re,im,stderr\r\n")
-            for lo in range(0, n * n, _CSV_BLOCK_ROWS):
-                hi = min(lo + _CSV_BLOCK_ROWS, n * n)
-                pair = np.arange(lo, hi)
-                rows = np.column_stack(
-                    [pair // n, pair % n, mean[lo:hi].real, mean[lo:hi].imag, stderr[lo:hi]]
-                )
-                fh.write((_CSV_ROW * (hi - lo)) % tuple(rows.ravel().tolist()))
+            _write_csv_rows(fh, _CSV_ROW, table)
 
 
 def ensemble_correlator(
@@ -175,6 +171,10 @@ def ensemble_correlator(
     n_samples = spec.count if samples is None else int(samples)
     if n_samples < 100:
         raise ValueError(f"correlator estimation needs >= 100 samples, got {n_samples}")
+    if n_samples > spec.count:
+        raise ValueError(f"samples ({n_samples}) exceed the ensemble's count ({spec.count})")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     n_sites = int(np.prod(spec.lattice.grid_points))
     phase = evolution_phase(spec.lattice, evolve_time) if evolve_time != 0.0 else None
     sum_w = np.zeros((n_sites, n_sites), dtype=complex)

@@ -1,7 +1,12 @@
 """Tests for the periodic momentum lattice and field transforms."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ontofield.lattice import (
     ComplexField,
@@ -180,3 +185,106 @@ def test_save_rejects_momentum_space_fields(tmp_path):
     mom = to_momentum(ComplexField("position", np.ones(8, dtype=complex)), lat)
     with pytest.raises(ValueError):
         save_field(mom, lat, tmp_path / "bad.csv")
+
+
+def _csv_writer_bytes(field, lattice, path):
+    # The row-by-row csv.writer layout that save_field must keep byte for byte.
+    fmt = "%.17g"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [lattice.dims]
+            + [fmt % n for n in lattice.grid_points]
+            + [fmt % l for l in lattice.box_lengths]
+            + [fmt % lattice.mass, fmt % field.time]
+        )
+        for v in field.values.ravel():
+            writer.writerow([fmt % v.real, fmt % v.imag])
+    return path.read_bytes()
+
+
+def test_snapshot_bytes_and_bits_survive_awkward_values(tmp_path):
+    # 4100 sites are more than one 4096-row formatting block.
+    lat = build_lattice([3.0, 5.0], [2, 2050], 0.5)
+    pairs = np.random.default_rng(5).normal(size=(4100, 2))
+    awkward = [-0.0, 5e-324, 1e300, -1.5e-17, np.inf, -np.inf]
+    # Rows at both ends of the body and on both sides of the block edge.
+    for row, value in zip([0, 4093, 4094, 4095, 4096, 4099], awkward):
+        pairs[row] = [value, -value]
+    # "%.17g" drops a NaN's sign, so only the positive NaN round-trips.
+    pairs[4097] = [np.nan, 1.0]
+    pairs[4098] = [-0.5, np.nan]
+    values = pairs.view(complex).reshape(2, 2050)
+    field = ComplexField("position", values, time=-1.5e-17)
+    path = tmp_path / "snap.csv"
+    save_field(field, lat, path)
+    written = path.read_bytes()
+    assert written == _csv_writer_bytes(field, lat, tmp_path / "reference.csv")
+    assert b"\r\n-0,0\r\n" in written and b"\r\ninf,-inf\r\n" in written
+    loaded, _ = load_field(path)
+    assert loaded.values.view(np.int64).tobytes() == values.view(np.int64).tobytes()
+    assert loaded.time == -1.5e-17
+
+
+@st.composite
+def _snapshots(draw):
+    dims = draw(st.integers(1, 3))
+    points = draw(st.lists(st.sampled_from([2, 4, 6, 8]), min_size=dims, max_size=dims))
+    lengths = draw(st.lists(st.floats(1e-3, 1e3), min_size=dims, max_size=dims))
+    lattice = build_lattice(lengths, points, draw(st.floats(0.0, 1e3)))
+    # NaN is left out: "%.17g" drops its sign and payload bits.
+    pairs = draw(arrays(np.float64, (*points, 2), elements=st.floats(allow_nan=False)))
+    time = draw(st.floats(allow_nan=False))
+    return ComplexField("position", pairs.view(complex)[..., 0], time=time), lattice
+
+
+@settings(max_examples=25, deadline=None)
+@given(_snapshots())
+def test_snapshot_round_trip_is_bit_exact_for_any_geometry(tmp_path_factory, case):
+    field, lattice = case
+    path = tmp_path_factory.mktemp("snap") / "snap.csv"
+    save_field(field, lattice, path)
+    loaded, loaded_lat = load_field(path)
+    assert loaded.values.shape == lattice.grid_points
+    assert loaded.values.view(np.int64).tobytes() == field.values.view(np.int64).tobytes()
+    assert np.float64(loaded.time).view(np.int64) == np.float64(field.time).view(np.int64)
+    assert loaded_lat.box_lengths == lattice.box_lengths
+    assert loaded_lat.grid_points == lattice.grid_points
+    assert loaded_lat.mass == lattice.mass
+
+
+_HEADER = "1,4,8,1,0.5\r\n"
+_ROW = "1,2\r\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        _HEADER,
+        _HEADER + _ROW * 3,
+        _HEADER + _ROW * 5,
+        _HEADER + _ROW * 3 + "1\r\n",
+        _HEADER + "1\r\n" + _ROW * 3,
+        _HEADER + _ROW * 3 + "1,2,3\r\n",
+        _HEADER + _ROW * 3 + "1,x\r\n",
+        _HEADER + "#1,2\r\n" + _ROW * 3,
+    ],
+    ids=[
+        "empty",
+        "header-only",
+        "row-missing",
+        "row-extra",
+        "one-field",
+        "one-field-first",
+        "three-fields",
+        "non-numeric",
+        "comment-row",
+    ],
+)
+def test_load_rejects_malformed_snapshots_without_warnings(tmp_path, recwarn, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError):
+        load_field(path)
+    assert not recwarn.list

@@ -105,6 +105,17 @@ def test_samples_argument_truncates_the_ensemble():
     assert part.count == 200
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_correlator_rejects_a_non_positive_batch_size(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        ensemble_correlator(small_spec(count=100), batch_size=batch_size)
+
+
+def test_correlator_rejects_more_samples_than_the_ensemble_holds():
+    with pytest.raises(ValueError, match="exceed"):
+        ensemble_correlator(small_spec(count=100), samples=500)
+
+
 def test_correlator_csv_layout(tmp_path):
     estimate = ensemble_correlator(small_spec(count=100))
     path = tmp_path / "correlator.csv"
