@@ -242,7 +242,7 @@ def save_field(field: ComplexField, lattice: MomentumLattice, path: str | Path) 
         raise ValueError("snapshots are stored in position space")
     _check_shape(field, lattice)
     # Interleaved (re, im) float64 pairs, in C order; a view for complex128 input.
-    pairs = np.ascontiguousarray(field.values, dtype=complex).reshape(-1).view(np.float64)
+    pairs = np.ascontiguousarray(field.values, dtype=complex).view(np.float64).reshape(-1, 2)
     path = Path(path)
     with path.open("w", newline="") as fh:
         header = (
@@ -252,7 +252,7 @@ def save_field(field: ComplexField, lattice: MomentumLattice, path: str | Path) 
             + [_FMT % lattice.mass, _FMT % field.time]
         )
         csv.writer(fh).writerow(header)
-        _write_csv_rows(fh, _FIELD_ROW, pairs.reshape(-1, 2))
+        _write_csv_rows(fh, _FIELD_ROW, pairs)
 
 
 def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:

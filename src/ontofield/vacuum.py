@@ -166,7 +166,8 @@ def ensemble_correlator(
     array, row for row the same as :func:`spectral_evolve` and
     :func:`to_position` on each :func:`sample_vacuum`.
     Accumulation order is fixed (ascending sample index) so results are
-    bitwise reproducible.
+    bitwise reproducible.  ``samples`` (default ``spec.count``) must lie in
+    ``[100, spec.count]`` and ``batch_size`` must be positive.
     """
     n_samples = spec.count if samples is None else int(samples)
     if n_samples < 100:
