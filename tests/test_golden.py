@@ -5,7 +5,11 @@ every data file it writes is compared with the digest recorded below.
 ``manifest.json`` is skipped because its ``timing`` block changes per run.
 A refactor that moves one byte of one artifact fails here.  One more digest
 covers a 3D snapshot of 6144 sites, large enough that the snapshot writer
-formats it in more than one block.
+formats it in more than one block.  Three F2 ``kernel.csv`` digests cover
+the columns the README's F1 config leaves empty: a radial table with a
+cutoff at ``t != 0``, the ``"direct_quadrature"`` alias with the ``bump``
+window down to ``z = 0`` (which the CLI's grid cannot reach), and a contour
+table at negative ``t``.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64);
 a different numpy, scipy or BLAS build may legitimately change the last bits
@@ -22,6 +26,7 @@ import pytest
 
 from ontofield.cli import main
 from ontofield.dynamics import gaussian_packet
+from ontofield.kernels import KernelSpec, kernel_table
 from ontofield.lattice import build_lattice, save_field, spectral_evolve, to_momentum, to_position
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -91,3 +96,42 @@ def test_multi_block_snapshot_matches_the_golden_digest(tmp_path):
     path = tmp_path / "snapshot.csv"
     save_field(field, lattice, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MULTI_BLOCK_SNAPSHOT
+
+
+F2_KERNEL_CONFIGS = {
+    "radial_cutoff": (
+        {
+            "experiment": "kernel", "kind": "F2", "mass": 0.9, "cutoff": 30.1,
+            "method": "radial_reduced", "window": "quintic", "taper_frac": 0.3,
+            "t": 0.75, "z_start": 0.5, "z_stop": 3.0, "z_count": 6,
+        },
+        "9daa7631b03c85c21c437d3f8b6b4b980094ecf3c12976a09d1df55065aea475",
+    ),
+    "contour": (
+        {
+            "experiment": "kernel", "kind": "F2", "mass": 0.5, "cutoff": None,
+            "method": "contour", "t": -0.4, "z_start": 0.5, "z_stop": 4.0, "z_count": 8,
+        },
+        "60e2a183fe38885bd5d590084d8c88cf9020e47a90fe3af7b8c0ce1b71c2a603",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(F2_KERNEL_CONFIGS))
+def test_f2_kernel_csv_matches_the_golden_digest(tmp_path, case):
+    config, digest = F2_KERNEL_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "kernel.csv").read_bytes()).hexdigest() == digest
+
+
+F2_ALIAS_AT_ORIGIN = "5b3efc4ce1f913bba7d89a6947f1718e8ba905acab0080a83a962315c2dd2832"
+
+
+def test_f2_alias_table_at_the_origin_matches_the_golden_digest(tmp_path):
+    spec = KernelSpec("F2", 1.0, 25.3, 0.5, "direct_quadrature", "bump", 0.3)
+    path = tmp_path / "kernel.csv"
+    kernel_table(spec, [0.0, 0.4, 1.2]).write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == F2_ALIAS_AT_ORIGIN
