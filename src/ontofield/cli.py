@@ -22,7 +22,6 @@ directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -60,7 +59,7 @@ from ontofield.ladder import (
     reconstruct_a,
     truncate_from_a,
 )
-from ontofield.lattice import ComplexField, build_lattice, save_field
+from ontofield.lattice import ComplexField, _write_csv, build_lattice, save_field
 from ontofield.vacuum import EnsembleSpec, ensemble_correlator
 
 __all__ = ["main"]
@@ -70,7 +69,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _ENV_OUTPUT_DIR = "ONTOFIELD_OUTPUT_DIR"
-_FMT = "%.17g"
 
 _EXPERIMENTS = (
     "identities",
@@ -339,17 +337,6 @@ def _apply_defaults(experiment: str, raw: dict) -> dict:
 
 # --- experiment runners ------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _f(value: float) -> str:
-    return _FMT % value
-
-
 def _run_identities(params: dict, seed: int, out: Path) -> dict:
     n = params["n_levels"]
     omega = params["omega"]
@@ -402,11 +389,8 @@ def _run_spectrum(params: dict, seed: int, out: Path) -> dict:
     phase_defect = float(
         np.max(np.abs(np.diag(diagonalized) - np.exp(-1j * energies * config.delta_t)))
     )
-    _write_csv(
-        out / "spectrum.csv",
-        ["n", "energy"],
-        [[str(i), _f(e)] for i, e in enumerate(energies)],
-    )
+    table = np.column_stack([np.arange(n), energies])
+    _write_csv(out / "spectrum.csv", ["n", "energy"], "%d,%.17g\r\n", table)
     return {
         "n_states": n,
         "delta_t": config.delta_t,
@@ -417,31 +401,34 @@ def _run_spectrum(params: dict, seed: int, out: Path) -> dict:
     }
 
 
-def _run_kernel(params: dict, seed: int, out: Path) -> dict:
+def _tabulate(params: dict, path: Path):
+    """Tabulate the configured kernel on its z grid and write it to ``path``."""
     spec = KernelSpec(**_kernel_fields(params))
     z = np.linspace(params["z_start"], params["z_stop"], params["z_count"])
     table = kernel_table(spec, z)
-    table.write_csv(out / "kernel.csv")
+    table.write_csv(path)
+    return table
+
+
+def _run_kernel(params: dict, seed: int, out: Path) -> dict:
+    table = _tabulate(params, out / "kernel.csv")
     return {
-        "kind": spec.kind,
-        "method": spec.method,
-        "points": int(z.size),
+        "kind": table.kind,
+        "method": table.method,
+        "points": int(table.z.size),
         "max_error_estimate": float(np.max(table.errors)),
     }
 
 
 def _run_decay(params: dict, seed: int, out: Path) -> dict:
-    spec = KernelSpec(**_kernel_fields(params))
-    z = np.linspace(params["z_start"], params["z_stop"], params["z_count"])
-    table = kernel_table(spec, z)
-    table.write_csv(out / "decay.csv")
+    table = _tabulate(params, out / "decay.csv")
     fit = decay_fit(table)
     return {
         "mass": params["mass"],
         "slope": fit.slope,
         "intercept": fit.intercept,
         "residual": fit.residual,
-        "points": int(z.size),
+        "points": int(table.z.size),
     }
 
 
@@ -466,11 +453,8 @@ def _run_front(params: dict, seed: int, out: Path) -> dict:
     packet = _initial_packet(params, lattice)
     run = spectral_run(packet, lattice, params["dt"], params["steps"], params["record_every"])
     measured = wavefront_measure(run, params["k0"])
-    _write_csv(
-        out / "front.csv",
-        ["t", "peak_position"],
-        [[_f(t), _f(p)] for t, p in zip(measured.times, measured.positions)],
-    )
+    table = np.column_stack([measured.times, measured.positions])
+    _write_csv(out / "front.csv", ["t", "peak_position"], "%.17g,%.17g\r\n", table)
     return {
         "speed": measured.speed,
         "expected_speed": measured.expected_speed,
@@ -531,11 +515,8 @@ def _run_interact(params: dict, seed: int, out: Path) -> dict:
         "stability_bound": stability_bound(lattice),
     }
     if run.energy is not None:
-        _write_csv(
-            out / "energy.csv",
-            ["t", "energy"],
-            [[_f(t), _f(e)] for t, e in zip(run.times, run.energy)],
-        )
+        table = np.column_stack([run.times, run.energy])
+        _write_csv(out / "energy.csv", ["t", "energy"], "%.17g,%.17g\r\n", table)
         scale = max(abs(run.energy[0]), 1e-30)
         results["initial_energy"] = float(run.energy[0])
         results["energy_drift"] = float(np.max(np.abs(run.energy - run.energy[0])) / scale)

@@ -21,6 +21,7 @@ from ontofield.kernels import group_velocity
 from ontofield.lattice import (
     ComplexField,
     MomentumLattice,
+    _require,
     build_lattice,
     evolution_phase,
     position_axes,
@@ -153,16 +154,6 @@ def stability_bound(lattice: MomentumLattice) -> float:
     return float(2.0 / top)
 
 
-def _require_position(field: ComplexField, lattice: MomentumLattice) -> None:
-    if field.space != "position":
-        raise ValueError(f"expected a position-space field, got {field.space!r}")
-    if field.values.shape != lattice.grid_points:
-        raise ValueError(
-            f"field shape {field.values.shape} does not match lattice grid "
-            f"{lattice.grid_points}"
-        )
-
-
 def gaussian_packet(
     lattice: MomentumLattice,
     k0: float | Sequence[float],
@@ -212,7 +203,7 @@ def evolve_convolution(
     sums the real-space displacements explicitly, which is quadratic in the
     site count and meant for small grids as the independent check.
     """
-    _require_position(b0, lattice)
+    _require(b0, lattice, "position")
     if path == "transform":
         return to_position(spectral_evolve(to_momentum(b0, lattice), lattice, t), lattice)
     if path != "literal":
@@ -234,7 +225,7 @@ def time_derivative_check(b: ComplexField, lattice: MomentumLattice, dt: float) 
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    _require_position(b, lattice)
+    _require(b, lattice, "position")
     modes = to_momentum(b, lattice)
     forward = to_position(spectral_evolve(modes, lattice, dt), lattice)
     backward = to_position(spectral_evolve(modes, lattice, -dt), lattice)
@@ -305,7 +296,7 @@ def spectral_run(
         raise ValueError(f"dt must be positive, got {dt!r}")
     if steps < 1 or record_every < 1:
         raise ValueError("steps and record_every must be positive")
-    _require_position(b0, lattice)
+    _require(b0, lattice, "position")
     modes = to_momentum(b0, lattice)
     snapshots = [to_position(modes, lattice)]
     for n in range(1, steps + 1):
@@ -399,8 +390,8 @@ def leapfrog_interact(
         raise ValueError(f"dt must be positive, got {dt!r}")
     if steps < 1 or record_every < 1:
         raise ValueError("steps and record_every must be positive")
-    _require_position(b0, lattice)
-    _require_position(bdot0, lattice)
+    _require(b0, lattice, "position")
+    _require(bdot0, lattice, "position")
     bound = stability_bound(lattice)
     if not dt < bound:
         raise ValueError(f"dt={dt!r} violates the leapfrog stability bound {bound!r}")

@@ -25,7 +25,6 @@ velocity, and scans the spacelike suppression of F2.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
+
+from ontofield.lattice import _write_csv
 
 __all__ = [
     "DecayFit",
@@ -53,6 +54,8 @@ __all__ = [
 
 _METHODS = ("direct_quadrature", "radial_reduced", "contour")
 _TWO_PI_SQ = 2.0 * np.pi**2
+# |F1| falls like z**-2.5 * exp(-M z) at large z (Watson's lemma).
+_DECAY_PREFACTOR_POWER = 2.5
 
 
 class QuadratureError(RuntimeError):
@@ -368,20 +371,14 @@ class DecayFit(NamedTuple):
     residual: float
 
 
-def decay_fit(
-    table: "KernelTable",
-    fit_range: tuple[float, float] | None = None,
-    *,
-    prefactor_power: float = 2.5,
-) -> DecayFit:
+def decay_fit(table: "KernelTable", fit_range: tuple[float, float] | None = None) -> DecayFit:
     """Least-squares estimate of the exponential decay rate of |F1|.
 
-    Fits ``log(|F1| * z**prefactor_power)`` against ``z``; the slope
-    estimates ``-M``.  The default prefactor power 5/2 is the subleading
-    behaviour of the contour integral by Watson's lemma; the fit basis also
-    carries a ``1/z`` nuisance column to absorb the next-order prefactor
-    correction, which otherwise biases the slope by several percent on
-    Compton-scale windows.  ``residual`` is the root-mean-square misfit, and
+    Fits ``log(|F1| * z**(5/2))`` against ``z``; the slope estimates
+    ``-M``.  The prefactor power 5/2 is the subleading behaviour of the
+    contour integral by Watson's lemma; the fit basis also carries a ``1/z``
+    nuisance column to absorb the next-order prefactor correction, which
+    otherwise biases the slope by several percent on Compton-scale windows.  ``residual`` is the root-mean-square misfit, and
     stays large when the decay is not exponential (e.g. the massless
     power-law tail).
     """
@@ -397,7 +394,7 @@ def decay_fit(
         raise ValueError("decay fit needs nonzero kernel values")
     if np.ptp(z) == 0.0:
         raise ValueError("degenerate fit: abscissae carry zero variance")
-    y = np.log(mag) + prefactor_power * np.log(z)
+    y = np.log(mag) + _DECAY_PREFACTOR_POWER * np.log(z)
     basis = np.column_stack([z, np.ones_like(z), 1.0 / z])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     residual = float(np.sqrt(np.mean((y - basis @ coef) ** 2)))
@@ -530,27 +527,18 @@ class KernelTable:
             raise ValueError("kernel table error estimates must be positive")
 
     def write_csv(self, path: str | Path) -> None:
-        """Columns z, t, re, im, err, method, M, Lambda; 17 significant digits."""
-        fmt = "%.17g"
-        t_field = "" if self.kind == "F1" else fmt % self.t
-        cutoff_field = "" if self.cutoff is None else fmt % self.cutoff
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "t", "re", "im", "err", "method", "M", "Lambda"])
-            for zi, vi, ei in zip(self.z, self.values, self.errors):
-                val = complex(vi)
-                writer.writerow(
-                    [
-                        fmt % zi,
-                        t_field,
-                        fmt % val.real,
-                        fmt % val.imag,
-                        fmt % ei,
-                        self.method,
-                        fmt % self.mass,
-                        cutoff_field,
-                    ]
-                )
+        """Columns z, t, re, im, err, method, M, Lambda; 17 significant digits.
+
+        ``t`` is empty for F1 and ``Lambda`` for an uncut table.
+        """
+        t = "" if self.kind == "F1" else "%.17g" % self.t
+        mass = "%.17g" % self.mass
+        cutoff = "" if self.cutoff is None else "%.17g" % self.cutoff
+        values = np.asarray(self.values, dtype=complex)
+        table = np.column_stack([self.z, values.real, values.imag, self.errors])
+        # The columns shared by every row are fixed in the row template.
+        row = f"%.17g,{t},%.17g,%.17g,%.17g,{self.method},{mass},{cutoff}\r\n"
+        _write_csv(path, ["z", "t", "re", "im", "err", "method", "M", "Lambda"], row, table)
 
 
 def kernel_table(spec: KernelSpec, z_values: Sequence[float]) -> KernelTable:

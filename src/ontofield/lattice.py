@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -84,10 +84,8 @@ class ComplexField:
             raise ValueError(f"space must be 'position' or 'momentum', got {self.space!r}")
 
 
-def _as_tuple(value: float | int | Sequence, length_hint: int | None = None) -> tuple:
-    if np.isscalar(value):
-        return (value,) if length_hint is None else (value,) * length_hint
-    return tuple(value)
+def _as_tuple(value: float | int | Sequence) -> tuple:
+    return (value,) if np.isscalar(value) else tuple(value)
 
 
 def build_lattice(
@@ -157,7 +155,10 @@ def position_axes(lattice: MomentumLattice) -> tuple[np.ndarray, ...]:
     )
 
 
-def _check_shape(field: ComplexField, lattice: MomentumLattice) -> None:
+def _require(field: ComplexField, lattice: MomentumLattice, space: str) -> None:
+    """Reject anything but a ``space``-space field on ``lattice``'s grid."""
+    if field.space != space:
+        raise ValueError(f"expected a {space}-space field, got {field.space!r}")
     if field.values.shape != lattice.grid_points:
         raise ValueError(
             f"field shape {field.values.shape} does not match lattice grid "
@@ -167,18 +168,14 @@ def _check_shape(field: ComplexField, lattice: MomentumLattice) -> None:
 
 def to_momentum(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
     """Unitary (symmetric-norm) DFT from position to momentum samples."""
-    if field.space != "position":
-        raise ValueError(f"expected a position-space field, got {field.space!r}")
-    _check_shape(field, lattice)
+    _require(field, lattice, "position")
     values = np.fft.fftn(field.values, norm="ortho")
     return ComplexField(space="momentum", values=values, time=field.time)
 
 
 def to_position(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
     """Unitary (symmetric-norm) DFT from momentum to position samples."""
-    if field.space != "momentum":
-        raise ValueError(f"expected a momentum-space field, got {field.space!r}")
-    _check_shape(field, lattice)
+    _require(field, lattice, "momentum")
     values = np.fft.ifftn(field.values, norm="ortho")
     return ComplexField(space="position", values=values, time=field.time)
 
@@ -208,23 +205,25 @@ def spectral_evolve(field: ComplexField, lattice: MomentumLattice, t: float) -> 
     amplitude unchanged, zeroed modes are removed.  The field's clock
     advances by ``t``.
     """
-    if field.space != "momentum":
-        raise ValueError(f"expected a momentum-space field, got {field.space!r}")
-    _check_shape(field, lattice)
+    _require(field, lattice, "momentum")
     phase = evolution_phase(lattice, t)
     return ComplexField(space="momentum", values=field.values * phase, time=field.time + t)
 
 
-def _write_csv_rows(fh: TextIO, row_format: str, table: np.ndarray) -> None:
-    """Write each row of the ``(rows, cols)`` array ``table`` as ``row_format``.
+def _write_csv(path: str | Path, header: Sequence, row_format: str, table: np.ndarray) -> None:
+    """Write one CSV artifact: the ``header`` row, then each row of ``table``.
 
-    ``row_format`` holds one conversion per column and its own line end.  A
-    block of rows is formatted by one ``%`` over the repeated template, which
-    gives the bytes a per-row ``%`` would without the per-row calls.
+    Every CSV file the package writes goes through here.  ``header`` goes
+    through ``csv.writer`` (CRLF line ends).  ``row_format`` holds one
+    conversion per column of the ``(rows, cols)`` array ``table``, any
+    constant fields, and its own CRLF.  One ``%`` over the template
+    repeated for a block of rows gives the bytes a per-row ``%`` would.
     """
-    for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[lo : lo + _CSV_BLOCK_ROWS]
-        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[lo : lo + _CSV_BLOCK_ROWS]
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def save_field(field: ComplexField, lattice: MomentumLattice, path: str | Path) -> None:
@@ -238,21 +237,16 @@ def save_field(field: ComplexField, lattice: MomentumLattice, path: str | Path) 
     correctly rounded parser, such as :func:`load_field`'s, reads each value
     back bit for bit.
     """
-    if field.space != "position":
-        raise ValueError("snapshots are stored in position space")
-    _check_shape(field, lattice)
+    _require(field, lattice, "position")
+    header = (
+        [lattice.dims]
+        + [_FMT % n for n in lattice.grid_points]
+        + [_FMT % l for l in lattice.box_lengths]
+        + [_FMT % lattice.mass, _FMT % field.time]
+    )
     # Interleaved (re, im) float64 pairs, in C order; a view for complex128 input.
     pairs = np.ascontiguousarray(field.values, dtype=complex).view(np.float64).reshape(-1, 2)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        header = (
-            [lattice.dims]
-            + [_FMT % n for n in lattice.grid_points]
-            + [_FMT % l for l in lattice.box_lengths]
-            + [_FMT % lattice.mass, _FMT % field.time]
-        )
-        csv.writer(fh).writerow(header)
-        _write_csv_rows(fh, _FIELD_ROW, pairs)
+    _write_csv(path, header, _FIELD_ROW, pairs)
 
 
 def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:

@@ -26,7 +26,7 @@ import numpy as np
 from ontofield.lattice import (  # noqa: F401
     ComplexField,
     MomentumLattice,
-    _write_csv_rows,
+    _write_csv,
     evolution_phase,
     spectral_evolve,
     to_position,
@@ -144,9 +144,7 @@ class CorrelatorEstimate:
         x, y = np.indices((n, n)).reshape(2, -1)
         mean = self.mean.ravel()
         table = np.column_stack([x, y, mean.real, mean.imag, self.stderr.ravel()])
-        with Path(path).open("w", newline="") as fh:
-            fh.write("x_index,y_index,re,im,stderr\r\n")
-            _write_csv_rows(fh, _CSV_ROW, table)
+        _write_csv(path, ["x_index", "y_index", "re", "im", "stderr"], _CSV_ROW, table)
 
 
 def ensemble_correlator(

@@ -17,7 +17,14 @@ from ontofield.dynamics import (
     time_derivative_check,
     wavefront_measure,
 )
-from ontofield.lattice import ComplexField, build_lattice, position_axes, to_momentum
+from ontofield.lattice import (
+    ComplexField,
+    build_lattice,
+    position_axes,
+    save_field,
+    spectral_evolve,
+    to_momentum,
+)
 
 
 def real_packet(lattice, k0=1.0, center=8.0, width=3.0):
@@ -139,6 +146,41 @@ def test_run_rejects_non_increasing_snapshot_times():
             coupling=0.0,
             snapshots=(f0, f_bad),
         )
+
+
+# --- field guards ----------------------------------------------------------------
+
+# Entry point -> (the space it takes, a call on one bad field).  The good
+# companion fields are zero, so only the bad field can trip a check.
+FIELD_ENTRY_POINTS = {
+    "spectral_evolve": ("momentum", lambda f, lat, path: spectral_evolve(f, lat, 0.1)),
+    "save_field": ("position", lambda f, lat, path: save_field(f, lat, path)),
+    "spectral_run": ("position", lambda f, lat, path: spectral_run(f, lat, 0.1, 2)),
+    "leapfrog_interact_b0": (
+        "position", lambda f, lat, path: leapfrog_interact(f, zero_field(lat), lat, 0.0, 0.1, 2)
+    ),
+    "leapfrog_interact_bdot0": (
+        "position", lambda f, lat, path: leapfrog_interact(zero_field(lat), f, lat, 0.0, 0.1, 2)
+    ),
+    "evolve_convolution": ("position", lambda f, lat, path: evolve_convolution(f, lat, 0.1)),
+    "time_derivative_check": ("position", lambda f, lat, path: time_derivative_check(f, lat, 0.1)),
+}
+
+
+@pytest.mark.parametrize("flaw", ["space", "shape"])
+@pytest.mark.parametrize("entry", sorted(FIELD_ENTRY_POINTS))
+def test_field_entry_points_reject_the_wrong_space_and_shape(tmp_path, entry, flaw):
+    space, call = FIELD_ENTRY_POINTS[entry]
+    lat = build_lattice(8.0, 8, 1.0)
+    if flaw == "space":
+        other = "momentum" if space == "position" else "position"
+        field, message = ComplexField(other, np.zeros(8, dtype=complex)), f"expected a {space}-space"
+    else:
+        field, message = ComplexField(space, np.zeros(4, dtype=complex)), "does not match lattice grid"
+    path = tmp_path / "field.csv"
+    with pytest.raises(ValueError, match=message):
+        call(field, lat, path)
+    assert not path.exists()
 
 
 # --- residual diagnostics ---------------------------------------------------------
