@@ -9,7 +9,9 @@ formats it in more than one block.  Three F2 ``kernel.csv`` digests cover
 the columns the README's F1 config leaves empty: a radial table with a
 cutoff at ``t != 0``, the ``"direct_quadrature"`` alias with the ``bump``
 window down to ``z = 0`` (which the CLI's grid cannot reach), and a contour
-table at negative ``t``.
+table at negative ``t``.  Three more runs end off their ``record_every``
+grid: a literal-convolution ``evolve`` and a complex and a real
+``interact``.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64);
 a different numpy, scipy or BLAS build may legitimately change the last bits
@@ -135,3 +137,54 @@ def test_f2_alias_table_at_the_origin_matches_the_golden_digest(tmp_path):
     path = tmp_path / "kernel.csv"
     kernel_table(spec, [0.0, 0.4, 1.2]).write_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == F2_ALIAS_AT_ORIGIN
+
+
+# Runs whose last step is off the ``record_every`` grid, on the routes the
+# README configs leave out: the literal convolution and complex-field
+# interaction.  File name -> digest per case; ``manifest.json`` is skipped.
+OFF_GRID_CONFIGS = {
+    "evolve_literal": (
+        {
+            "experiment": "evolve", "mass": 1.0, "box_length": 8.0, "points": 16,
+            "cutoff": 3.0, "k0": 1.0, "center": 2.0, "width": 1.0, "dt": 0.3,
+            "steps": 5, "record_every": 2, "method": "convolution_literal",
+        },
+        {
+            "snapshot_0000.csv": "b35e5c6080f799182c5a21392455d5b46d0a13be752077e706fe736ec6bedf32",
+            "snapshot_0001.csv": "ae4f299565b586ec65852e206f14ebeea9e19557cdd51f6d1dd1f2838dc3ad1d",
+            "snapshot_0002.csv": "eae43720f45ab869da117f3ba9f554b720045131fc5f09adcf0176c267b00b95",
+            "snapshot_0003.csv": "db3cd1bf66cdc7e74737a161c9b962c208f142495a0e0e9471ba92bb28fed448",
+        },
+    ),
+    "interact_complex": (
+        {
+            "experiment": "interact", "mass": 1.0, "box_length": 16.0, "points": 32,
+            "cutoff": None, "k0": 1.0, "center": 4.0, "width": 1.5, "amplitude": 1.2,
+            "lambda": 0.5, "dt": 0.1, "steps": 50, "record_every": 7, "field_mode": "complex",
+        },
+        {"final_field.csv": "e13a66bb8d6a41777e33488c496597fc62c7b4d2fd86f4e986443c8720cba48c"},
+    ),
+    "interact_real": (
+        {
+            "experiment": "interact", "mass": 1.0, "box_length": 16.0, "points": 32,
+            "cutoff": None, "k0": 1.0, "center": 4.0, "width": 1.5, "amplitude": 1.2,
+            "lambda": 0.5, "dt": 0.1, "steps": 50, "record_every": 7,
+        },
+        {"energy.csv": "6e9874863feadd13ad16e3d6b74e613f6577e7cb7ad14701cfbf1cc54edac8e6", "final_field.csv": "e6f585bb88e496f8875c4365e65e77a324b6eafb9e1087e9d133bd4729d19965"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_GRID_CONFIGS))
+def test_off_grid_run_artifacts_match_the_golden_digests(tmp_path, case):
+    config, golden = OFF_GRID_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir()
+        if p.name != "manifest.json"
+    }
+    assert digests == golden
