@@ -40,6 +40,7 @@ from ontofield.cyclic import CycleConfig, basis_change, energy_levels, evolution
 from ontofield.dynamics import (
     FrontTrackingError,
     InstabilityError,
+    _schedule,
     evolve_convolution,
     gaussian_packet,
     leapfrog_interact,
@@ -469,13 +470,12 @@ def _run_evolve(params: dict, seed: int, out: Path) -> dict:
     packet = _initial_packet(params, lattice)
     dt, steps, every = params["dt"], params["steps"], params["record_every"]
     if params["method"] == "spectral":
-        run = spectral_run(packet, lattice, dt, steps, every)
-        snapshots = run.snapshots
+        snapshots = spectral_run(packet, lattice, dt, steps, every).snapshots
     else:
-        snapshots = [packet]
-        for n in range(1, steps + 1):
-            if n % every == 0 or n == steps:
-                snapshots.append(evolve_convolution(packet, lattice, n * dt, path="literal"))
+        snapshots = [packet] + [
+            evolve_convolution(packet, lattice, n * dt, path="literal")
+            for n in _schedule(dt, steps, every)
+        ]
     norms = [float(np.linalg.norm(s.values)) for s in snapshots]
     for i, snap in enumerate(snapshots):
         save_field(snap, lattice, out / f"snapshot_{i:04d}.csv")

@@ -12,7 +12,7 @@ speeds against the group velocity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,11 +77,9 @@ class EvolutionRun:
     """
 
     lattice: MomentumLattice
-    initial: ComplexField
     method: str
     dt: float
     steps: int
-    coupling: float
     snapshots: tuple[ComplexField, ...]
     velocities: tuple[np.ndarray, ...] | None = None
     energy: np.ndarray | None = None
@@ -152,6 +150,15 @@ def stability_bound(lattice: MomentumLattice) -> float:
     """
     top = np.sqrt(sum(4.0 / dx**2 for dx in lattice.spacings) + lattice.mass**2)
     return float(2.0 / top)
+
+
+def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
+    """Steps a run records after step 0: every ``record_every``-th and the last."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if steps < 1 or record_every < 1:
+        raise ValueError("steps and record_every must be positive")
+    return [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
 
 
 def gaussian_packet(
@@ -292,25 +299,14 @@ def spectral_run(
     Snapshots are position-space fields at times ``b0.time + n*dt``; the
     final step is always recorded.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if steps < 1 or record_every < 1:
-        raise ValueError("steps and record_every must be positive")
+    schedule = _schedule(dt, steps, record_every)
     _require(b0, lattice, "position")
     modes = to_momentum(b0, lattice)
     snapshots = [to_position(modes, lattice)]
-    for n in range(1, steps + 1):
-        if n % record_every == 0 or n == steps:
-            evolved = spectral_evolve(modes, lattice, n * dt)
-            snapshots.append(to_position(evolved, lattice))
+    for n in schedule:
+        snapshots.append(to_position(spectral_evolve(modes, lattice, n * dt), lattice))
     return EvolutionRun(
-        lattice=lattice,
-        initial=b0,
-        method="spectral",
-        dt=dt,
-        steps=steps,
-        coupling=0.0,
-        snapshots=tuple(snapshots),
+        lattice=lattice, method="spectral", dt=dt, steps=steps, snapshots=tuple(snapshots)
     )
 
 
@@ -348,13 +344,7 @@ def refinement_study(
         for i in range(len(maxima) - 1)
     )
     assert report is not None
-    return ResidualReport(
-        spacings=report.spacings,
-        dt=report.dt,
-        max_residual=report.max_residual,
-        l2_residual=report.l2_residual,
-        ratios=ratios,
-    )
+    return replace(report, ratios=ratios)
 
 
 def leapfrog_interact(
@@ -381,15 +371,13 @@ def leapfrog_interact(
     invariant (the kinetic piece is the staggered half-step product), so
     drift isolates the quartic term and roundoff.  ``field_mode="complex"``
     integrates the literal complex cube; that variant descends from no real
-    energy functional, so it is experimental and records no energy.  Runs
-    whose energy grows past 10x the initial value abort.
+    energy functional, so it is experimental and records no energy; its
+    instability monitor is the norm ``sum (|v|^2 + |b|^2) dV`` instead.  Runs
+    whose monitor grows past 10x its initial value abort.
     """
     if field_mode not in ("real", "complex"):
         raise ValueError(f"field_mode must be 'real' or 'complex', got {field_mode!r}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if steps < 1 or record_every < 1:
-        raise ValueError("steps and record_every must be positive")
+    recorded = set(_schedule(dt, steps, record_every))
     _require(b0, lattice, "position")
     _require(bdot0, lattice, "position")
     bound = stability_bound(lattice)
@@ -426,16 +414,15 @@ def leapfrog_interact(
         )
         return float(np.sum(density) * lattice.cell_volume)
 
+    def record_norm(state: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> float:
+        return float(np.sum(np.abs(vel) ** 2 + np.abs(state) ** 2) * lattice.cell_volume)
+
+    monitor = record_energy if field_mode == "real" else record_norm
     acc = force(b)
     t0 = b0.time
     snapshots = [ComplexField(space="position", values=b.astype(complex), time=t0)]
     velocities = [np.array(v, copy=True)]
-    energies: list[float] = []
-    if field_mode == "real":
-        energies.append(record_energy(b, v, acc))
-        initial_energy = energies[0]
-    else:
-        initial_energy = float(np.sum(np.abs(v) ** 2 + np.abs(b) ** 2) * lattice.cell_volume)
+    monitored = [monitor(b, v, acc)]
 
     # Overflow on the way to an instability abort is expected; the finiteness
     # check below turns it into a typed error.
@@ -445,33 +432,25 @@ def leapfrog_interact(
             b = b + dt * v_half
             acc = force(b)
             v = v_half + 0.5 * dt * acc
-            if n % record_every == 0 or n == steps:
+            if n in recorded:
                 if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-                    raise InstabilityError(n, float("nan"), initial_energy)
+                    raise InstabilityError(n, float("nan"), monitored[0])
                 snapshots.append(
                     ComplexField(space="position", values=b.astype(complex), time=t0 + n * dt)
                 )
                 velocities.append(np.array(v, copy=True))
-                if field_mode == "real":
-                    energy = record_energy(b, v, acc)
-                    energies.append(energy)
-                    if abs(energy) > 10.0 * max(abs(initial_energy), 1e-30):
-                        raise InstabilityError(n, energy, initial_energy)
-                else:
-                    monitor = float(np.sum(np.abs(v) ** 2 + np.abs(b) ** 2) * lattice.cell_volume)
-                    if monitor > 10.0 * max(initial_energy, 1e-30):
-                        raise InstabilityError(n, monitor, initial_energy)
+                monitored.append(monitor(b, v, acc))
+                if abs(monitored[-1]) > 10.0 * max(abs(monitored[0]), 1e-30):
+                    raise InstabilityError(n, monitored[-1], monitored[0])
 
     return EvolutionRun(
         lattice=lattice,
-        initial=b0,
         method="leapfrog_second_order",
         dt=dt,
         steps=steps,
-        coupling=float(coupling),
         snapshots=tuple(snapshots),
         velocities=tuple(velocities),
-        energy=np.array(energies) if field_mode == "real" else None,
+        energy=np.array(monitored) if field_mode == "real" else None,
     )
 
 

@@ -139,11 +139,9 @@ def test_run_rejects_non_increasing_snapshot_times():
     with pytest.raises(ValueError):
         EvolutionRun(
             lattice=lat,
-            initial=f0,
             method="spectral",
             dt=0.1,
             steps=1,
-            coupling=0.0,
             snapshots=(f0, f_bad),
         )
 
@@ -257,11 +255,9 @@ def test_stability_errors_print_the_bound_as_a_plain_float():
     with pytest.raises(ValueError) as record:
         EvolutionRun(
             lattice=lat,
-            initial=f0,
             method="leapfrog_second_order",
             dt=0.6,
             steps=1,
-            coupling=0.0,
             snapshots=(f0,),
         )
     for info in (leapfrog, record):
