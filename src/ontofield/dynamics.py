@@ -181,6 +181,8 @@ def gaussian_packet(
     c_vec = np.atleast_1d(np.asarray(center, dtype=float))
     if k_vec.size != lattice.dims or c_vec.size != lattice.dims:
         raise ValueError("k0 and center must match the lattice dimension")
+    if not np.all(np.isfinite([*k_vec, *c_vec, amplitude])):
+        raise ValueError("k0, center and amplitude must be finite")
     axes = position_axes(lattice)
     envelope_exponent = np.zeros(lattice.grid_points)
     phase = np.zeros(lattice.grid_points)
@@ -378,6 +380,8 @@ def leapfrog_interact(
     if field_mode not in ("real", "complex"):
         raise ValueError(f"field_mode must be 'real' or 'complex', got {field_mode!r}")
     recorded = set(_schedule(dt, steps, record_every))
+    if not np.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling!r}")
     _require(b0, lattice, "position")
     _require(bdot0, lattice, "position")
     bound = stability_bound(lattice)

@@ -111,13 +111,13 @@ def build_lattice(
     if not 1 <= dims <= 3:
         raise ValueError(f"dimension must be 1, 2, or 3, got {dims}")
     for l in lengths:
-        if not l > 0.0:
-            raise ValueError(f"box lengths must be positive, got {lengths}")
+        if not 0.0 < l < np.inf:
+            raise ValueError(f"box lengths must be positive and finite, got {lengths}")
     for n in points:
         if n < 2 or n % 2 != 0:
             raise ValueError(f"grid sizes must be even and >= 2, got {points}")
-    if not mass >= 0.0:
-        raise ValueError(f"mass must be nonnegative, got {mass!r}")
+    if not 0.0 <= mass < np.inf:
+        raise ValueError(f"mass must be nonnegative and finite, got {mass!r}")
     if cutoff is not None and not cutoff > 0.0:
         raise ValueError(f"cutoff must be positive or None, got {cutoff!r}")
     if cutoff_mode not in ("freeze", "zero"):

@@ -181,6 +181,27 @@ def test_field_entry_points_reject_the_wrong_space_and_shape(tmp_path, entry, fl
     assert not path.exists()
 
 
+# Library entry points that would otherwise return a non-finite lattice or
+# field, or run until the NaN trips the instability check.
+NON_FINITE_INPUTS = {
+    "box_length": lambda lat: build_lattice(np.inf, 8, 1.0),
+    "mass": lambda lat: build_lattice(8.0, 8, np.inf),
+    "k0": lambda lat: gaussian_packet(lat, np.nan, 2.0, 1.0),
+    "center": lambda lat: gaussian_packet(lat, 1.0, np.inf, 1.0),
+    "amplitude": lambda lat: gaussian_packet(lat, 1.0, 2.0, 1.0, amplitude=np.nan),
+    "coupling": lambda lat: leapfrog_interact(
+        real_packet(lat, center=2.0), zero_field(lat), lat, np.nan, 0.1, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+def test_entry_points_reject_non_finite_input(name):
+    lat = build_lattice(8.0, 8, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_INPUTS[name](lat)
+
+
 # --- residual diagnostics ---------------------------------------------------------
 
 
