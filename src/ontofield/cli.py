@@ -289,7 +289,7 @@ _EXTRA_CHECKS: dict[str, Callable[[dict], list[str]]] = {
     "front": _check_front,
     "evolve": _check_geometry_consistency,
     "interact": _check_interact,
-    "vacuum": lambda p: _check_geometry_consistency({**p, "k0": None}),
+    "vacuum": _check_geometry_consistency,
 }
 
 

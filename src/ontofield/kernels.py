@@ -437,13 +437,9 @@ def spacelike_suppression_scan(
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if not z[0] > t:
         raise ValueError(f"scan range must sit strictly above t={t!r}, got z_min={z[0]!r}")
-    spec = KernelSpec("F2", mass, t=t, method="contour")
-    magnitudes = np.empty_like(z)
-    errors = np.empty_like(z)
-    for i, zi in enumerate(z):
-        value, error = _evaluate(spec, zi)
-        magnitudes[i] = abs(value)
-        errors[i] = error
+    table = kernel_table(KernelSpec("F2", mass, t=t, method="contour"), z)
+    magnitudes = np.abs(table.values)
+    errors = table.errors
     violations = int(
         np.sum(magnitudes[1:] > magnitudes[:-1] + errors[1:] + errors[:-1])
     )
