@@ -1,0 +1,28 @@
+"""The benchmark tracer in ``bench/spans.py`` wraps names of the package.
+
+Renaming or deleting a wrapped name (a re-import kept for the tracer, or a
+function the CLI calls by module attribute) makes ``install`` raise, so it
+fails here as well as in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import ontofield.cli as cli
+import ontofield.dynamics as dynamics
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def test_benchmark_tracer_finds_and_restores_every_wrapped_name():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = cli.leapfrog_interact
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert cli.leapfrog_interact is not original
+    finally:
+        tracer.unwrap_all()
+    assert cli.leapfrog_interact is original is dynamics.leapfrog_interact

@@ -253,6 +253,53 @@ def test_snapshot_round_trip_is_bit_exact_for_any_geometry(tmp_path_factory, cas
     assert loaded_lat.mass == lattice.mass
 
 
+@st.composite
+def _momentum_fields(draw, cutoff_modes):
+    dims = draw(st.integers(1, 2))
+    points = draw(st.lists(st.sampled_from([2, 4, 6, 8]), min_size=dims, max_size=dims))
+    lengths = draw(st.lists(st.floats(0.5, 50.0), min_size=dims, max_size=dims))
+    # Cutoffs up to a bit above the top |k|, so most of them exclude modes.
+    k_top = np.pi * float(np.linalg.norm(np.array(points) / np.array(lengths)))
+    cutoff = draw(st.none() | st.floats(0.05, 1.2).map(lambda frac: frac * k_top))
+    mass = draw(st.floats(0.0, 10.0))
+    lattice = build_lattice(lengths, points, mass, cutoff, draw(cutoff_modes))
+    pairs = draw(arrays(np.float64, (*points, 2), elements=st.floats(-1e3, 1e3)))
+    return ComplexField("momentum", pairs.view(complex)[..., 0]), lattice
+
+
+_TIMES = st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_momentum_fields(st.sampled_from(["freeze", "zero"])), _TIMES, _TIMES)
+def test_evolution_composes_for_any_geometry_and_cutoff(case, t1, t2):
+    field, lattice = case
+    two_hops = spectral_evolve(spectral_evolve(field, lattice, t1), lattice, t2)
+    one_hop = spectral_evolve(field, lattice, t1 + t2)
+    # The phases differ by the rounding of omega * t, relative to |omega t|.
+    scale = 1.0 + float(np.max(lattice.omega)) * (abs(t1) + abs(t2))
+    bound = 1e-13 * scale * max(float(np.max(np.abs(field.values))), 1e-300)
+    assert np.max(np.abs(two_hops.values - one_hop.values)) <= bound
+    assert two_hops.time == pytest.approx(one_hop.time, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_momentum_fields(st.just("freeze")), _TIMES)
+def test_frozen_cutoff_evolution_preserves_the_norm(case, t):
+    field, lattice = case
+    evolved = spectral_evolve(field, lattice, t)
+    assert np.linalg.norm(evolved.values) == pytest.approx(np.linalg.norm(field.values), rel=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_momentum_fields(st.just("zero")), _TIMES)
+def test_zeroed_cutoff_evolution_keeps_the_norm_of_the_kept_modes(case, t):
+    field, lattice = case
+    evolved = spectral_evolve(field, lattice, t)
+    kept = np.linalg.norm(field.values[~lattice.excluded])
+    assert np.linalg.norm(evolved.values) == pytest.approx(kept, rel=1e-13)
+
+
 _HEADER = "1,4,8,1,0.5\r\n"
 _ROW = "1,2\r\n"
 
