@@ -70,22 +70,26 @@ def readme_configs() -> dict[str, str]:
     return {json.loads(block)["experiment"]: block for block in blocks}
 
 
+def run_digests(tmp_path, config_text: str) -> dict[str, str]:
+    """sha256 of every data file one CLI run writes, by file name."""
+    config = tmp_path / "config.json"
+    config.write_text(config_text)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--output-dir", str(out)]) == 0
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+        if path.name != "manifest.json"
+    }
+
+
 def test_readme_has_one_config_per_experiment():
     assert sorted(readme_configs()) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("experiment", sorted(GOLDEN))
 def test_readme_config_artifacts_match_the_golden_digests(tmp_path, experiment):
-    config = tmp_path / "config.json"
-    config.write_text(readme_configs()[experiment])
-    out = tmp_path / "out"
-    assert main(["run", str(config), "--output-dir", str(out)]) == 0
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in out.iterdir()
-        if path.name != "manifest.json"
-    }
-    assert digests == GOLDEN[experiment]
+    assert run_digests(tmp_path, readme_configs()[experiment]) == GOLDEN[experiment]
 
 
 MULTI_BLOCK_SNAPSHOT = "471bd01e63607851b1dae10b881499f8ef2da58ac76018cd22a6456a1d704a2b"
@@ -122,11 +126,7 @@ F2_KERNEL_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(F2_KERNEL_CONFIGS))
 def test_f2_kernel_csv_matches_the_golden_digest(tmp_path, case):
     config, digest = F2_KERNEL_CONFIGS[case]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--output-dir", str(out)]) == 0
-    assert hashlib.sha256((out / "kernel.csv").read_bytes()).hexdigest() == digest
+    assert run_digests(tmp_path, json.dumps(config)) == {"kernel.csv": digest}
 
 
 F2_ALIAS_AT_ORIGIN = "5b3efc4ce1f913bba7d89a6947f1718e8ba905acab0080a83a962315c2dd2832"
@@ -141,7 +141,7 @@ def test_f2_alias_table_at_the_origin_matches_the_golden_digest(tmp_path):
 
 # Runs whose last step is off the ``record_every`` grid, on the routes the
 # README configs leave out: the literal convolution and complex-field
-# interaction.  File name -> digest per case; ``manifest.json`` is skipped.
+# interaction.  File name -> digest per case.
 OFF_GRID_CONFIGS = {
     "evolve_literal": (
         {
@@ -170,7 +170,10 @@ OFF_GRID_CONFIGS = {
             "cutoff": None, "k0": 1.0, "center": 4.0, "width": 1.5, "amplitude": 1.2,
             "lambda": 0.5, "dt": 0.1, "steps": 50, "record_every": 7,
         },
-        {"energy.csv": "6e9874863feadd13ad16e3d6b74e613f6577e7cb7ad14701cfbf1cc54edac8e6", "final_field.csv": "e6f585bb88e496f8875c4365e65e77a324b6eafb9e1087e9d133bd4729d19965"},
+        {
+            "energy.csv": "6e9874863feadd13ad16e3d6b74e613f6577e7cb7ad14701cfbf1cc54edac8e6",
+            "final_field.csv": "e6f585bb88e496f8875c4365e65e77a324b6eafb9e1087e9d133bd4729d19965",
+        },
     ),
 }
 
@@ -178,13 +181,4 @@ OFF_GRID_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(OFF_GRID_CONFIGS))
 def test_off_grid_run_artifacts_match_the_golden_digests(tmp_path, case):
     config, golden = OFF_GRID_CONFIGS[case]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--output-dir", str(out)]) == 0
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in out.iterdir()
-        if p.name != "manifest.json"
-    }
-    assert digests == golden
+    assert run_digests(tmp_path, json.dumps(config)) == golden
