@@ -51,14 +51,20 @@ _METHODS = ("spectral", "leapfrog_second_order")
 
 
 class InstabilityError(RuntimeError):
-    """Leapfrog integration blew up; carries the step and energy diagnostic."""
+    """Leapfrog integration blew up; carries the step and the monitored value.
 
-    def __init__(self, step: int, energy: float, initial_energy: float):
+    ``quantity`` names what was monitored: the ``"energy"`` of a real-field
+    run or the ``"norm"`` of a complex one.  Its last and initial values are
+    ``energy`` and ``initial_energy`` whichever it is.
+    """
+
+    def __init__(self, step: int, energy: float, initial_energy: float, quantity: str = "energy"):
         super().__init__(
-            f"instability at step {step}: energy {energy!r} "
+            f"instability at step {step}: {quantity} {energy!r} "
             f"exceeds 10x initial {initial_energy!r}"
         )
         self.step = step
+        self.quantity = quantity
         self.energy = energy
         self.initial_energy = initial_energy
 
@@ -161,6 +167,12 @@ def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
     return [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
 
 
+def _require_finite(field: ComplexField, name: str) -> None:
+    """Reject a field with a NaN or infinite value, which no evolution recovers from."""
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError(f"{name} must be finite, got a NaN or infinite value")
+
+
 def gaussian_packet(
     lattice: MomentumLattice,
     k0: float | Sequence[float],
@@ -175,8 +187,8 @@ def gaussian_packet(
     lattice mode, since the envelope suppresses the seam mismatch.  The
     momentum spread is ``1/(2*width)`` per axis.
     """
-    if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width!r}")
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite, got {width!r}")
     k_vec = np.atleast_1d(np.asarray(k0, dtype=float))
     c_vec = np.atleast_1d(np.asarray(center, dtype=float))
     if k_vec.size != lattice.dims or c_vec.size != lattice.dims:
@@ -213,6 +225,7 @@ def evolve_convolution(
     site count and meant for small grids as the independent check.
     """
     _require(b0, lattice, "position")
+    _require_finite(b0, "b0")
     if path == "transform":
         return to_position(spectral_evolve(to_momentum(b0, lattice), lattice, t), lattice)
     if path != "literal":
@@ -244,13 +257,74 @@ def time_derivative_check(b: ComplexField, lattice: MomentumLattice, dt: float) 
     return float(np.max(np.abs(fd - rhs)))
 
 
-def _fd_laplacian(values: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
-    result = np.zeros_like(values)
+def _fd_laplacian(
+    values: np.ndarray, spacings: tuple[float, ...], out: np.ndarray, scratch: np.ndarray
+) -> Callable[[], None]:
+    """Bind the periodic centered second difference of ``values`` to buffers.
+
+    Each call of the result writes the Laplacian of the current contents of
+    ``values`` into ``out``.  Per axis, ``((b[i+1] - 2.0*b[i]) + b[i-1]) /
+    dx**2`` is formed in ``scratch`` by slices (the wrap-around site on its
+    own) and added to a sum that starts at zero; the add to zero turns a
+    ``-0.0`` into ``+0.0``.  ``out`` and ``scratch`` have the shape and dtype
+    of ``values`` and alias neither it nor each other.  The views and the
+    constants (0-d arrays of that dtype, as a Python scalar operand costs a
+    conversion per call) are made here, once.
+    """
+    two = np.array(2.0, dtype=values.dtype)
+    zero = np.array(0.0, dtype=values.dtype)
+    terms = []
     for axis, dx in enumerate(spacings):
-        result = result + (
-            np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)
-        ) / dx**2
-    return result
+        head = (slice(None),) * axis
+        upper, lower = head + (slice(1, None),), head + (slice(None, -1),)
+        first, last = head + (slice(None, 1),), head + (slice(-1, None),)
+        terms.append((
+            values[upper], values[lower], values[first], values[last],
+            scratch[upper], scratch[lower], scratch[first], scratch[last],
+            np.array(dx**2, dtype=values.dtype),
+        ))
+
+    def laplacian() -> None:
+        total = zero  # the first axis adds to zero, the others to the sum so far
+        for b_up, b_low, b_first, b_last, s_up, s_low, s_first, s_last, dx_sq in terms:
+            np.multiply(two, values, out=scratch)
+            np.subtract(b_up, s_low, out=s_low)
+            np.subtract(b_first, s_last, out=s_last)
+            np.add(s_up, b_low, out=s_up)
+            np.add(s_first, b_last, out=s_first)
+            np.divide(scratch, dx_sq, out=scratch)
+            np.add(total, scratch, out=out)
+            total = out
+
+    return laplacian
+
+
+def _force(
+    state: np.ndarray,
+    spacings: tuple[float, ...],
+    mass_sq: float,
+    coupling: float,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> Callable[[], None]:
+    """Bind ``Lap b - M^2 b - (coupling/6) b^3`` of ``state`` to buffers.
+
+    Each call writes the force of the current contents of ``state`` into
+    ``out``, with the operations of the expression in its order; ``scratch``
+    holds the Laplacian's terms, then the mass term, then the cubic one.
+    """
+    laplacian = _fd_laplacian(state, spacings, out, scratch)
+    m_sq, three, c6 = (np.array(c, dtype=state.dtype) for c in (mass_sq, 3, coupling / 6.0))
+
+    def force() -> None:
+        laplacian()
+        np.multiply(m_sq, state, out=scratch)
+        np.subtract(out, scratch, out=out)
+        np.power(state, three, out=scratch)
+        np.multiply(c6, scratch, out=scratch)
+        np.subtract(out, scratch, out=out)
+
+    return force
 
 
 def kg_residual(run: EvolutionRun) -> ResidualReport:
@@ -277,7 +351,9 @@ def kg_residual(run: EvolutionRun) -> ResidualReport:
         b_here = run.snapshots[j].values
         b_next = run.snapshots[j + 1].values
         btt = (b_next - 2.0 * b_here + b_prev) / dt**2
-        residual = _fd_laplacian(b_here, spacings) - btt - lattice.mass**2 * b_here
+        laplacian = np.empty_like(b_here)
+        _fd_laplacian(b_here, spacings, laplacian, np.empty_like(b_here))()
+        residual = laplacian - btt - lattice.mass**2 * b_here
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
         sq_sum += float(np.sum(np.abs(residual) ** 2))
         count += residual.size
@@ -303,6 +379,7 @@ def spectral_run(
     """
     schedule = _schedule(dt, steps, record_every)
     _require(b0, lattice, "position")
+    _require_finite(b0, "b0")
     modes = to_momentum(b0, lattice)
     snapshots = [to_position(modes, lattice)]
     for n in schedule:
@@ -375,7 +452,8 @@ def leapfrog_interact(
     integrates the literal complex cube; that variant descends from no real
     energy functional, so it is experimental and records no energy; its
     instability monitor is the norm ``sum (|v|^2 + |b|^2) dV`` instead.  Runs
-    whose monitor grows past 10x its initial value abort.
+    whose monitor grows past 10x its initial value abort with an
+    ``InstabilityError`` that names it.
     """
     if field_mode not in ("real", "complex"):
         raise ValueError(f"field_mode must be 'real' or 'complex', got {field_mode!r}")
@@ -384,6 +462,8 @@ def leapfrog_interact(
         raise ValueError(f"coupling must be finite, got {coupling!r}")
     _require(b0, lattice, "position")
     _require(bdot0, lattice, "position")
+    _require_finite(b0, "b0")
+    _require_finite(bdot0, "bdot0")
     bound = stability_bound(lattice)
     if not dt < bound:
         raise ValueError(f"dt={dt!r} violates the leapfrog stability bound {bound!r}")
@@ -402,9 +482,6 @@ def leapfrog_interact(
     mass_sq = lattice.mass**2
     spacings = lattice.spacings
 
-    def force(state: np.ndarray) -> np.ndarray:
-        return _fd_laplacian(state, spacings) - mass_sq * state - (coupling / 6.0) * state**3
-
     def record_energy(state: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> float:
         gradient_sq = np.zeros_like(state)
         for axis, dx in enumerate(spacings):
@@ -421,31 +498,39 @@ def leapfrog_interact(
     def record_norm(state: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> float:
         return float(np.sum(np.abs(vel) ** 2 + np.abs(state) ** 2) * lattice.cell_volume)
 
-    monitor = record_energy if field_mode == "real" else record_norm
-    acc = force(b)
+    monitor, quantity = (record_energy, "energy") if field_mode == "real" else (record_norm, "norm")
+    acc = np.empty_like(b)
+    scratch = np.empty_like(b)
+    force = _force(b, spacings, mass_sq, coupling, acc, scratch)
+    force()
     t0 = b0.time
     snapshots = [ComplexField(space="position", values=b.astype(complex), time=t0)]
     velocities = [np.array(v, copy=True)]
     monitored = [monitor(b, v, acc)]
 
     # Overflow on the way to an instability abort is expected; the finiteness
-    # check below turns it into a typed error.
+    # check below turns it into a typed error.  The step updates b, v and acc
+    # in place: v += (dt/2) acc; b += dt v; acc = force(b); v += (dt/2) acc.
+    half_dt, full_dt = (np.array(c, dtype=b.dtype) for c in (0.5 * dt, dt))
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            v_half = v + 0.5 * dt * acc
-            b = b + dt * v_half
-            acc = force(b)
-            v = v_half + 0.5 * dt * acc
+            np.multiply(half_dt, acc, out=scratch)
+            v += scratch
+            np.multiply(full_dt, v, out=scratch)
+            b += scratch
+            force()
+            np.multiply(half_dt, acc, out=scratch)
+            v += scratch
             if n in recorded:
                 if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-                    raise InstabilityError(n, float("nan"), monitored[0])
+                    raise InstabilityError(n, float("nan"), monitored[0], quantity)
                 snapshots.append(
                     ComplexField(space="position", values=b.astype(complex), time=t0 + n * dt)
                 )
                 velocities.append(np.array(v, copy=True))
                 monitored.append(monitor(b, v, acc))
                 if abs(monitored[-1]) > 10.0 * max(abs(monitored[0]), 1e-30):
-                    raise InstabilityError(n, monitored[-1], monitored[0])
+                    raise InstabilityError(n, monitored[-1], monitored[0], quantity)
 
     return EvolutionRun(
         lattice=lattice,

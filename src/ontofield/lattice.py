@@ -118,8 +118,8 @@ def build_lattice(
             raise ValueError(f"grid sizes must be even and >= 2, got {points}")
     if not 0.0 <= mass < np.inf:
         raise ValueError(f"mass must be nonnegative and finite, got {mass!r}")
-    if cutoff is not None and not cutoff > 0.0:
-        raise ValueError(f"cutoff must be positive or None, got {cutoff!r}")
+    if cutoff is not None and not 0.0 < cutoff < np.inf:
+        raise ValueError(f"cutoff must be positive and finite, or None, got {cutoff!r}")
     if cutoff_mode not in ("freeze", "zero"):
         raise ValueError(f"cutoff_mode must be 'freeze' or 'zero', got {cutoff_mode!r}")
 

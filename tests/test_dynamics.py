@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ontofield.dynamics import (
     EvolutionRun,
@@ -16,6 +19,7 @@ from ontofield.dynamics import (
     stability_bound,
     time_derivative_check,
     wavefront_measure,
+    _force,
 )
 from ontofield.lattice import (
     ComplexField,
@@ -34,6 +38,12 @@ def real_packet(lattice, k0=1.0, center=8.0, width=3.0):
 
 def zero_field(lattice):
     return ComplexField("position", np.zeros(lattice.grid_points, dtype=complex))
+
+
+def flawed_field(lattice, value):
+    values = np.zeros(lattice.grid_points, dtype=complex)
+    values[3] = value
+    return ComplexField("position", values)
 
 
 # --- initial data ---------------------------------------------------------------
@@ -192,6 +202,19 @@ NON_FINITE_INPUTS = {
     "coupling": lambda lat: leapfrog_interact(
         real_packet(lat, center=2.0), zero_field(lat), lat, np.nan, 0.1, 2
     ),
+    "cutoff": lambda lat: build_lattice(8.0, 8, 1.0, np.inf),
+    "width": lambda lat: gaussian_packet(lat, 1.0, 2.0, np.inf),
+    "leapfrog_b0": lambda lat: leapfrog_interact(
+        flawed_field(lat, np.nan), zero_field(lat), lat, 0.0, 0.1, 2
+    ),
+    "leapfrog_bdot0": lambda lat: leapfrog_interact(
+        real_packet(lat, center=2.0), flawed_field(lat, -np.inf), lat, 0.0, 0.1, 2
+    ),
+    "spectral_run": lambda lat: spectral_run(flawed_field(lat, np.nan), lat, 0.1, 2),
+    "evolve_convolution": lambda lat: evolve_convolution(flawed_field(lat, np.inf), lat, 0.1),
+    "evolve_convolution_literal": lambda lat: evolve_convolution(
+        flawed_field(lat, complex(0.0, np.nan)), lat, 0.1, path="literal"
+    ),
 }
 
 
@@ -252,6 +275,44 @@ def test_refinement_halves_the_residual_twice_per_level():
 
 
 # --- interacting integrator -------------------------------------------------------
+
+
+def _roll_force(state, spacings, mass_sq, coupling):
+    """Reference force by np.roll and fresh arrays, which ``_force`` must match bit for bit."""
+    laplacian = np.zeros_like(state)
+    for axis, dx in enumerate(spacings):
+        laplacian = laplacian + (
+            np.roll(state, -1, axis) - 2.0 * state + np.roll(state, 1, axis)
+        ) / dx**2
+    return laplacian - mass_sq * state - (coupling / 6.0) * state**3
+
+
+# Signed zeros are drawn often: the stencil's leading add to zero is what turns
+# a -0.0 Laplacian into +0.0, as the roll form does.
+_ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _force_cases(draw):
+    dims = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dims, max_size=dims)))
+    spacings = tuple(draw(st.lists(st.floats(0.05, 5.0), min_size=dims, max_size=dims)))
+    pairs = draw(arrays(np.float64, (*shape, 2), elements=_ENTRIES))
+    state = pairs[..., 0].copy() if draw(st.booleans()) else pairs.view(complex)[..., 0]
+    return state, spacings, draw(st.floats(0.0, 10.0)), draw(st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_force_cases())
+@example((np.array([-0.0, 0.0, -0.0]), (0.5,), 1.0, 0.1))
+@example((np.array([[-0.0j, 1.0 - 0.0j], [0.0, -0.0]]), (0.5, 2.0), 0.0, -0.3))
+def test_buffered_force_is_bitwise_the_roll_force(case):
+    state, spacings, mass_sq, coupling = case
+    out, scratch = np.empty_like(state), np.empty_like(state)
+    _force(state, spacings, mass_sq, coupling, out, scratch)()
+    expected = _roll_force(state, spacings, mass_sq, coupling)
+    assert out.dtype == expected.dtype
+    assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
 
 def test_stability_bound_matches_the_spectral_radius():
@@ -355,6 +416,17 @@ def test_runaway_coupling_aborts_with_context():
     err = info.value
     assert err.step > 0
     assert not np.isfinite(err.energy) or abs(err.energy) > 10 * abs(err.initial_energy)
+    assert err.quantity == "energy" and "energy" in str(err)
+
+
+def test_complex_mode_instability_names_the_norm():
+    lat = build_lattice(8.0, 8, 1.0)
+    packet = gaussian_packet(lat, 1.0, 4.0, 1.0, amplitude=30.0)
+    with pytest.raises(InstabilityError, match="norm") as info:
+        leapfrog_interact(packet, zero_field(lat), lat, -5.0, 0.1, 50, field_mode="complex")
+    err = info.value
+    assert err.quantity == "norm" and "energy" not in str(err)
+    assert err.step == 1 and err.energy > 10 * err.initial_energy
 
 
 def test_real_mode_rejects_complex_initial_data():
