@@ -71,18 +71,6 @@ EXIT_IO = 4
 
 _ENV_OUTPUT_DIR = "ONTOFIELD_OUTPUT_DIR"
 
-_EXPERIMENTS = (
-    "identities",
-    "spectrum",
-    "kernel",
-    "decay",
-    "front",
-    "evolve",
-    "interact",
-    "vacuum",
-)
-
-
 # --- schema ------------------------------------------------------------------
 #
 # Each experiment maps key -> (checker, required, default).  Checkers return
@@ -229,6 +217,8 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
         "evolve_time": (_nullable(_real), False, None),
     },
 }
+
+_EXPERIMENTS = tuple(_SCHEMAS)
 
 
 def _check_geometry_consistency(params: dict) -> list[str]:

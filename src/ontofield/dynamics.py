@@ -22,6 +22,7 @@ from ontofield.lattice import (
     ComplexField,
     MomentumLattice,
     _require,
+    _require_finite,
     build_lattice,
     evolution_phase,
     position_axes,
@@ -46,9 +47,6 @@ __all__ = [
     "time_derivative_check",
     "wavefront_measure",
 ]
-
-_METHODS = ("spectral", "leapfrog_second_order")
-
 
 class InstabilityError(RuntimeError):
     """Leapfrog integration blew up; carries the step and the monitored value.
@@ -83,23 +81,15 @@ class EvolutionRun:
     """
 
     lattice: MomentumLattice
-    method: str
-    dt: float
     steps: int
     snapshots: tuple[ComplexField, ...]
     velocities: tuple[np.ndarray, ...] | None = None
     energy: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {_METHODS}")
         stamps = self.times
         if stamps.size >= 2 and not np.all(np.diff(stamps) > 0.0):
             raise ValueError("snapshot times must strictly increase")
-        if self.method == "leapfrog_second_order":
-            bound = stability_bound(self.lattice)
-            if not self.dt < bound:
-                raise ValueError(f"dt={self.dt!r} violates the leapfrog stability bound {bound!r}")
 
     @property
     def times(self) -> np.ndarray:
@@ -165,12 +155,6 @@ def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
     if steps < 1 or record_every < 1:
         raise ValueError("steps and record_every must be positive")
     return [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
-
-
-def _require_finite(field: ComplexField, name: str) -> None:
-    """Reject a field with a NaN or infinite value, which no evolution recovers from."""
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError(f"{name} must be finite, got a NaN or infinite value")
 
 
 def gaussian_packet(
@@ -248,6 +232,7 @@ def time_derivative_check(b: ComplexField, lattice: MomentumLattice, dt: float) 
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     _require(b, lattice, "position")
+    _require_finite(b, "b")
     modes = to_momentum(b, lattice)
     forward = to_position(spectral_evolve(modes, lattice, dt), lattice)
     backward = to_position(spectral_evolve(modes, lattice, -dt), lattice)
@@ -384,9 +369,7 @@ def spectral_run(
     snapshots = [to_position(modes, lattice)]
     for n in schedule:
         snapshots.append(to_position(spectral_evolve(modes, lattice, n * dt), lattice))
-    return EvolutionRun(
-        lattice=lattice, method="spectral", dt=dt, steps=steps, snapshots=tuple(snapshots)
-    )
+    return EvolutionRun(lattice=lattice, steps=steps, snapshots=tuple(snapshots))
 
 
 def refinement_study(
@@ -534,8 +517,6 @@ def leapfrog_interact(
 
     return EvolutionRun(
         lattice=lattice,
-        method="leapfrog_second_order",
-        dt=dt,
         steps=steps,
         snapshots=tuple(snapshots),
         velocities=tuple(velocities),

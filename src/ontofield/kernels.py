@@ -46,12 +46,13 @@ __all__ = [
     "f1_direct",
     "f2_contour",
     "f2_direct",
-    "f2_eval",
     "group_velocity",
     "kernel_table",
     "spacelike_suppression_scan",
 ]
 
+# "direct_quadrature" and "radial_reduced" name one route: rotation symmetry
+# reduces the D=3 integral to one radial dimension exactly.
 _METHODS = ("direct_quadrature", "radial_reduced", "contour")
 _TWO_PI_SQ = 2.0 * np.pi**2
 # |F1| falls like z**-2.5 * exp(-M z) at large z (Watson's lemma).
@@ -186,7 +187,7 @@ def f1_contour(z: float, mass: float) -> float:
     return _evaluate(KernelSpec("F1", mass, method="contour"), z)[0]
 
 
-def _f1_direct(spec: KernelSpec, z: float, quad_limit: int) -> tuple[float, float]:
+def _f1_direct(spec: KernelSpec, z: float) -> tuple[float, float]:
     _check_positive(z)
     mass = spec.mass
 
@@ -202,7 +203,7 @@ def _f1_direct(spec: KernelSpec, z: float, quad_limit: int) -> tuple[float, floa
             return (k * np.sqrt(k * k + mass * mass) - k * k - 0.5 * mass * mass) * weight(k)
 
         return _quad(
-            remainder, 0.0, lam, weight="sin", wvar=z, limit=quad_limit,
+            remainder, 0.0, lam, weight="sin", wvar=z, limit=400,
             epsabs=1e-13, epsrel=1e-12,
         )
 
@@ -219,7 +220,6 @@ def f1_direct(
     *,
     window: str = "cosine",
     taper_frac: float = 0.1,
-    quad_limit: int = 400,
 ) -> float:
     """Static kernel via the defining radial integral up to a finite cutoff.
 
@@ -231,12 +231,12 @@ def f1_direct(
     quadrature estimate with the sensitivity to the cutoff placement.
     """
     spec = KernelSpec("F1", mass, cutoff, window=window, taper_frac=taper_frac)
-    return _evaluate(spec, z, quad_limit)[0]
+    return _evaluate(spec, z)[0]
 
 
 # --- F2 --------------------------------------------------------------------
 
-def _f2_direct(spec: KernelSpec, z: float, quad_limit: int) -> tuple[complex, float]:
+def _f2_direct(spec: KernelSpec, z: float) -> tuple[complex, float]:
     if not z >= 0.0:
         raise ValueError(f"z must be nonnegative, got {z!r}")
     mass, t = spec.mass, spec.t
@@ -251,7 +251,7 @@ def _f2_direct(spec: KernelSpec, z: float, quad_limit: int) -> tuple[complex, fl
                 radial = sign * k * k if z == 0.0 else sign * k
                 return radial * trig(np.sqrt(k * k + mass * mass) * t) * weight(k)
 
-            return _quad(integrand, 0.0, lam, limit=quad_limit, epsabs=1e-12, epsrel=1e-11, **sine)
+            return _quad(integrand, 0.0, lam, limit=400, epsabs=1e-12, epsrel=1e-11, **sine)
 
         re, re_err = part(np.cos, 1.0)
         im, im_err = part(np.sin, -1.0)
@@ -269,7 +269,6 @@ def f2_direct(
     *,
     window: str = "cosine",
     taper_frac: float = 0.1,
-    quad_limit: int = 400,
 ) -> complex:
     """Finite-time kernel via the windowed radial integral.
 
@@ -282,7 +281,7 @@ def f2_direct(
     sine-weighted rule; the temporal phase by adaptive subdivision.
     """
     spec = KernelSpec("F2", mass, cutoff, t, window=window, taper_frac=taper_frac)
-    return _evaluate(spec, z, quad_limit)[0]
+    return _evaluate(spec, z)[0]
 
 
 def _f2_contour(spec: KernelSpec, z: float) -> tuple[complex, float]:
@@ -314,28 +313,7 @@ def f2_contour(z: float, t: float, mass: float) -> complex:
     return _evaluate(KernelSpec("F2", mass, t=t, method="contour"), z)[0]
 
 
-def f2_eval(
-    z: float,
-    t: float,
-    mass: float,
-    cutoff: float | None = None,
-    *,
-    method: str = "radial_reduced",
-    window: str = "cosine",
-    taper_frac: float = 0.1,
-) -> complex:
-    """Evaluate the finite-time kernel by the requested route.
-
-    ``direct_quadrature`` and ``radial_reduced`` are the same evaluation:
-    rotation symmetry reduces the defining D=3 integral to one radial
-    dimension exactly, so there is no separate unreduced route to offer.
-    Both need a finite ``cutoff``.  ``contour`` ignores the cutoff and is
-    restricted to the spacelike regime ``|t| < z``.
-    """
-    return _evaluate(KernelSpec("F2", mass, cutoff, t, method, window, taper_frac), z)[0]
-
-
-def _evaluate(spec: KernelSpec, z: float, quad_limit: int = 400) -> tuple[complex, float]:
+def _evaluate(spec: KernelSpec, z: float) -> tuple[complex, float]:
     """Value and error bound of the requested kernel at radius ``z``.
 
     The one place where ``(kind, method)`` selects a route.
@@ -343,8 +321,8 @@ def _evaluate(spec: KernelSpec, z: float, quad_limit: int = 400) -> tuple[comple
     if spec.method == "contour":
         return _f1_contour(spec, z) if spec.kind == "F1" else _f2_contour(spec, z)
     if spec.kind == "F1":
-        return _f1_direct(spec, z, quad_limit)
-    return _f2_direct(spec, z, quad_limit)
+        return _f1_direct(spec, z)
+    return _f2_direct(spec, z)
 
 
 # --- derived diagnostics ---------------------------------------------------

@@ -166,6 +166,15 @@ def _require(field: ComplexField, lattice: MomentumLattice, space: str) -> None:
         )
 
 
+def _require_finite(field: ComplexField, name: str) -> None:
+    """Reject a field with a NaN or infinite value, which no evolution recovers from.
+
+    Kept apart from :func:`_require` because :func:`save_field` writes NaN.
+    """
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError(f"{name} must be finite, got a NaN or infinite value")
+
+
 def to_momentum(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
     """Unitary (symmetric-norm) DFT from position to momentum samples."""
     _require(field, lattice, "position")
@@ -203,9 +212,10 @@ def spectral_evolve(field: ComplexField, lattice: MomentumLattice, t: float) -> 
 
     Modes beyond the cutoff follow ``cutoff_mode``: frozen modes keep their
     amplitude unchanged, zeroed modes are removed.  The field's clock
-    advances by ``t``.
+    advances by ``t``.  A NaN or infinite mode is rejected.
     """
     _require(field, lattice, "momentum")
+    _require_finite(field, "field")
     phase = evolution_phase(lattice, t)
     return ComplexField(space="momentum", values=field.values * phase, time=field.time + t)
 

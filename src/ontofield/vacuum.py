@@ -41,6 +41,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CSV_ROW = "%d,%d,%.17g,%.17g,%.17g\r\n"
+# Samples per block.  The block edges set the einsum sums, so changing this
+# moves the correlator's last bits.
+_BATCH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -147,39 +150,28 @@ class CorrelatorEstimate:
         _write_csv(path, ["x_index", "y_index", "re", "im", "stderr"], _CSV_ROW, table)
 
 
-def ensemble_correlator(
-    spec: EnsembleSpec,
-    samples: int | None = None,
-    *,
-    evolve_time: float = 0.0,
-    batch_size: int = 256,
-) -> CorrelatorEstimate:
-    """Average ``conj(b(x)) b(y)`` over independently drawn vacua.
+def ensemble_correlator(spec: EnsembleSpec, *, evolve_time: float = 0.0) -> CorrelatorEstimate:
+    """Average ``conj(b(x)) b(y)`` over the ``spec.count`` vacua of the ensemble.
 
     Under the uniform-phase measure the prediction is the identity matrix.
     Each sample is optionally pushed through spectral evolution by
     ``evolve_time`` before transforming to position space; the estimate's
     distribution must not depend on that time, which must be finite.  Each
-    batch of ``batch_size`` samples is drawn, evolved and transformed as one
-    array, row for row the same as :func:`spectral_evolve` and
-    :func:`to_position` on each :func:`sample_vacuum`.
-    Accumulation order is fixed (ascending sample index) so results are
-    bitwise reproducible.  ``samples`` (default ``spec.count``) must lie in
-    ``[100, spec.count]`` and ``batch_size`` must be positive.
+    block of samples is drawn, evolved and transformed as one array, row for
+    row the same as :func:`spectral_evolve` and :func:`to_position` on each
+    :func:`sample_vacuum`.  Accumulation order is fixed (ascending sample
+    index) so results are bitwise reproducible.  ``spec.count`` must be at
+    least 100.
     """
-    n_samples = spec.count if samples is None else int(samples)
+    n_samples = spec.count
     if n_samples < 100:
         raise ValueError(f"correlator estimation needs >= 100 samples, got {n_samples}")
-    if n_samples > spec.count:
-        raise ValueError(f"samples ({n_samples}) exceed the ensemble's count ({spec.count})")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     n_sites = int(np.prod(spec.lattice.grid_points))
     phase = evolution_phase(spec.lattice, evolve_time) if evolve_time != 0.0 else None
     sum_w = np.zeros((n_sites, n_sites), dtype=complex)
     sum_sq = np.zeros((n_sites, n_sites), dtype=float)
-    for start in range(0, n_samples, batch_size):
-        stop = min(start + batch_size, n_samples)
+    for start in range(0, n_samples, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, n_samples)
         block = _position_block(spec, start, stop, phase).reshape(stop - start, n_sites)
         sum_w += np.einsum("sx,sy->xy", block.conj(), block)
         abs_sq = np.abs(block) ** 2

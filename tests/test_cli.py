@@ -76,6 +76,14 @@ def test_validate_catches_cross_field_inconsistencies():
     assert any("z_stop" in v for v in validate_config(backwards))
 
 
+def test_every_experiment_has_one_schema_and_one_runner():
+    assert set(cli._RUNNERS) == set(cli._SCHEMAS)
+    # The experiment list is the schema table's keys, in the order validate names them.
+    assert cli._EXPERIMENTS == (
+        "identities", "spectrum", "kernel", "decay", "front", "evolve", "interact", "vacuum",
+    )
+
+
 FRONT_2D = {
     "experiment": "front",
     "mass": 1.0,

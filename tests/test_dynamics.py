@@ -98,7 +98,6 @@ def test_spectral_run_records_requested_snapshots():
     run = spectral_run(gaussian_packet(lat, 1.0, 8.0, 3.0), lat, 0.1, 5, record_every=2)
     assert [s.time for s in run.snapshots] == pytest.approx([0.0, 0.2, 0.4, 0.5])
     assert run.final.time == pytest.approx(0.5)
-    assert run.method == "spectral"
 
 
 def test_spectral_run_preserves_the_norm():
@@ -147,13 +146,7 @@ def test_run_rejects_non_increasing_snapshot_times():
     f0 = gaussian_packet(lat, 1.0, 4.0, 2.0)
     f_bad = ComplexField("position", f0.values, time=-1.0)
     with pytest.raises(ValueError):
-        EvolutionRun(
-            lattice=lat,
-            method="spectral",
-            dt=0.1,
-            steps=1,
-            snapshots=(f0, f_bad),
-        )
+        EvolutionRun(lattice=lat, steps=1, snapshots=(f0, f_bad))
 
 
 # --- field guards ----------------------------------------------------------------
@@ -214,6 +207,10 @@ NON_FINITE_INPUTS = {
     "evolve_convolution": lambda lat: evolve_convolution(flawed_field(lat, np.inf), lat, 0.1),
     "evolve_convolution_literal": lambda lat: evolve_convolution(
         flawed_field(lat, complex(0.0, np.nan)), lat, 0.1, path="literal"
+    ),
+    "time_derivative_check": lambda lat: time_derivative_check(flawed_field(lat, np.nan), lat, 0.1),
+    "spectral_evolve": lambda lat: spectral_evolve(
+        ComplexField("momentum", flawed_field(lat, np.inf).values), lat, 0.1
     ),
 }
 
@@ -331,21 +328,11 @@ def test_leapfrog_rejects_steps_at_or_beyond_the_bound():
 def test_stability_errors_print_the_bound_as_a_plain_float():
     lat = build_lattice(32.0, 64, 1.0)
     bound = stability_bound(lat)
-    with pytest.raises(ValueError) as leapfrog:
+    with pytest.raises(ValueError) as info:
         leapfrog_interact(real_packet(lat), zero_field(lat), lat, 0.0, 0.6, 2)
-    f0 = real_packet(lat)
-    with pytest.raises(ValueError) as record:
-        EvolutionRun(
-            lattice=lat,
-            method="leapfrog_second_order",
-            dt=0.6,
-            steps=1,
-            snapshots=(f0,),
-        )
-    for info in (leapfrog, record):
-        message = str(info.value)
-        assert "np.float64" not in message
-        assert repr(bound) in message
+    message = str(info.value)
+    assert "np.float64" not in message
+    assert repr(bound) in message
 
 
 def test_leapfrog_free_run_conserves_energy_to_roundoff():

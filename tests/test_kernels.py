@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import kv
 
 from ontofield.kernels import (
     KernelSpec,
@@ -11,7 +13,6 @@ from ontofield.kernels import (
     f1_direct,
     f2_contour,
     f2_direct,
-    f2_eval,
     group_velocity,
     kernel_table,
     spacelike_suppression_scan,
@@ -90,9 +91,12 @@ def test_unknown_window_is_rejected():
         f1_direct(1.0, 1.0, 40.0, window="hann")
 
 
-def test_exhausted_quadrature_raises_with_diagnostics():
+def test_exhausted_quadrature_raises_with_diagnostics(monkeypatch):
+    # Two subintervals cannot resolve the oscillating integrand.
+    quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: quad(*args, **{**kwargs, "limit": 2}))
     with pytest.raises(QuadratureError) as info:
-        f1_direct(2.0, 1.0, 500.0, quad_limit=2)
+        f1_direct(2.0, 1.0, 500.0)
     err = info.value
     assert np.isfinite(err.estimate)
     assert err.error_bound > 0.0
@@ -144,15 +148,17 @@ def test_timelike_magnitude_beats_spacelike_magnitude():
 
 
 def test_eval_dispatches_on_method():
-    direct = f2_eval(2.0, 1.0, 1.0, 60.0, method="direct_quadrature")
-    radial = f2_eval(2.0, 1.0, 1.0, 60.0, method="radial_reduced")
-    assert direct == radial
-    contour = f2_eval(2.0, 1.0, 1.0, method="contour")
-    assert contour == f2_contour(2.0, 1.0, 1.0)
+    z = [2.0]
+    direct = kernel_table(KernelSpec("F2", 1.0, 60.0, 1.0, method="direct_quadrature"), z)
+    radial = kernel_table(KernelSpec("F2", 1.0, 60.0, 1.0, method="radial_reduced"), z)
+    assert direct.values[0] == radial.values[0]
+    assert radial.values[0] == f2_direct(2.0, 1.0, 1.0, 60.0)
+    contour = kernel_table(KernelSpec("F2", 1.0, t=1.0, method="contour"), z)
+    assert contour.values[0] == f2_contour(2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        f2_eval(2.0, 1.0, 1.0, 60.0, method="brute_force")
+        KernelSpec("F2", 1.0, 60.0, 1.0, method="brute_force")
     with pytest.raises(ValueError):
-        f2_eval(2.0, 1.0, 1.0, method="radial_reduced")
+        KernelSpec("F2", 1.0, t=1.0, method="radial_reduced")
 
 
 def test_group_velocity_shapes_and_limits():
@@ -291,3 +297,53 @@ def test_far_tail_ratio_sits_between_power_law_bounds():
     ratio = abs(f2_contour(z2, t, mass)) / abs(f2_contour(z1, t, mass))
     base = np.exp(-mass * (s2 - s1))
     assert base * (s1 / s2) ** 4 < ratio < base * (s1 / s2) ** 2
+
+
+# --- closed forms -----------------------------------------------------------------
+#
+# Both kernels reduce to the modified Bessel function K_2: the F1 contour
+# integral is its integral representation (DLMF 10.32), and the spacelike F2
+# is 2i d/dt of the free Wightman function M K_1(M r) / (4 pi^2 r).  The
+# values fall to 1e-28, so every comparison is purely relative (abs=0).
+
+
+def f1_closed_form(z, mass):
+    return -(mass**2) * kv(2, mass * z) / (2.0 * np.pi**2 * z**2)
+
+
+def f2_closed_form(z, t, mass):
+    r = np.sqrt(z**2 - t**2)
+    return 1j * t * mass**2 * kv(2, mass * r) / (2.0 * np.pi**2 * r**2)
+
+
+@pytest.mark.parametrize("mass", [0.3, 1.0, 2.0, 5.0])
+def test_static_contour_matches_the_closed_form(mass):
+    for z in np.linspace(0.2, 12.0, 40):
+        assert f1_contour(z, mass) == pytest.approx(f1_closed_form(z, mass), rel=1e-13, abs=0.0)
+
+
+def test_static_direct_route_matches_the_closed_form():
+    for z in np.linspace(0.5, 5.0, 40):
+        value = f1_direct(z, 1.0, 240.0, window="septic", taper_frac=0.5)
+        assert value == pytest.approx(f1_closed_form(z, 1.0), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "z, t, mass",
+    [
+        (2.0, 1.0, 1.0),
+        (3.0, 1.5, 1.0),
+        (4.0, 1.0, 2.0),
+        pytest.param(
+            9.0, 0.9, 5.0,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: the F2 contour loses accuracy at large M z (3.1e-4 off)",
+            ),
+        ),
+    ],
+)
+def test_spacelike_contour_matches_the_closed_form(z, t, mass):
+    value = f2_contour(z, t, mass)
+    assert value.real == 0.0
+    assert value.imag == pytest.approx(f2_closed_form(z, t, mass).imag, rel=1e-12, abs=0.0)

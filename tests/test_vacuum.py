@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontofield.vacuum as vacuum
 from ontofield.lattice import build_lattice, evolution_phase, spectral_evolve, to_position
 from ontofield.vacuum import (
     CorrelatorEstimate,
@@ -62,9 +63,8 @@ def test_each_sample_carries_unit_power_per_mode():
 
 
 def test_correlator_requires_a_minimum_ensemble():
-    spec = small_spec(count=400)
-    with pytest.raises(ValueError):
-        ensemble_correlator(spec, samples=50)
+    with pytest.raises(ValueError, match=">= 100 samples"):
+        ensemble_correlator(small_spec(count=50))
 
 
 def test_correlator_mean_is_hermitian_with_positive_errors():
@@ -91,29 +91,15 @@ def test_correlator_is_stationary_under_free_evolution(t):
     assert off_pull < 3.0
 
 
-def test_batch_size_does_not_change_the_estimate():
+def test_batch_size_does_not_change_the_estimate(monkeypatch):
     spec = small_spec(count=300)
-    whole = ensemble_correlator(spec, batch_size=300)
-    chunked = ensemble_correlator(spec, batch_size=64)
+    estimates = []
+    for rows in (300, 64):
+        monkeypatch.setattr(vacuum, "_BATCH_ROWS", rows)
+        estimates.append(ensemble_correlator(spec))
+    whole, chunked = estimates
     assert np.allclose(whole.mean, chunked.mean, atol=1e-12)
     assert np.allclose(whole.stderr, chunked.stderr, atol=1e-12)
-
-
-def test_samples_argument_truncates_the_ensemble():
-    spec = small_spec(count=400)
-    part = ensemble_correlator(spec, samples=200)
-    assert part.count == 200
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_correlator_rejects_a_non_positive_batch_size(batch_size):
-    with pytest.raises(ValueError, match="batch_size"):
-        ensemble_correlator(small_spec(count=100), batch_size=batch_size)
-
-
-def test_correlator_rejects_more_samples_than_the_ensemble_holds():
-    with pytest.raises(ValueError, match="exceed"):
-        ensemble_correlator(small_spec(count=100), samples=500)
 
 
 def test_correlator_csv_layout(tmp_path):
