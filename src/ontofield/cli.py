@@ -61,7 +61,7 @@ from ontofield.ladder import (
     truncate_from_a,
 )
 from ontofield.lattice import ComplexField, _write_csv, build_lattice, save_field
-from ontofield.vacuum import EnsembleSpec, ensemble_correlator
+from ontofield.vacuum import EnsembleSpec, _correlator_memory_problem, ensemble_correlator
 
 __all__ = ["main"]
 
@@ -273,13 +273,23 @@ def _check_interact(params: dict) -> list[str]:
     return errors
 
 
+def _check_vacuum(params: dict) -> list[str]:
+    errors = _check_geometry_consistency(params)
+    if not errors:
+        points = params["points"] if isinstance(params["points"], list) else [params["points"]]
+        problem = _correlator_memory_problem(tuple(points))
+        if problem is not None:
+            errors.append(f"key 'points': {problem}")
+    return errors
+
+
 _EXTRA_CHECKS: dict[str, Callable[[dict], list[str]]] = {
     "kernel": _check_kernel,
     "decay": _check_kernel,
     "front": _check_front,
     "evolve": _check_geometry_consistency,
     "interact": _check_interact,
-    "vacuum": _check_geometry_consistency,
+    "vacuum": _check_vacuum,
 }
 
 

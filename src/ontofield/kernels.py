@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ontofield.lattice import _write_csv
 
@@ -73,7 +72,15 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(func: Callable[[float], float], a: float, b: float, **kwargs) -> tuple[float, float]:
-    """scipy.integrate.quad with convergence trouble turned into a typed error."""
+    """scipy.integrate.quad with convergence trouble turned into a typed error.
+
+    scipy.integrate is imported here, at the first quadrature, so that the
+    package and every experiment without a kernel table load no scipy.
+    ``quad`` is looked up on the module at each call, so a wrapper put on
+    ``scipy.integrate.quad`` (a tracer, a test) sees every quadrature.
+    """
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         result = integrate.quad(func, a, b, full_output=1, **kwargs)

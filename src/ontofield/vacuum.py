@@ -16,6 +16,8 @@ every index, so a block holds exactly the arrays that per-sample draws give.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from ontofield.lattice import (  # noqa: F401
 
 __all__ = [
     "CorrelatorEstimate",
+    "CorrelatorMemoryError",
     "EnsembleSpec",
     "ensemble_correlator",
     "sample_vacuum",
@@ -150,6 +153,29 @@ class CorrelatorEstimate:
         _write_csv(path, ["x_index", "y_index", "re", "im", "stderr"], _CSV_ROW, table)
 
 
+class CorrelatorMemoryError(ValueError):
+    """The dense correlator of a lattice cannot fit in physical memory."""
+
+
+def _correlator_memory_problem(grid_points: tuple[int, ...]) -> str | None:
+    """Why the dense correlator on ``grid_points`` cannot fit, or ``None``.
+
+    The estimate is a lower bound: the complex and the float accumulator
+    (24 bytes per site pair) plus one complex block of ``_BATCH_ROWS``
+    samples.  It is compared with the machine's physical memory, so only a
+    run that certainly cannot complete is refused.
+    """
+    n_sites = math.prod(grid_points)
+    needed = 24 * n_sites**2 + 16 * _BATCH_ROWS * n_sites
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed <= physical:
+        return None
+    return (
+        f"the dense correlator of {n_sites} sites needs at least {needed} bytes, "
+        f"more than the {physical} bytes of physical memory"
+    )
+
+
 def ensemble_correlator(spec: EnsembleSpec, *, evolve_time: float = 0.0) -> CorrelatorEstimate:
     """Average ``conj(b(x)) b(y)`` over the ``spec.count`` vacua of the ensemble.
 
@@ -161,11 +187,15 @@ def ensemble_correlator(spec: EnsembleSpec, *, evolve_time: float = 0.0) -> Corr
     row the same as :func:`spectral_evolve` and :func:`to_position` on each
     :func:`sample_vacuum`.  Accumulation order is fixed (ascending sample
     index) so results are bitwise reproducible.  ``spec.count`` must be at
-    least 100.
+    least 100.  A lattice whose correlator cannot fit in physical memory
+    raises :class:`CorrelatorMemoryError` before anything is allocated.
     """
     n_samples = spec.count
     if n_samples < 100:
         raise ValueError(f"correlator estimation needs >= 100 samples, got {n_samples}")
+    problem = _correlator_memory_problem(spec.lattice.grid_points)
+    if problem is not None:
+        raise CorrelatorMemoryError(problem)
     n_sites = int(np.prod(spec.lattice.grid_points))
     phase = evolution_phase(spec.lattice, evolve_time) if evolve_time != 0.0 else None
     sum_w = np.zeros((n_sites, n_sites), dtype=complex)

@@ -10,14 +10,20 @@ from pathlib import Path
 
 import ontofield.cli as cli
 import ontofield.dynamics as dynamics
+from ontofield.kernels import f1_contour
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_benchmark_tracer_finds_and_restores_every_wrapped_name():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_finds_and_restores_every_wrapped_name():
+    spans = load_spans()
     original = cli.leapfrog_interact
     tracer = spans.Tracer()
     try:
@@ -26,3 +32,19 @@ def test_benchmark_tracer_finds_and_restores_every_wrapped_name():
     finally:
         tracer.unwrap_all()
     assert cli.leapfrog_interact is original is dynamics.leapfrog_interact
+
+
+def test_benchmark_tracer_counts_the_quadrature_imported_at_first_use():
+    # kernels._quad imports scipy.integrate when called and looks up quad on
+    # it then, so the tracer's wrap of scipy.integrate.quad sees every call.
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        tracer.begin_op("kernel")
+        f1_contour(2.0, 1.0)
+    finally:
+        tracer.unwrap_all()
+    counts = tracer.counts["kernel"]
+    assert counts["kernels.quad_calls"] == 1
+    assert counts["kernels.integrand_evals"] > 0

@@ -110,10 +110,24 @@ INTERACT_UNSTABLE_STEP = {
     "steps": 10,
 }
 
+# The dense correlator of 64^3 sites needs about 1.6 TB.
+VACUUM_TOO_LARGE = {
+    "experiment": "vacuum",
+    "mass": 1.0,
+    "box_length": [8.0, 8.0, 8.0],
+    "points": [64, 64, 64],
+    "cutoff": None,
+    "samples": 100,
+}
+
 
 @pytest.mark.parametrize(
     "payload, needle",
-    [(FRONT_2D, "one-dimensional"), (INTERACT_UNSTABLE_STEP, "stability bound 0.485")],
+    [
+        (FRONT_2D, "one-dimensional"),
+        (INTERACT_UNSTABLE_STEP, "stability bound 0.485"),
+        (VACUUM_TOO_LARGE, "key 'points': the dense correlator of 262144 sites"),
+    ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
     assert main(["validate", write_config(tmp_path, payload)]) == 2
@@ -339,6 +353,18 @@ def test_unstable_interaction_exits_with_the_numerical_code(tmp_path, capsys):
     assert record["error"]["type"] == "numerical"
     saved = json.loads((out / "error.json").read_text())
     assert saved["exit_code"] == 3
+
+
+def test_correlator_too_large_for_memory_exits_with_the_numerical_code(tmp_path, capsys, monkeypatch):
+    # With the validate check bypassed, the library's own guard still stops
+    # the run before it allocates, through the numerical-failure handler.
+    monkeypatch.setitem(cli._EXTRA_CHECKS, "vacuum", cli._check_geometry_consistency)
+    code, out = run_cli(tmp_path, VACUUM_TOO_LARGE)
+    assert code == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "numerical"
+    assert "physical memory" in record["error"]["message"]
+    assert json.loads((out / "error.json").read_text())["exit_code"] == 3
 
 
 def test_vacuum_run_reports_static_and_evolved_pulls(tmp_path):

@@ -328,6 +328,17 @@ def test_static_direct_route_matches_the_closed_form():
         assert value == pytest.approx(f1_closed_form(z, 1.0), rel=1e-8, abs=0.0)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=QuadratureError,
+    reason="ROADMAP item 1: f1_direct detects roundoff at M = 0.3 (first at z ~ 0.731, also at z ~ 1.077)",
+)
+def test_static_direct_route_matches_the_closed_form_at_small_mass():
+    for z in np.linspace(0.5, 5.0, 40):
+        value = f1_direct(z, 0.3, 240.0, window="septic", taper_frac=0.5)
+        assert value == pytest.approx(f1_closed_form(z, 0.3), rel=1e-8, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "z, t, mass",
     [

@@ -1,6 +1,12 @@
 """The package namespace re-exports every module's public names."""
 
 import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +22,47 @@ def test_module_exports_are_re_exported_by_the_package(name):
         assert attr in ontofield.__all__, attr
         assert getattr(ontofield, attr) is getattr(module, attr), attr
 
+
+
+# Run in a fresh interpreter: the suite itself imports scipy.  Argument 1 is
+# a directory of README configs named <experiment>.json.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+import ontofield
+import ontofield.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+configs = Path(sys.argv[1])
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for path in sorted(configs.glob("*.json")):
+        codes["validate " + path.stem] = cli.main(["validate", str(path)])
+    for name in ("identities", "evolve", "vacuum"):
+        out = configs / ("out_" + name)
+        codes["run " + name] = cli.main(["run", str(configs / (name + ".json")), "--output-dir", str(out)])
+    before_kernel = scipy_modules()
+    codes["run kernel"] = cli.main(["run", str(configs / "kernel.json"), "--output-dir", str(configs / "out_kernel")])
+print(json.dumps({"codes": codes, "before_kernel": before_kernel, "after_kernel": scipy_modules()}))
+"""
+
+
+def test_only_quadrature_loads_scipy(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+        (tmp_path / f"{json.loads(block)['experiment']}.json").write_text(block)
+    src = str(Path(ontofield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["codes"]) == 8 + 4
+    assert set(report["codes"].values()) == {0}, report["codes"]
+    assert report["before_kernel"] == []
+    assert "scipy.integrate" in report["after_kernel"]

@@ -11,6 +11,7 @@ import ontofield.vacuum as vacuum
 from ontofield.lattice import build_lattice, evolution_phase, spectral_evolve, to_position
 from ontofield.vacuum import (
     CorrelatorEstimate,
+    CorrelatorMemoryError,
     EnsembleSpec,
     _draw_phases,
     _position_block,
@@ -115,6 +116,21 @@ def test_correlator_csv_layout(tmp_path):
 def test_correlator_rejects_a_non_finite_evolve_time(t):
     with pytest.raises(ValueError, match="finite"):
         ensemble_correlator(small_spec(), evolve_time=t)
+
+
+def test_correlator_too_large_for_memory_raises_before_allocating(monkeypatch):
+    # 64^3 sites need 24 * 262144^2 bytes (about 1.6 TB) of accumulators.
+    # The check must refuse the run before any phase or block is built.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the ensemble started before the memory check")
+
+    monkeypatch.setattr(vacuum, "evolution_phase", must_not_run)
+    monkeypatch.setattr(vacuum, "_position_block", must_not_run)
+    spec = EnsembleSpec(lattice=build_lattice([8.0] * 3, [64] * 3, 1.0), count=100, seed=0)
+    with pytest.raises(CorrelatorMemoryError, match="physical memory") as info:
+        ensemble_correlator(spec, evolve_time=1.0)
+    assert isinstance(info.value, ValueError)
+    assert str(24 * 262144**2 + 16 * vacuum._BATCH_ROWS * 262144) in str(info.value)
 
 
 def _csv_writer_bytes(estimate, path):
