@@ -23,7 +23,6 @@ def test_module_exports_are_re_exported_by_the_package(name):
         assert getattr(ontofield, attr) is getattr(module, attr), attr
 
 
-
 # Run in a fresh interpreter: the suite itself imports scipy.  Argument 1 is
 # a directory of README configs named <experiment>.json.
 NO_SCIPY_SCRIPT = """
@@ -37,15 +36,18 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 configs = Path(sys.argv[1])
+
+def run(name):
+    return cli.main(["run", str(configs / f"{name}.json"), "--output-dir", str(configs / f"out_{name}")])
+
 codes = {}
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for path in sorted(configs.glob("*.json")):
         codes["validate " + path.stem] = cli.main(["validate", str(path)])
     for name in ("identities", "evolve", "vacuum"):
-        out = configs / ("out_" + name)
-        codes["run " + name] = cli.main(["run", str(configs / (name + ".json")), "--output-dir", str(out)])
+        codes["run " + name] = run(name)
     before_kernel = scipy_modules()
-    codes["run kernel"] = cli.main(["run", str(configs / "kernel.json"), "--output-dir", str(configs / "out_kernel")])
+    codes["run kernel"] = run("kernel")
 print(json.dumps({"codes": codes, "before_kernel": before_kernel, "after_kernel": scipy_modules()}))
 """
 

@@ -129,7 +129,6 @@ def test_correlator_too_large_for_memory_raises_before_allocating(monkeypatch):
     spec = EnsembleSpec(lattice=build_lattice([8.0] * 3, [64] * 3, 1.0), count=100, seed=0)
     with pytest.raises(CorrelatorMemoryError, match="physical memory") as info:
         ensemble_correlator(spec, evolve_time=1.0)
-    assert isinstance(info.value, ValueError)
     assert str(24 * 262144**2 + 16 * vacuum._BATCH_ROWS * 262144) in str(info.value)
 
 
