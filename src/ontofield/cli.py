@@ -40,6 +40,7 @@ from ontofield.cyclic import CycleConfig, basis_change, energy_levels, evolution
 from ontofield.dynamics import (
     FrontTrackingError,
     InstabilityError,
+    _bound_from_spacings,
     _schedule,
     evolve_convolution,
     gaussian_packet,
@@ -221,9 +222,14 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
 _EXPERIMENTS = tuple(_SCHEMAS)
 
 
+def _axes(value: object) -> list:
+    """A geometry key's entries, one per axis (a scalar is one axis)."""
+    return value if isinstance(value, list) else [value]
+
+
 def _check_geometry_consistency(params: dict) -> list[str]:
-    lengths = params["box_length"] if isinstance(params["box_length"], list) else [params["box_length"]]
-    points = params["points"] if isinstance(params["points"], list) else [params["points"]]
+    lengths = _axes(params["box_length"])
+    points = _axes(params["points"])
     errors = []
     if len(lengths) != len(points):
         errors.append("key 'points': dimension differs from 'box_length'")
@@ -231,8 +237,7 @@ def _check_geometry_consistency(params: dict) -> list[str]:
         value = params.get(key)
         if value is None:
             continue
-        entries = value if isinstance(value, list) else [value]
-        if len(entries) != len(lengths):
+        if len(_axes(value)) != len(lengths):
             errors.append(f"key {key!r}: dimension differs from 'box_length'")
     return errors
 
@@ -257,9 +262,12 @@ def _check_kernel(params: dict) -> list[str]:
     return errors
 
 
+# The checks below read the geometry from the config: building the lattice
+# would cost memory and time of the order of the run itself.
+
 def _check_front(params: dict) -> list[str]:
     errors = _check_geometry_consistency(params)
-    if not errors and _build_lattice(params).dims != 1:
+    if not errors and len(_axes(params["points"])) != 1:
         errors.append("key 'box_length': the front experiment is one-dimensional")
     return errors
 
@@ -267,7 +275,10 @@ def _check_front(params: dict) -> list[str]:
 def _check_interact(params: dict) -> list[str]:
     errors = _check_geometry_consistency(params)
     if not errors:
-        bound = stability_bound(_build_lattice(params))
+        spacings = [
+            float(length) / int(n) for length, n in zip(_axes(params["box_length"]), _axes(params["points"]))
+        ]
+        bound = _bound_from_spacings(spacings, float(params["mass"]))
         if not params["dt"] < bound:
             errors.append(f"key 'dt': must be below the leapfrog stability bound {bound!r}")
     return errors
@@ -276,8 +287,7 @@ def _check_interact(params: dict) -> list[str]:
 def _check_vacuum(params: dict) -> list[str]:
     errors = _check_geometry_consistency(params)
     if not errors:
-        points = params["points"] if isinstance(params["points"], list) else [params["points"]]
-        problem = _correlator_memory_problem(tuple(points))
+        problem = _correlator_memory_problem(tuple(_axes(params["points"])))
         if problem is not None:
             errors.append(f"key 'points': {problem}")
     return errors

@@ -144,7 +144,12 @@ def stability_bound(lattice: MomentumLattice) -> float:
     ``omega_max`` is the top frequency of the discrete operator actually
     integrated, ``sqrt(sum_a 4/dx_a^2 + M^2)``.
     """
-    top = np.sqrt(sum(4.0 / dx**2 for dx in lattice.spacings) + lattice.mass**2)
+    return _bound_from_spacings(lattice.spacings, lattice.mass)
+
+
+def _bound_from_spacings(spacings: Sequence[float], mass: float) -> float:
+    """:func:`stability_bound` from the grid spacings and mass alone, no lattice."""
+    top = np.sqrt(sum(4.0 / dx**2 for dx in spacings) + mass**2)
     return float(2.0 / top)
 
 

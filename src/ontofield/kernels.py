@@ -25,6 +25,7 @@ velocity, and scans the spacelike suppression of F2.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,18 +103,22 @@ def _err_floor(value: float, error: float) -> float:
 #
 # Each profile maps u in [0, 1] to a taper running from 1 to 0.  The cosine
 # profile is the default; the higher-order ones keep more derivatives
-# continuous at the taper ends and converge faster at fixed cutoff.
+# continuous at the taper ends and converge faster at fixed cutoff.  The
+# polynomial profiles are in Horner form with only + and *, so a Python
+# float and an ndarray give bitwise the same result and the quadrature
+# callback never boxes its argument into numpy.
 
 def _cosine_profile(u: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * u))
 
 
 def _quintic_profile(u: np.ndarray) -> np.ndarray:
-    return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+    return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
 def _septic_profile(u: np.ndarray) -> np.ndarray:
-    return 1.0 - u**4 * (35.0 - 84.0 * u + 70.0 * u**2 - 20.0 * u**3)
+    u2 = u * u
+    return 1.0 - u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
 
 
 def _bump_profile(u: np.ndarray) -> np.ndarray:
@@ -141,17 +146,18 @@ def _window(cutoff: float, window: str, taper_frac: float) -> Callable[[float], 
             return 1.0
         if k >= cutoff:
             return 0.0
-        return float(profile(np.asarray((k - k_start) / (cutoff - k_start))))
+        return float(profile((k - k_start) / (cutoff - k_start)))
 
     return weight
 
 
 def _windowed(spec: KernelSpec, integral: Callable[[Callable[[float], float], float], tuple]) -> tuple:
-    """Windowed integral at the cutoff and its error bound.
+    """Windowed integral at the cutoff and its error estimate.
 
     ``integral(weight, lam)`` integrates up to ``lam`` under the taper
-    ``weight``.  The bound adds the shift seen when the cutoff moves to
-    ``0.75 * cutoff``, so it covers the sensitivity to the cutoff placement.
+    ``weight``.  The estimate adds the shift seen when the cutoff moves to
+    ``0.75 * cutoff`` to the quadrature estimates, so it tracks the
+    sensitivity to the cutoff placement; it is not a bound.
     """
 
     def at(lam: float) -> tuple:
@@ -207,7 +213,7 @@ def _f1_direct(spec: KernelSpec, z: float) -> tuple[float, float]:
         def remainder(k: float) -> float:
             if k == 0.0:
                 return -0.5 * mass * mass
-            return (k * np.sqrt(k * k + mass * mass) - k * k - 0.5 * mass * mass) * weight(k)
+            return (k * math.sqrt(k * k + mass * mass) - k * k - 0.5 * mass * mass) * weight(k)
 
         return _quad(
             remainder, 0.0, lam, weight="sin", wvar=z, limit=400,
@@ -234,8 +240,11 @@ def f1_direct(
     ``(1/(2*pi^2*z)) * integral_0^cutoff dk k*omega(k)*sin(kz)`` regulated by
     an exact ultraviolet subtraction plus a smooth taper (``window``,
     ``taper_frac``) on the last part of the range.  Serves as the
-    independent check of :func:`f1_contour`; the reported error combines the
-    quadrature estimate with the sensitivity to the cutoff placement.
+    independent check of :func:`f1_contour`.  The error a
+    :func:`kernel_table` reports (``err``) combines the quadrature estimates
+    with the sensitivity to the cutoff placement.  It is an estimate, not a
+    bound: against the closed form in ``K_2`` the README table misses by up
+    to 1.5 times ``err``.
     """
     spec = KernelSpec("F1", mass, cutoff, window=window, taper_frac=taper_frac)
     return _evaluate(spec, z)[0]
@@ -256,7 +265,7 @@ def _f2_direct(spec: KernelSpec, z: float) -> tuple[complex, float]:
         def part(trig: Callable[[float], float], sign: float) -> tuple[float, float]:
             def integrand(k: float) -> float:
                 radial = sign * k * k if z == 0.0 else sign * k
-                return radial * trig(np.sqrt(k * k + mass * mass) * t) * weight(k)
+                return radial * trig(math.sqrt(k * k + mass * mass) * t) * weight(k)
 
             return _quad(integrand, 0.0, lam, limit=400, epsabs=1e-12, epsrel=1e-11, **sine)
 
@@ -285,7 +294,9 @@ def f2_direct(
     exp(-1j*omega(k)*t)``.  At ``t = 0`` the result is the windowed
     realization of the spatial delta, so values away from the origin are
     window ripple by construction.  The spatial oscillation is handled by a
-    sine-weighted rule; the temporal phase by adaptive subdivision.
+    sine-weighted rule; the temporal phase by adaptive subdivision.  As for
+    :func:`f1_direct`, the error a :func:`kernel_table` reports (``err``) is an
+    estimate, not a bound.
     """
     spec = KernelSpec("F2", mass, cutoff, t, window=window, taper_frac=taper_frac)
     return _evaluate(spec, z)[0]
@@ -298,16 +309,21 @@ def _f2_contour(spec: KernelSpec, z: float) -> tuple[complex, float]:
         raise ValueError(f"contour route needs the spacelike regime |t| < z, got z={z!r}, t={t!r}")
 
     # Wrapping the radial contour around the branch cut at k = i*M leaves a
-    # purely imaginary integral over p >= M.  Both exponents below stay
+    # purely imaginary integral over p = M + s, s >= 0, of
+    # p * sinh(kappa t) * exp(-p z).  exp(-M z) and sign(t) are taken out of
+    # the integral, and the difference of exponentials is formed by expm1,
+    # so nothing cancels and the relative tolerance alone (epsabs = 0) sets
+    # the accuracy at values near 1e-22.  The exponent kappa |t| - s z stays
     # negative in the spacelike regime, so the integrand never overflows.
-    def integrand(s: float) -> float:
-        p = mass + s
-        kappa = np.sqrt(s * (2.0 * mass + s))
-        return p * 0.5 * (np.exp(kappa * t - p * z) - np.exp(-kappa * t - p * z))
+    abs_t = abs(t)
 
-    raw, raw_err = _quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=400)
-    scale = 1.0 / (_TWO_PI_SQ * z)
-    return 1j * scale * raw, _err_floor(scale * raw, scale * raw_err)
+    def integrand(s: float) -> float:
+        kappa = math.sqrt(s * (2.0 * mass + s))
+        return -0.5 * (mass + s) * math.exp(kappa * abs_t - s * z) * math.expm1(-2.0 * kappa * abs_t)
+
+    raw, raw_err = _quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+    scale = math.copysign(math.exp(-mass * z) / (_TWO_PI_SQ * z), t) if t else 0.0
+    return 1j * scale * raw, _err_floor(scale * raw, abs(scale) * raw_err)
 
 
 def f2_contour(z: float, t: float, mass: float) -> complex:
@@ -321,7 +337,7 @@ def f2_contour(z: float, t: float, mass: float) -> complex:
 
 
 def _evaluate(spec: KernelSpec, z: float) -> tuple[complex, float]:
-    """Value and error bound of the requested kernel at radius ``z``.
+    """Value and error estimate of the requested kernel at radius ``z``.
 
     The one place where ``(kind, method)`` selects a route.
     """

@@ -8,8 +8,9 @@ import pytest
 
 import ontofield.cli as cli
 from ontofield.cli import main, validate_config
+from ontofield.dynamics import stability_bound
 from ontofield.kernels import f1_contour
-from ontofield.lattice import load_field
+from ontofield.lattice import build_lattice, load_field
 from ontofield.vacuum import CorrelatorEstimate
 
 SPECTRUM = {"experiment": "spectrum", "n_states": 6, "delta_t": 0.5}
@@ -137,6 +138,34 @@ def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, paylo
     code, out_dir = run_cli(tmp_path, payload)
     assert code == 2
     assert not out_dir.exists()
+
+
+def test_validate_judges_a_large_grid_without_building_its_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate built a lattice")
+
+    monkeypatch.setattr(cli, "build_lattice", refuse)
+    grid = {"box_length": [32.0] * 3, "points": [256] * 3, "k0": [1.0] * 3}
+    interact = {**INTERACT_UNSTABLE_STEP, **grid}
+    # Spacing 1/8 on every axis, as on the 256^3 grid.
+    bound = stability_bound(build_lattice([1.0] * 3, [8] * 3, 1.0))
+    assert validate_config({**interact, "dt": 0.05}) == []
+    assert validate_config({**interact, "dt": 0.1}) == [
+        f"key 'dt': must be below the leapfrog stability bound {bound!r}"
+    ]
+    assert validate_config({**FRONT_2D, **grid}) == ["key 'box_length': the front experiment is one-dimensional"]
+
+
+@pytest.mark.parametrize(
+    "box_length, points",
+    [(7.3, 46), (32, 64), ([3.1, 9.7], [10, 26]), ([2.2, 5, 7.9], [6, 8, 14])],
+)
+def test_validate_stability_bound_is_the_lattice_bound(box_length, points):
+    config = {**INTERACT_UNSTABLE_STEP, "mass": 0.37, "box_length": box_length, "points": points, "dt": 5.0}
+    config["k0"] = [1.0] * len(points) if isinstance(points, list) else 1.0
+    bound = stability_bound(build_lattice(box_length, points, 0.37))
+    # repr round-trips a float, so equal text is equal bits.
+    assert validate_config(config) == [f"key 'dt': must be below the leapfrog stability bound {bound!r}"]
 
 
 def test_validate_catches_geometry_dimension_mismatch():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import kv
 
 from ontofield.kernels import (
+    WINDOWS,
     KernelSpec,
     QuadratureError,
     decay_fit,
@@ -84,6 +87,35 @@ def test_window_choice_does_not_move_the_converged_value():
     for window in ("cosine", "quintic", "septic", "bump"):
         value = f1_direct(z, mass, cutoff, window=window, taper_frac=0.25)
         assert value == pytest.approx(reference, rel=1e-6), window
+
+
+# The polynomial profiles as written before they took Horner form.
+POWER_FORM_PROFILES = {
+    "quintic": lambda u: 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2),
+    "septic": lambda u: 1.0 - u**4 * (35.0 - 84.0 * u + 70.0 * u**2 - 20.0 * u**3),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@example([0.0, 0.5, 1.0])
+def test_windows_give_the_same_bits_on_floats_and_arrays(draws):
+    # The quadrature callback hands the profile a Python float; an array of
+    # |k| (a mode sum) must get the same bits.
+    u = np.array(draws)
+    for name, power_form in POWER_FORM_PROFILES.items():
+        profile = WINDOWS[name]
+        on_floats = [profile(x) for x in draws]
+        assert all(type(value) is float for value in on_floats), name
+        assert np.array_equal(profile(u).view(np.uint64), np.array(on_floats).view(np.uint64)), name
+        assert np.max(np.abs(profile(u) - power_form(u))) <= 1e-13, name
+    # cos and exp may round differently in libm and in numpy's array loops,
+    # so these two are held to a 0-d array, the form the callback used to pass.
+    for name in ("cosine", "bump"):
+        profile = WINDOWS[name]
+        on_floats = np.array([profile(x) for x in draws], dtype=float)
+        on_0d = np.array([profile(np.asarray(x)) for x in draws], dtype=float)
+        assert np.array_equal(on_floats.view(np.uint64), on_0d.view(np.uint64)), name
 
 
 def test_unknown_window_is_rejected():
@@ -328,6 +360,19 @@ def test_static_direct_route_matches_the_closed_form():
         assert value == pytest.approx(f1_closed_form(z, 1.0), rel=1e-8, abs=0.0)
 
 
+def test_direct_route_error_is_an_estimate_not_a_bound():
+    """``err`` of the README F1 table is an estimate of the closed-form miss.
+
+    Measured on this table: ``|value - K_2 form| / err`` peaks at 1.52 (at
+    z ~ 0.615) and exceeds 1 at 1 of the 40 points, so twice ``err`` covers
+    every point and ``err`` alone does not.
+    """
+    spec = KernelSpec("F1", 1.0, 240.0, method="radial_reduced", window="septic", taper_frac=0.5)
+    table = kernel_table(spec, np.linspace(0.5, 5.0, 40))
+    coverage = np.abs(table.values.real - f1_closed_form(table.z, 1.0)) / table.errors
+    assert 1.0 < np.max(coverage) < 2.0
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=QuadratureError,
@@ -345,16 +390,21 @@ def test_static_direct_route_matches_the_closed_form_at_small_mass():
         (2.0, 1.0, 1.0),
         (3.0, 1.5, 1.0),
         (4.0, 1.0, 2.0),
-        pytest.param(
-            9.0, 0.9, 5.0,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 1: the F2 contour loses accuracy at large M z (3.1e-4 off)",
-            ),
-        ),
+        # At M z = 45 the value is 1e-22; the route once lost 3.1e-4 here.
+        (9.0, 0.9, 5.0),
     ],
 )
 def test_spacelike_contour_matches_the_closed_form(z, t, mass):
     value = f2_contour(z, t, mass)
     assert value.real == 0.0
     assert value.imag == pytest.approx(f2_closed_form(z, t, mass).imag, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mass", [0.3, 1.0, 2.0, 5.0])
+def test_spacelike_contour_matches_the_closed_form_on_a_grid(mass):
+    # Measured worst relative error over the whole grid: 1.3e-14.
+    for z in np.linspace(0.2, 12.0, 40):
+        for t in (0.5 * z, 0.1 * z, -0.3 * z):
+            value = f2_contour(z, t, mass)
+            assert value.real == 0.0
+            assert value.imag == pytest.approx(f2_closed_form(z, t, mass).imag, rel=1e-12, abs=0.0)
