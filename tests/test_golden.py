@@ -41,7 +41,7 @@ GOLDEN = {
         "spectrum.csv": "02bfe983b3165f95143c3c789f18f92ad669e829dfeddbc58e6c31741e7c13e9",
     },
     "kernel": {
-        "kernel.csv": "1686032c60b243c408aed92c785d23cda116dcaa8956136b53b01e0c521412b4",
+        "kernel.csv": "bd03537a32e5e5a70c9c0a28e5a4573dc458f64e9d289397824e245d18800166",
     },
     "decay": {
         "decay.csv": "e3c5b5999570000e233cf4fa7327edaf83a35b946c7d8175e4d97abe82fe2d8b",
@@ -111,14 +111,14 @@ F2_KERNEL_CONFIGS = {
             "method": "radial_reduced", "window": "quintic", "taper_frac": 0.3,
             "t": 0.75, "z_start": 0.5, "z_stop": 3.0, "z_count": 6,
         },
-        "9daa7631b03c85c21c437d3f8b6b4b980094ecf3c12976a09d1df55065aea475",
+        "db0bec35d3e98643ebcc3be53d2cf69bb16ab28368ae3f381eb5debbcf5aba98",
     ),
     "contour": (
         {
             "experiment": "kernel", "kind": "F2", "mass": 0.5, "cutoff": None,
             "method": "contour", "t": -0.4, "z_start": 0.5, "z_stop": 4.0, "z_count": 8,
         },
-        "60e2a183fe38885bd5d590084d8c88cf9020e47a90fe3af7b8c0ce1b71c2a603",
+        "4ac733b69cbd9c9d3aaaece675daba189db66300188ac33f957d0cb9f4af416f",
     ),
 }
 
