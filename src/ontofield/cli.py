@@ -275,10 +275,8 @@ def _check_front(params: dict) -> list[str]:
 def _check_interact(params: dict) -> list[str]:
     errors = _check_geometry_consistency(params)
     if not errors:
-        spacings = [
-            float(length) / int(n) for length, n in zip(_axes(params["box_length"]), _axes(params["points"]))
-        ]
-        bound = _bound_from_spacings(spacings, float(params["mass"]))
+        spacings = [length / n for length, n in zip(_axes(params["box_length"]), _axes(params["points"]))]
+        bound = _bound_from_spacings(spacings, params["mass"])
         if not params["dt"] < bound:
             errors.append(f"key 'dt': must be below the leapfrog stability bound {bound!r}")
     return errors

@@ -157,13 +157,13 @@ def test_validate_judges_a_large_grid_without_building_its_lattice(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "box_length, points",
-    [(7.3, 46), (32, 64), ([3.1, 9.7], [10, 26]), ([2.2, 5, 7.9], [6, 8, 14])],
+    "box_length, points, mass",
+    [(7.3, 46, 0.37), (32, 64, 1), ([3.1, 9.7], [10, 26], 0.37), ([2.2, 5, 7.9], [6, 8, 14], 0.37)],
 )
-def test_validate_stability_bound_is_the_lattice_bound(box_length, points):
-    config = {**INTERACT_UNSTABLE_STEP, "mass": 0.37, "box_length": box_length, "points": points, "dt": 5.0}
+def test_validate_stability_bound_is_the_lattice_bound(box_length, points, mass):
+    config = {**INTERACT_UNSTABLE_STEP, "mass": mass, "box_length": box_length, "points": points, "dt": 5.0}
     config["k0"] = [1.0] * len(points) if isinstance(points, list) else 1.0
-    bound = stability_bound(build_lattice(box_length, points, 0.37))
+    bound = stability_bound(build_lattice(box_length, points, mass))
     # repr round-trips a float, so equal text is equal bits.
     assert validate_config(config) == [f"key 'dt': must be below the leapfrog stability bound {bound!r}"]
 

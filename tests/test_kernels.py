@@ -89,7 +89,7 @@ def test_window_choice_does_not_move_the_converged_value():
         assert value == pytest.approx(reference, rel=1e-6), window
 
 
-# The polynomial profiles as written before they took Horner form.
+# Reference: the polynomial profiles in power form.
 POWER_FORM_PROFILES = {
     "quintic": lambda u: 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2),
     "septic": lambda u: 1.0 - u**4 * (35.0 - 84.0 * u + 70.0 * u**2 - 20.0 * u**3),
@@ -390,8 +390,14 @@ def test_static_direct_route_matches_the_closed_form_at_small_mass():
         (2.0, 1.0, 1.0),
         (3.0, 1.5, 1.0),
         (4.0, 1.0, 2.0),
-        # At M z = 45 the value is 1e-22; the route once lost 3.1e-4 here.
+        # M z = 45: a value near 1e-22, where an absolute tolerance or a
+        # difference of nearly equal exponentials costs accuracy.
         (9.0, 0.9, 5.0),
+        # Tiny t: the integral itself is near 1e-13, so an absolute
+        # tolerance of 1e-14 would cost accuracy even after exp(-M z) is
+        # taken out (1.5e-5 and 1.3e-6 off).
+        (5.0, 1e-12, 1.0),
+        (1.0, 1e-13, 5.0),
     ],
 )
 def test_spacelike_contour_matches_the_closed_form(z, t, mass):
