@@ -120,9 +120,14 @@ def _taper(v: object) -> str | None:
     return None if _is_real(v) and 0.0 < v <= 1.0 else "expected a real in (0, 1]"
 
 
+def _axes(value: object) -> list:
+    """A geometry key's entries, one per axis (a scalar is one axis)."""
+    return value if isinstance(value, list) else [value]
+
+
 def _geometry(check_entry: Callable[[object], str | None]) -> Callable[[object], str | None]:
     def check(v: object) -> str | None:
-        entries = v if isinstance(v, list) else [v]
+        entries = _axes(v)
         if not 1 <= len(entries) <= 3:
             return "expected a scalar or a list of 1 to 3 entries"
         for entry in entries:
@@ -220,11 +225,6 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
 }
 
 _EXPERIMENTS = tuple(_SCHEMAS)
-
-
-def _axes(value: object) -> list:
-    """A geometry key's entries, one per axis (a scalar is one axis)."""
-    return value if isinstance(value, list) else [value]
 
 
 def _check_geometry_consistency(params: dict) -> list[str]:

@@ -108,20 +108,20 @@ def _err_floor(value: float, error: float) -> float:
 # float and an ndarray give bitwise the same result and the quadrature
 # callback never boxes its argument into numpy.
 
-def _cosine_profile(u: np.ndarray) -> np.ndarray:
+def _cosine_profile(u: float | np.ndarray) -> float | np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * u))
 
 
-def _quintic_profile(u: np.ndarray) -> np.ndarray:
+def _quintic_profile(u: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def _septic_profile(u: np.ndarray) -> np.ndarray:
+def _septic_profile(u: float | np.ndarray) -> float | np.ndarray:
     u2 = u * u
     return 1.0 - u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
 
 
-def _bump_profile(u: np.ndarray) -> np.ndarray:
+def _bump_profile(u: float | np.ndarray) -> float | np.ndarray:
     u = np.clip(u, 0.0, 1.0)
     with np.errstate(divide="ignore", over="ignore"):
         rise = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
@@ -129,7 +129,7 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     return rise / (rise + fall)
 
 
-WINDOWS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+WINDOWS: dict[str, Callable[[float | np.ndarray], float | np.ndarray]] = {
     "cosine": _cosine_profile,
     "quintic": _quintic_profile,
     "septic": _septic_profile,
@@ -310,19 +310,31 @@ def _f2_contour(spec: KernelSpec, z: float) -> tuple[complex, float]:
 
     # Wrapping the radial contour around the branch cut at k = i*M leaves a
     # purely imaginary integral over p = M + s, s >= 0, of
-    # p * sinh(kappa t) * exp(-p z).  exp(-M z) and sign(t) are taken out of
-    # the integral, and the difference of exponentials is formed by expm1,
-    # so nothing cancels and the relative tolerance alone (epsabs = 0) sets
-    # the accuracy at values near 1e-22.  The exponent kappa |t| - s z stays
-    # negative in the spacelike regime, so the integrand never overflows.
+    # p * sinh(kappa t) * exp(-p z), kappa = sqrt(p^2 - M^2).  The exponent
+    # kappa |t| - p z peaks at -M r, r = sqrt(z^2 - t^2), on the saddle
+    # p |t| = kappa z.  exp(-M r) and sign(t) are taken out of the integral,
+    # which leaves the exponent
+    #     kappa |t| - p z + M r = -(p |t| - kappa z)^2 / (p z - kappa |t| + M r),
+    # at most 0, so the integrand neither overflows nor underflows at the
+    # saddle however large M z is.  Both factors are rewritten without a
+    # difference of large terms: p |t| - kappa z = (M z - p r)(M z + p r) /
+    # (p |t| + kappa z) with M z - p r = M t^2 / (z + r) - s r, and
+    # p z - kappa |t| = (p^2 r^2 + M^2 t^2) / (p z + kappa |t|).  The
+    # difference of exponentials in sinh is formed by expm1, so the relative
+    # tolerance alone (epsabs = 0) sets the accuracy at any magnitude.
     abs_t = abs(t)
+    r = math.sqrt((z - abs_t) * (z + abs_t))
+    lag = mass * abs_t * abs_t / (z + r)
 
     def integrand(s: float) -> float:
+        p = mass + s
         kappa = math.sqrt(s * (2.0 * mass + s))
-        return -0.5 * (mass + s) * math.exp(kappa * abs_t - s * z) * math.expm1(-2.0 * kappa * abs_t)
+        gap = (lag - s * r) * (mass * z + p * r) / (p * abs_t + kappa * z)
+        slack = (p * p * r * r + mass * mass * abs_t * abs_t) / (p * z + kappa * abs_t) + mass * r
+        return -0.5 * p * math.exp(-gap * gap / slack) * math.expm1(-2.0 * kappa * abs_t)
 
     raw, raw_err = _quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
-    scale = math.copysign(math.exp(-mass * z) / (_TWO_PI_SQ * z), t) if t else 0.0
+    scale = math.copysign(math.exp(-mass * r) / (_TWO_PI_SQ * z), t) if t else 0.0
     return 1j * scale * raw, _err_floor(scale * raw, abs(scale) * raw_err)
 
 
