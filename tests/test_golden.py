@@ -118,7 +118,7 @@ F2_KERNEL_CONFIGS = {
             "experiment": "kernel", "kind": "F2", "mass": 0.5, "cutoff": None,
             "method": "contour", "t": -0.4, "z_start": 0.5, "z_stop": 4.0, "z_count": 8,
         },
-        "4ac733b69cbd9c9d3aaaece675daba189db66300188ac33f957d0cb9f4af416f",
+        "28d09ea08d5eb43f8504f1c72b584133816330fea0bef615ac279e2b39fbe082",
     ),
 }
 
