@@ -44,8 +44,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CSV_ROW = "%d,%d,%.17g,%.17g,%.17g\r\n"
-# Samples per block.  The block edges set the einsum sums, so changing this
-# moves the correlator's last bits.
+# Samples per block.  Each block adds one BLAS product to the sums, so the
+# block edges set them: changing this moves the correlator's last bits.
 _BATCH_ROWS = 256
 
 
@@ -74,26 +74,28 @@ def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
 
     Row ``i - start`` is the Philox stream keyed by ``(seed, i)``, filling
     modes in C order.  Rewinding one bit generator to each key gives the
-    stream a fresh ``Philox(key=(seed, i))`` would, without building one.
+    stream a fresh ``Philox`` keyed by the uint64 pair ``(seed mod 2**64, i)``
+    would, without building one.
     """
-    grid = spec.lattice.grid_points
-    seed = spec.seed & _MASK64
     bits = np.random.Philox(key=0)  # rekeyed below; key=0 skips OS entropy
     rng = np.random.Generator(bits)
+    key = np.array([spec.seed & _MASK64, 0], dtype=np.uint64)
     zeros = np.zeros(4, dtype=np.uint64)
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": None},
+        "state": {"counter": zeros, "key": key},
         "buffer": zeros,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    theta = np.empty((stop - start, *grid))
+    theta = np.empty((stop - start, *spec.lattice.grid_points))
     for row, index in enumerate(range(start, stop)):
-        state["state"]["key"] = np.array([seed, index], dtype=np.uint64)
+        key[1] = index
         bits.state = state
-        theta[row] = rng.uniform(0.0, 2.0 * np.pi, size=grid)
+        rng.random(out=theta[row])
+    # uniform(0, 2 pi) is 0.0 + 2 pi * u, so one scaling gives its bits.
+    theta *= 2.0 * np.pi
     return np.exp(1j * theta)
 
 
@@ -185,8 +187,9 @@ def ensemble_correlator(spec: EnsembleSpec, *, evolve_time: float = 0.0) -> Corr
     distribution must not depend on that time, which must be finite.  Each
     block of samples is drawn, evolved and transformed as one array, row for
     row the same as :func:`spectral_evolve` and :func:`to_position` on each
-    :func:`sample_vacuum`.  Accumulation order is fixed (ascending sample
-    index) so results are bitwise reproducible.  ``spec.count`` must be at
+    :func:`sample_vacuum`.  Each block is added by one BLAS product, in
+    ascending sample order, so results are bitwise reproducible for a fixed
+    numpy/BLAS build, whatever its thread count.  ``spec.count`` must be at
     least 100.  A lattice whose correlator cannot fit in physical memory
     raises :class:`CorrelatorMemoryError` before anything is allocated.
     """
@@ -203,9 +206,9 @@ def ensemble_correlator(spec: EnsembleSpec, *, evolve_time: float = 0.0) -> Corr
     for start in range(0, n_samples, _BATCH_ROWS):
         stop = min(start + _BATCH_ROWS, n_samples)
         block = _position_block(spec, start, stop, phase).reshape(stop - start, n_sites)
-        sum_w += np.einsum("sx,sy->xy", block.conj(), block)
+        sum_w += block.conj().T @ block
         abs_sq = np.abs(block) ** 2
-        sum_sq += np.einsum("sx,sy->xy", abs_sq, abs_sq)
+        sum_sq += abs_sq.T @ abs_sq
     mean = sum_w / n_samples
     # E|w|^2 - |E w|^2 estimates Var(Re w) + Var(Im w) in one shot.
     variance = (sum_sq - n_samples * np.abs(mean) ** 2) / (n_samples - 1)

@@ -1,6 +1,13 @@
 """Tests for phase-noise vacuum sampling and the correlator estimate."""
 
 import csv
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontofield.vacuum as vacuum
+import ontofield
 from ontofield.lattice import build_lattice, evolution_phase, spectral_evolve, to_position
 from ontofield.vacuum import (
     CorrelatorEstimate,
@@ -70,7 +78,8 @@ def test_correlator_requires_a_minimum_ensemble():
 
 def test_correlator_mean_is_hermitian_with_positive_errors():
     estimate = ensemble_correlator(small_spec())
-    assert np.max(np.abs(estimate.mean - estimate.mean.conj().T)) < 1e-13
+    assert np.array_equal(estimate.mean, estimate.mean.conj().T)
+    assert np.array_equal(estimate.stderr, estimate.stderr.T)
     assert np.all(estimate.stderr > 0.0)
     assert not estimate.zero_variance.any()
     assert estimate.count == 400
@@ -101,6 +110,61 @@ def test_batch_size_does_not_change_the_estimate(monkeypatch):
     whole, chunked = estimates
     assert np.allclose(whole.mean, chunked.mean, atol=1e-12)
     assert np.allclose(whole.stderr, chunked.stderr, atol=1e-12)
+
+
+def _einsum_correlator(spec, evolve_time):
+    # The accumulation as einsum wrote it, kept as the reference for the
+    # BLAS products: same blocks, same sums, same estimate formulas.
+    n_sites = int(np.prod(spec.lattice.grid_points))
+    phase = evolution_phase(spec.lattice, evolve_time) if evolve_time != 0.0 else None
+    sum_w = np.zeros((n_sites, n_sites), dtype=complex)
+    sum_sq = np.zeros((n_sites, n_sites))
+    for start in range(0, spec.count, vacuum._BATCH_ROWS):
+        stop = min(start + vacuum._BATCH_ROWS, spec.count)
+        block = _position_block(spec, start, stop, phase).reshape(stop - start, n_sites)
+        sum_w += np.einsum("sx,sy->xy", block.conj(), block)
+        abs_sq = np.abs(block) ** 2
+        sum_sq += np.einsum("sx,sy->xy", abs_sq, abs_sq)
+    mean = sum_w / spec.count
+    variance = np.maximum((sum_sq - spec.count * np.abs(mean) ** 2) / (spec.count - 1), 0.0)
+    return mean, np.sqrt(variance / spec.count)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.8])
+def test_blas_accumulation_matches_the_einsum_reference(t):
+    # 600 samples: two full blocks and a partial third.
+    spec = EnsembleSpec(
+        lattice=build_lattice([2 * np.pi, np.pi], [6, 4], 1.0), count=600, seed=2**63 + 5
+    )
+    assert spec.count % vacuum._BATCH_ROWS != 0 and spec.count > 2 * vacuum._BATCH_ROWS
+    estimate = ensemble_correlator(spec, evolve_time=t)
+    mean, stderr = _einsum_correlator(spec, t)
+    assert estimate.mean == pytest.approx(mean, rel=0, abs=1e-14)
+    assert estimate.stderr == pytest.approx(stderr, rel=1e-13, abs=0)
+
+
+def _vacuum_digests(tmp_path, env):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    tmp_path.mkdir()
+    config = tmp_path / "vacuum.json"
+    config.write_text(next(b for b in blocks if json.loads(b)["experiment"] == "vacuum"))
+    out = tmp_path / "out"
+    src = str(Path(ontofield.__file__).resolve().parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ontofield.cli", "run", str(config), "--output-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
+
+
+def test_blas_thread_count_does_not_change_the_correlator_bytes(tmp_path):
+    single = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    inherited = _vacuum_digests(tmp_path / "inherited", dict(os.environ))
+    assert sorted(inherited) == ["correlator.csv", "correlator_evolved.csv"]
+    assert _vacuum_digests(tmp_path / "single", single) == inherited
 
 
 def test_correlator_csv_layout(tmp_path):
@@ -195,6 +259,22 @@ def test_block_draws_equal_per_sample_draws(case):
         expected = np.exp(1j * fresh.uniform(0.0, 2.0 * np.pi, size=grid))
         assert block[row].tobytes() == expected.tobytes()
         assert block[row].tobytes() == sample_vacuum(spec, index).values.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 6, 2**63 + 5, -3])
+def test_block_rows_are_fresh_philox_streams(seed):
+    # The README's claim: row i of a block is the stream of a fresh Philox
+    # keyed by (seed mod 2^64, i).  The key is built as uint64: numpy turns a
+    # list holding an int of 2^63 or more into float64, a different key.
+    grid = (4, 6, 2)
+    spec = EnsembleSpec(lattice=build_lattice([2.0, 3.0, 1.0], list(grid), 1.0), count=100, seed=seed)
+    block = _draw_phases(spec, 5, 9)
+    assert block.shape == (4, *grid)
+    for row, index in enumerate(range(5, 9)):
+        key = np.array([seed & (2**64 - 1), index], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        expected = np.exp(1j * fresh.uniform(0.0, 2.0 * np.pi, grid))
+        assert block[row].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
