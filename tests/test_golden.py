@@ -59,8 +59,8 @@ GOLDEN = {
         "final_field.csv": "e9e9233952a14dd3796958f1a1e728e9148677034200c45a038140ccf580e015",
     },
     "vacuum": {
-        "correlator.csv": "73acbe15727f94903e636b2479b5099d707cf52b14498b054ba939806d69edf5",
-        "correlator_evolved.csv": "63edc64baac8f8859faecc269ade959966b5532c4d1a111941907e044a0b4c30",
+        "correlator.csv": "0f48ec6f9550cb7ed723f9e23434c10f0338410b7b5daba3113050e8d9171466",
+        "correlator_evolved.csv": "a5f93f3ae951f6104db98efa7627d5a4630938e442c4bd2ac76e5e61f85d5818",
     },
 }
 
