@@ -269,8 +269,8 @@ def _f2_direct(spec: KernelSpec, z: float) -> tuple[complex, float]:
 
             return _quad(integrand, 0.0, lam, limit=400, epsabs=1e-12, epsrel=1e-11, **sine)
 
-        re, re_err = part(np.cos, 1.0)
-        im, im_err = part(np.sin, -1.0)
+        re, re_err = part(math.cos, 1.0)
+        im, im_err = part(math.sin, -1.0)
         return (re + 1j * im) / scale, (re_err + im_err) / scale
 
     value, error = _windowed(spec, integral)
