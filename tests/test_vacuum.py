@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ontofield.vacuum as vacuum
 import ontofield
+import ontofield.vacuum as vacuum
 from ontofield.lattice import build_lattice, evolution_phase, spectral_evolve, to_position
 from ontofield.vacuum import (
     CorrelatorEstimate,
@@ -113,8 +113,8 @@ def test_batch_size_does_not_change_the_estimate(monkeypatch):
 
 
 def _einsum_correlator(spec, evolve_time):
-    # The accumulation as einsum wrote it, kept as the reference for the
-    # BLAS products: same blocks, same sums, same estimate formulas.
+    # Reference for ensemble_correlator's BLAS products: the same blocks and
+    # estimate formulas, with each block's sums formed by einsum.
     n_sites = int(np.prod(spec.lattice.grid_points))
     phase = evolution_phase(spec.lattice, evolve_time) if evolve_time != 0.0 else None
     sum_w = np.zeros((n_sites, n_sites), dtype=complex)
@@ -245,36 +245,29 @@ def _ensembles(draw):
     return EnsembleSpec(lattice=lattice, count=100, seed=draw(_seeds)), start, stop
 
 
+def _pinned(seed):
+    lattice = build_lattice([2.0, 3.0, 1.0], [4, 6, 2], 1.0)
+    return EnsembleSpec(lattice=lattice, count=100, seed=seed), 5, 9
+
+
 @settings(max_examples=25, deadline=None)
 @given(_ensembles())
+@example(_pinned(2**63 + 5))
+@example(_pinned(-3))
 def test_block_draws_equal_per_sample_draws(case):
     spec, start, stop = case
     grid = spec.lattice.grid_points
     block = _draw_phases(spec, start, stop)
     assert block.shape == (stop - start, *grid)
     for row, index in enumerate(range(start, stop)):
-        # A fresh generator per sample is the stream's definition.
+        # A fresh generator per sample is the stream's definition.  The key
+        # is built as uint64: numpy turns a list holding an int of 2^63 or
+        # more into float64, which is a different key.
         key = np.array([spec.seed % 2**64, index], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key))
         expected = np.exp(1j * fresh.uniform(0.0, 2.0 * np.pi, size=grid))
         assert block[row].tobytes() == expected.tobytes()
         assert block[row].tobytes() == sample_vacuum(spec, index).values.tobytes()
-
-
-@pytest.mark.parametrize("seed", [0, 6, 2**63 + 5, -3])
-def test_block_rows_are_fresh_philox_streams(seed):
-    # The README's claim: row i of a block is the stream of a fresh Philox
-    # keyed by (seed mod 2^64, i).  The key is built as uint64: numpy turns a
-    # list holding an int of 2^63 or more into float64, a different key.
-    grid = (4, 6, 2)
-    spec = EnsembleSpec(lattice=build_lattice([2.0, 3.0, 1.0], list(grid), 1.0), count=100, seed=seed)
-    block = _draw_phases(spec, 5, 9)
-    assert block.shape == (4, *grid)
-    for row, index in enumerate(range(5, 9)):
-        key = np.array([seed & (2**64 - 1), index], dtype=np.uint64)
-        fresh = np.random.Generator(np.random.Philox(key=key))
-        expected = np.exp(1j * fresh.uniform(0.0, 2.0 * np.pi, grid))
-        assert block[row].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
