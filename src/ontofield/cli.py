@@ -534,8 +534,6 @@ def _run_interact(params: dict, seed: int, out: Path) -> dict:
 def _run_vacuum(params: dict, seed: int, out: Path) -> dict:
     lattice = _build_lattice(params)
     spec = EnsembleSpec(lattice=lattice, count=params["samples"], seed=seed)
-    estimate = ensemble_correlator(spec)
-    estimate.write_csv(out / "correlator.csv")
 
     def summary(est) -> dict:
         n = est.mean.shape[0]
@@ -551,7 +549,10 @@ def _run_vacuum(params: dict, seed: int, out: Path) -> dict:
             "zero_variance_entries": int(np.sum(est.zero_variance)),
         }
 
+    estimate = ensemble_correlator(spec)
+    estimate.write_csv(out / "correlator.csv")
     results = {"samples": spec.count, "static": summary(estimate)}
+    del estimate  # so the evolved ensemble does not run beside the static one
     if params["evolve_time"] is not None:
         evolved = ensemble_correlator(spec, evolve_time=params["evolve_time"])
         evolved.write_csv(out / "correlator_evolved.csv")

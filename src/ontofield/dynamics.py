@@ -302,15 +302,26 @@ def _force(
     Each call writes the force of the current contents of ``state`` into
     ``out``, with the operations of the expression in its order; ``scratch``
     holds the Laplacian's terms, then the mass term, then the cubic one.
+
+    A real cube is ``(b*b)*b``: each multiply is correctly rounded whatever
+    SIMD level numpy dispatches to, while float64 ``np.power`` took 2.4 ms
+    against 0.03 ms on a 32^3 field (numpy 2.4.6, AVX-512) and its last bit
+    followed the dispatch.  A complex cube stays ``np.power(b, 3)``, which
+    gave the same bits with the dispatch on and off where ``b*b*b`` did not.
     """
     laplacian = _fd_laplacian(state, spacings, out, scratch)
     m_sq, three, c6 = (np.array(c, dtype=state.dtype) for c in (mass_sq, 3, coupling / 6.0))
+    real = state.dtype == np.float64
 
     def force() -> None:
         laplacian()
         np.multiply(m_sq, state, out=scratch)
         np.subtract(out, scratch, out=out)
-        np.power(state, three, out=scratch)
+        if real:
+            np.multiply(state, state, out=scratch)
+            np.multiply(scratch, state, out=scratch)
+        else:
+            np.power(state, three, out=scratch)
         np.multiply(c6, scratch, out=scratch)
         np.subtract(out, scratch, out=out)
 
@@ -479,7 +490,7 @@ def leapfrog_interact(
             - 0.125 * dt**2 * acc**2
             + 0.5 * gradient_sq
             + 0.5 * mass_sq * state**2
-            + (coupling / 24.0) * state**4
+            + (coupling / 24.0) * np.square(np.square(state))
         )
         return float(np.sum(density) * lattice.cell_volume)
 

@@ -1,11 +1,18 @@
 """Tests for packet evolution, the residual checks, and the leapfrog integrator."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ontofield
 from ontofield.dynamics import (
     EvolutionRun,
     FrontTrackingError,
@@ -275,13 +282,18 @@ def test_refinement_halves_the_residual_twice_per_level():
 
 
 def _roll_force(state, spacings, mass_sq, coupling):
-    """Reference force by np.roll and fresh arrays, which ``_force`` must match bit for bit."""
+    """Reference force by np.roll and fresh arrays, which ``_force`` must match bit for bit.
+
+    The cube of a real state is ``(state * state) * state``, of a complex one
+    ``state**3``, as ``_force`` forms them.
+    """
     laplacian = np.zeros_like(state)
     for axis, dx in enumerate(spacings):
         laplacian = laplacian + (
             np.roll(state, -1, axis) - 2.0 * state + np.roll(state, 1, axis)
         ) / dx**2
-    return laplacian - mass_sq * state - (coupling / 6.0) * state**3
+    cube = (state * state) * state if state.dtype == np.float64 else state**3
+    return laplacian - mass_sq * state - (coupling / 6.0) * cube
 
 
 # Signed zeros are drawn often: the stencil's leading add to zero is what turns
@@ -303,6 +315,10 @@ def _force_cases(draw):
 @given(_force_cases())
 @example((np.array([-0.0, 0.0, -0.0]), (0.5,), 1.0, 0.1))
 @example((np.array([[-0.0j, 1.0 - 0.0j], [0.0, -0.0]]), (0.5, 2.0), 0.0, -0.3))
+# The cube dominates these forces, and np.power(1.3, 3.0) != 1.3 * 1.3 * 1.3:
+# a reference that cubes a real state the other way fails here.
+@example((np.array([1.3, -1.3, 0.0]), (2.0,), 0.0, 6.0))
+@example((np.array([[1.3, -1.3, 0.0], [0.0, 1.3, -1.3]]), (4.0, 5.0), 0.0, 6.0))
 def test_buffered_force_is_bitwise_the_roll_force(case):
     state, spacings, mass_sq, coupling = case
     out, scratch = np.empty_like(state), np.empty_like(state)
@@ -310,6 +326,38 @@ def test_buffered_force_is_bitwise_the_roll_force(case):
     expected = _roll_force(state, spacings, mass_sq, coupling)
     assert out.dtype == expected.dtype
     assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+_FORCE_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from ontofield.dynamics import _force
+state = 2.0 * np.random.default_rng(13).standard_normal((32, 32, 32))
+out, scratch = np.empty_like(state), np.empty_like(state)
+_force(state, (0.5, 0.5, 0.5), 1.0, 3.0, out, scratch)()
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def _force_digest(env):
+    src = str(Path(ontofield.__file__).resolve().parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORCE_DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_real_force_bytes_do_not_depend_on_the_simd_dispatch():
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    # Turning off a feature this CPU lacks would change nothing.
+    features = getattr(umath, "__cpu_features__", {})
+    dispatch = [name for name in getattr(umath, "__cpu_dispatch__", []) if features.get(name)]
+    if not dispatch:
+        pytest.skip("this numpy build and CPU have no SIMD dispatch level to turn off")
+    baseline = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)}
+    assert _force_digest(baseline) == _force_digest(dict(os.environ))
 
 
 def test_stability_bound_matches_the_spectral_radius():

@@ -13,10 +13,15 @@ table at negative ``t``.  Three more runs end off their ``record_every``
 grid: a literal-convolution ``evolve`` and a complex and a real
 ``interact``.
 
-The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64);
-a different numpy, scipy or BLAS build may legitimately change the last bits
-of some floats and needs the digests re-recorded after checking the
-acceptance suite still passes.
+The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64)
+on a CPU with AVX-512, where numpy dispatches to its AVX-512 loops; a
+different numpy, scipy or BLAS build, or the same build at another SIMD
+dispatch level, may legitimately change the last bits of some floats and
+needs the digests re-recorded after checking the acceptance suite still
+passes.  With ``NPY_DISABLE_CPU_FEATURES`` set to every feature numpy
+dispatches on, eight of these cases fail: the README ``decay``, ``evolve``,
+``front``, ``identities``, ``interact`` and ``vacuum`` configs, the
+multi-block snapshot and ``evolve_literal``.
 """
 
 import hashlib
