@@ -544,10 +544,10 @@ class KernelTable:
         mass = "%.17g" % self.mass
         cutoff = "" if self.cutoff is None else "%.17g" % self.cutoff
         values = np.asarray(self.values, dtype=complex)
-        table = np.column_stack([self.z, values.real, values.imag, self.errors])
+        columns = [self.z, values.real, values.imag, self.errors]
         # The columns shared by every row are fixed in the row template.
         row = f"%.17g,{t},%.17g,%.17g,%.17g,{self.method},{mass},{cutoff}\r\n"
-        _write_csv(path, ["z", "t", "re", "im", "err", "method", "M", "Lambda"], row, table)
+        _write_csv(path, ["z", "t", "re", "im", "err", "method", "M", "Lambda"], row, columns)
 
 
 def kernel_table(spec: KernelSpec, z_values: Sequence[float]) -> KernelTable:

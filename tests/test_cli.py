@@ -111,7 +111,7 @@ INTERACT_UNSTABLE_STEP = {
     "steps": 10,
 }
 
-# The dense correlator of 64^3 sites needs about 1.6 TB.
+# The dense correlator of 64^3 sites needs about 2.7 TB.
 VACUUM_TOO_LARGE = {
     "experiment": "vacuum",
     "mass": 1.0,

@@ -183,7 +183,7 @@ def test_correlator_rejects_a_non_finite_evolve_time(t):
 
 
 def test_correlator_too_large_for_memory_raises_before_allocating(monkeypatch):
-    # 64^3 sites need 24 * 262144^2 bytes (about 1.6 TB) of accumulators.
+    # 64^3 sites need about 40 * 262144^2 bytes (2.7 TB) at the peak.
     # The check must refuse the run before any phase or block is built.
     def must_not_run(*args, **kwargs):
         raise AssertionError("the ensemble started before the memory check")
@@ -193,7 +193,7 @@ def test_correlator_too_large_for_memory_raises_before_allocating(monkeypatch):
     spec = EnsembleSpec(lattice=build_lattice([8.0] * 3, [64] * 3, 1.0), count=100, seed=0)
     with pytest.raises(CorrelatorMemoryError, match="physical memory") as info:
         ensemble_correlator(spec, evolve_time=1.0)
-    assert str(24 * 262144**2 + 16 * vacuum._BATCH_ROWS * 262144) in str(info.value)
+    assert str(40 * 262144**2 + 64 * vacuum._BATCH_ROWS * 262144) in str(info.value)
 
 
 def _csv_writer_bytes(estimate, path):
