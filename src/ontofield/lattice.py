@@ -455,7 +455,9 @@ def _write_csv(path: str | Path, header: Sequence, row_format: str, columns: Seq
         for lo in range(0, rows, _CSV_BLOCK_ROWS):
             tile = [c[lo : lo + _CSV_BLOCK_ROWS] for c in columns]
             if len(tile[0]) < _VECTOR_MIN_ROWS:
-                cells = [value for row in zip(*(c.tolist() for c in tile)) for value in row]
+                cells = [None] * (len(tile[0]) * len(tile))
+                for index, column in enumerate(tile):
+                    cells[index :: len(tile)] = column.tolist()
                 fh.write((row_format * len(tile[0])) % tuple(cells))
             else:
                 fh.write(_format_rows(pieces, tile))
