@@ -231,6 +231,13 @@ def spectral_evolve(field: ComplexField, lattice: MomentumLattice, t: float) -> 
     return ComplexField(space="momentum", values=field.values * phase, time=field.time + t)
 
 
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``tables``, locked: a cached table is shared by every caller."""
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @functools.cache
 def _pow10_table() -> tuple[np.ndarray, ...]:
     """``10**s = (hi + lo) * 2**b`` for ``|s| <= 360``: rows ``(hi, hi's halves, lo)``, and ``b``.
@@ -256,7 +263,7 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
         rows.append((math.ldexp(hi, -127), math.ldexp(float(bits - int(hi)), -127), b))
     hi, lo, b = (np.array(col) for col in zip(*rows))
     hi_hi = hi * _SPLIT - (hi * _SPLIT - hi)
-    return np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1), b
+    return _read_only(np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1), b)
 
 
 @functools.cache
@@ -265,7 +272,7 @@ def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
     place (1 to 4) of its last nonzero digit, or -99 for ``g == 0``."""
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     places = np.where(digits > 0, np.arange(1, 5), -99).max(axis=1)
-    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(), places.astype(np.int8)
+    return _read_only((digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(), places.astype(np.int8))
 
 
 def _g17_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:

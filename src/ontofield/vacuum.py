@@ -51,8 +51,9 @@ _BATCH_ROWS = 256
 # per site pair (the complex and the float accumulator and the complex product
 # of one block: 16 + 8 + 16) and per site of a block of samples (its draws,
 # phases and transforms).  Measured peaks above a warmed-up process (300
-# samples, evolved) were 15.0, 51.6 and 191 MB at 512, 1024 and 2048 sites,
-# under the 18.9, 58.7 and 201 MB this gives.
+# samples, evolved, as tests/test_csv_writer.py measures) were 17.5, 53.8
+# and 192 MB at 512, 1024 and 2048 sites, under the 18.9, 58.7 and 201 MB
+# this gives.
 _PAIR_BYTES = 40
 _BLOCK_SITE_BYTES = 64
 
