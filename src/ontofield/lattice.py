@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,14 @@ _CONVERSIONS = re.compile(r"(%\.17g|%d)")
 _G17_SLOTS = 29  # the layout of one "%.17g" cell is in _g17_cells
 _POW10_SPAN = 360
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+# Snapshot bodies of this many rows or more are parsed by array operations
+# (_read_body).  The two routes tied between 512 and 1024 rows of N(0, 1)
+# values; np.loadtxt is faster on shorter bodies.
+_ARRAY_MIN_ROWS = 1024
+_READ_CHUNK = 1 << 18  # bytes per read of the array route
+_READ_PAD = 32  # zero bytes ahead of each read: a cell's gathers reach 24 bytes back
+_CELL_SLOTS = 24  # mantissa bytes the array route reads per cell, as three uint64 words
+_ROW_BYTES = 64  # more than the longest row of the array route's grammar
 
 
 @dataclass(frozen=True)
@@ -266,6 +275,15 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     return _read_only(np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1), b)
 
 
+def _two_product(m: np.ndarray, hi: np.ndarray, hi_hi: np.ndarray, hi_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product: ``m * hi == p + err`` exactly, given ``hi``'s Veltkamp halves."""
+    p = m * hi
+    m_hi = m * _SPLIT
+    m_hi = m_hi - (m_hi - m)
+    m_lo = m - m_hi
+    return p, ((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo
+
+
 @functools.cache
 def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
     """Per group ``g`` in 0..9999: its four ASCII digits as one uint32, and the
@@ -298,12 +316,7 @@ def _g17_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     scale, shift = _pow10_table()
     hi, hi_hi, hi_lo, lo = np.take(scale, row, axis=0).T
     b = np.take(shift, row)
-    # Dekker's two-product: m * hi == p + err exactly.
-    p = m * hi
-    m_hi = m * _SPLIT
-    m_hi = m_hi - (m_hi - m)
-    m_lo = m - m_hi
-    err = ((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo
+    p, err = _two_product(m, hi, hi_hi, hi_lo)
     e += b
     y_lo = np.ldexp(err + m * lo, e)
     whole = np.floor(y_lo)
@@ -492,16 +505,226 @@ def save_field(field: ComplexField, lattice: MomentumLattice, path: str | Path) 
     _write_csv(path, header, _FIELD_ROW, [values.real, values.imag])
 
 
+def _bytes_word(text: bytes) -> int:
+    """The little-endian uint64 whose eight bytes are ``text``, right-aligned and NUL-padded."""
+    return int.from_bytes(text.rjust(8, b"\0"), "little")
+
+
+_ZEROS = _bytes_word(b"0" * 8)
+_ONES = _bytes_word(b"\x01" * 8)
+_LOW7 = _bytes_word(b"\x7f" * 8)
+_HIGH = _bytes_word(b"\x80" * 8)
+_ABOVE_NINE = _bytes_word(b"\x76" * 8)  # 0x76 + d carries into the high bit for d > 9
+_POINT = ord(".") ^ ord("0")
+# A cell's last word after the XOR with "0": the exact spellings nan and inf.
+_NAN_WORD = _bytes_word(bytes(c ^ ord("0") for c in b"nan"))
+_INF_WORD = _bytes_word(bytes(c ^ ord("0") for c in b"inf"))
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@functools.cache
+def _reader_tables() -> tuple[np.ndarray, ...]:
+    """The read route's tables: ``keep``, ``exp_masks``, ``pow10``, ``scale``, ``shift``.
+
+    ``keep[d]`` is a 24-byte window as one ``V24`` item, its first ``d``
+    bytes clear and the rest set; ``exp_masks`` picks the exponent's digits
+    out of a cell's last three bytes (none, two, three); ``pow10[k]`` is
+    ``10**k`` as uint64; ``scale`` and ``shift`` are :func:`_pow10_table`
+    with one row per column and its shifts as int32, the layouts the
+    gathers and ``np.ldexp`` are fastest on.
+    """
+    window = (1 << 8 * _CELL_SLOTS) - 1
+    keep = [[(window >> 8 * d << 8 * d) >> 64 * j & (1 << 64) - 1 for j in range(3)] for d in range(_CELL_SLOTS + 1)]
+    scale, shift = _pow10_table()
+    return _read_only(
+        np.array(keep, dtype=np.uint64).view("V24").ravel(),
+        np.array([0, 0xFFFF00, 0xFFFFFF], dtype=np.uint64),
+        np.array([10**k for k in range(20)], dtype=np.uint64),
+        np.ascontiguousarray(scale.T),
+        shift.astype(np.int32),
+    )
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """The number eight digit bytes spell (0 to 9 each, the first in the low byte), by three multiplies."""
+    x = x * np.uint64(10) + (x >> np.uint64(8))
+    pairs = np.uint64(0x000000FF000000FF)
+    x = (x & pairs) * np.uint64(100 + (1000000 << 32)) + ((x >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))
+    return x >> np.uint64(32)
+
+
+def _scale_decimal(digits: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``digits * 10**exp10`` rounded to the nearest double, for uint64 ``digits < 10**18``,
+    and a mask of the values whose rounding is certified (see :func:`load_field`)."""
+    *_, scale, shift = _reader_tables()
+    row = exp10 + _POW10_SPAN
+    in_table = (row >= 0) & (row <= 2 * _POW10_SPAN)
+    row[~in_table] = _POW10_SPAN
+    hi, hi_hi, hi_lo, lo = np.take(scale, row, axis=1)
+    # digits == a + c exactly: a is the double nearest digits, |c| <= 2**-53 * a.
+    a = digits.astype(np.float64)
+    c = (digits.view(np.int64) - a.astype(np.int64)).astype(np.float64)
+    p, err = _two_product(a, hi, hi_hi, hi_lo)
+    t = err + (a * lo + c * hi)
+    r = p + t
+    r_err = t - (r - p)  # Dekker's fast two-sum: r + r_err == p + t
+    # Certified when both ends of p + t +- r * 2**-93 round to r.
+    slack = r * 2.0**-93
+    certified = (r + (r_err + slack) == r) & (r + (r_err - slack) == r) & in_table
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.ldexp(r, np.take(shift, row))
+    certified &= (x >= _SMALLEST_NORMAL) & (x < np.inf)
+    return x, certified | (digits == 0)
+
+
+def _parse_rows(buf: np.ndarray, lo: int, hi: int, marks: np.ndarray) -> np.ndarray | None:
+    """The values of the ``re,im\\r\\n`` rows that fill ``buf[lo:hi]``, in file order.
+
+    ``buf`` holds at least ``_READ_PAD`` bytes before ``lo``, and ``marks``
+    is bool scratch space of shape ``(2, len(buf))``.  Returns None if a
+    byte leaves the grammar described in :func:`load_field`.
+    """
+    keep, exp_masks, pow10, _, _ = _reader_tables()
+    seg = buf[lo:hi]
+    commas = np.equal(seg, ord(","), out=marks[0, : len(seg)])
+    ends = np.flatnonzero(np.logical_or(commas, np.equal(seg, ord("\r"), out=marks[1, : len(seg)]), out=commas)) + lo
+    if len(ends) == 0 or len(ends) % 2 or ends[-1] != hi - 2:
+        return None
+    commas, crs = ends[0::2], ends[1::2]
+    if not (np.all(buf[commas] == ord(",")) and np.all(buf[crs] == ord("\r")) and np.all(buf[crs + 1] == ord("\n"))):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = lo
+    starts[1:] = ends[:-1] + 1
+    starts[2::2] += 1
+    neg = buf[starts] == ord("-")
+    mstart = starts + neg
+
+    # The exponent's "e" sits 4 or 5 bytes before the cell end: e+dd, e-ddd.
+    tail = np.ndarray((len(buf) - 7,), dtype="V8", buffer=buf, strides=(1,))[ends - 8].view("<u8")
+    e4 = (((tail >> 32) & 0xFF) == ord("e")) & (ends - 4 > mstart)
+    e5 = (((tail >> 24) & 0xFF) == ord("e")) & (ends - 5 > mstart) & ~e4
+    sign = buf[ends - 4 + e4]
+    digits = ((tail >> 40) ^ (_ZEROS >> 40)) & exp_masks[e4 + 2 * e5]
+    exp_ok = ~(e4 | e5) | (
+        ((sign == ord("+")) | (sign == ord("-"))) & ((((digits + (_ABOVE_NINE >> 40)) | digits) & (_HIGH >> 40)) == 0)
+    )
+    exp10 = ((digits & 0xFF) * 100 + ((digits >> 8) & 0xFF) * 10 + (digits >> 16)).view(np.int64)
+    np.negative(exp10, out=exp10, where=sign == ord("-"))
+    mend = ends - 4 * e4 - 5 * e5
+
+    # The mantissa: three words ending at its end, the bytes before it cleared.
+    mlen = mend - mstart
+    x = np.ndarray((len(buf) - _CELL_SLOTS + 1,), dtype="V24", buffer=buf, strides=(1,))[mend - _CELL_SLOTS]
+    x = x.view("<u8").reshape(-1, 3) ^ _ZEROS
+    x &= keep[_CELL_SLOTS - np.minimum(mlen, _CELL_SLOTS)].view("<u8").reshape(-1, 3)
+    # 0x80 in each byte that holds the point, by a carry-free zero-byte test;
+    # the point is then read as a zero digit.
+    y = x ^ (_POINT * _ONES)
+    flag = ~(((y & _LOW7) + _LOW7) | y | _LOW7)
+    x ^= (flag >> 7) * _POINT
+    points = (((flag[:, 0] + flag[:, 1] + flag[:, 2]) >> 7) * _ONES) >> 56
+    # A lone flag bit 8 * i + 7 of the window is the float exponent of its
+    # value; i is the point's byte, followed by 23 - i digits.
+    flag_bits = (flag.astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128])).view(np.int64) >> 52
+    frac = ((1023 + 191 - flag_bits) >> 3) * (points == 1)
+    bad = ((x + _ABOVE_NINE) | x) & _HIGH
+    grammar = ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0) & (points <= 1) & exp_ok & (mlen > points) & (mlen <= _CELL_SLOTS)
+    special = (mlen == 3) & ((x[:, 2] == _INF_WORD) | ((x[:, 2] == _NAN_WORD) & ~neg))
+    if not np.all(grammar | special):
+        return None
+
+    words = _eight_digits(x)
+    fits = grammar & (words[:, 0] < 100)  # below 10**18: 17 digits and the point
+    value = words[:, 0] * np.uint64(10**16) + words[:, 1] * np.uint64(10**8) + words[:, 2]
+    rest = value % pow10[np.minimum(frac, 19)]
+    digits = np.where(points == 1, rest + (value - rest) // np.uint64(10), value)
+    digits[~fits] = 0
+    values, certified = _scale_decimal(digits, exp10 - frac)
+    np.copysign(values, 0.5 - neg, out=values)
+    for i in np.flatnonzero(~(certified & fits)).tolist():
+        values[i] = float(buf[starts[i] : ends[i]].tobytes())
+    return values
+
+
+def _read_body(path: Path, header: str, rows: int) -> np.ndarray | None:
+    """The ``(rows, 2)`` body of the snapshot at ``path``, parsed by :func:`_parse_rows`.
+
+    The file is read in chunks of ``_READ_CHUNK`` bytes into one buffer;
+    each chunk is cut after its last line end and the rest carried over.
+    Returns None if the first line is not ``header``, if the body leaves
+    the grammar, or if it does not hold exactly ``rows`` rows.
+    """
+    if not header.isascii():
+        return None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # No row is shorter than "0,0\r\n".
+        if fh.readline() != header.encode() or 5 * rows > size:
+            return None
+        buf = np.zeros(_READ_PAD + min(_READ_CHUNK, size), dtype=np.uint8)
+        marks = np.empty((2, len(buf)), dtype=bool)
+        view = memoryview(buf)
+        out = np.empty(2 * rows)
+        filled = carry = 0
+        while got := fh.readinto(view[_READ_PAD + carry :]):
+            end = _READ_PAD + carry + got
+            window = max(_READ_PAD, end - _ROW_BYTES)
+            stop = window + bytes(view[window:end]).rfind(b"\n") + 1
+            values = None if stop == window else _parse_rows(buf, _READ_PAD, stop, marks)
+            if values is None or filled + len(values) > len(out):
+                return None
+            out[filled : filled + len(values)] = values
+            filled += len(values)
+            carry = end - stop
+            buf[_READ_PAD : _READ_PAD + carry] = buf[stop:end]
+    return out.reshape(rows, 2) if carry == 0 and filled == len(out) else None
+
+
 def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
     """Read a snapshot written by :func:`save_field`.
 
-    The header line is parsed with the ``csv`` module and the body in one
-    ``np.loadtxt`` pass, whose float parser is correctly rounded, so every
-    17-digit value (``nan`` and ``inf`` included) comes back bit for bit.
-    A missing, extra or malformed body row raises ``ValueError``; blank
-    lines after the first body row are skipped.  The lattice is rebuilt from
-    the stored geometry with no cutoff; reapply one via :func:`build_lattice`
-    if needed.
+    The header line is parsed with the ``csv`` module; a grid size that is
+    not a positive integer raises ``ValueError``.  Every body value comes
+    back bit for bit, ``nan`` and ``inf`` included, by one of two routes
+    that give the same bits:
+
+    - A body of fewer than ``_ARRAY_MIN_ROWS`` rows goes to ``np.loadtxt``,
+      whose float parser is correctly rounded.  A missing, extra or
+      malformed row raises ``ValueError``; blank lines after the first body
+      row are skipped.
+    - A longer body is parsed by array operations on its bytes
+      (:func:`_read_body`), read in chunks of ``_READ_CHUNK`` bytes, after
+      Clinger (PLDI 1990) and Lemire (SP&E 51(8), 2021).  The grammar is the
+      writer's: rows ``re,im`` ending in CRLF; a cell is an optional ``-``,
+      1 to 24 bytes of digits with at most one point, and an optional
+      ``e``, sign and two or three digits; or exactly ``nan``, ``inf`` or
+      ``-inf``.  Any other byte, and any row count but the header's, sends
+      the whole body to the ``np.loadtxt`` route, so malformed files raise
+      there.
+
+    In the array route, the separators come from one ``np.flatnonzero``.
+    Each mantissa is gathered as three unaligned little-endian words; the
+    point is found by a zero-byte test and read as a zero digit, and the
+    digits are checked and converted eight at a time by SWAR arithmetic.
+    That gives ``D < 10**18`` and a decimal exponent ``E``.  ``D`` is split
+    into the double ``a`` nearest it and the exact remainder ``c``, and
+    multiplied by the writer's double-double ``10**E * 2**-b``
+    (:func:`_pow10_table`) through Dekker's two-product.  The sum is
+    ``r + r_err`` exactly, and it is within ``2**-102 * r`` of the true
+    ``D * 10**E * 2**-b``: the table is good to ``2**-106`` relatively,
+    ``|c| <= 2**-53 * a``, and the low-order products and sums (``c * lo``
+    is dropped) add less than ``2**-103``.  The value is
+    certified when ``r + r_err +- r * 2**-93`` both round to ``r`` (which
+    also covers the narrower gap below a power of two) and
+    ``r * 2**b`` is a normal double, so that ``np.ldexp`` is exact.
+    Every other cell in the grammar (``nan``, ``inf``, near-ties,
+    subnormals, overflows, more than 17 digits) is read by ``float`` on
+    its own.  Each step is an exact or correctly rounded IEEE operation,
+    so the bits do not depend on numpy's SIMD dispatch level.
+
+    The lattice is rebuilt from the stored geometry with no cutoff; reapply
+    one via :func:`build_lattice` if needed.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -512,7 +735,10 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         dims = int(header[0]) if header else 0
         if not 1 <= dims <= 3 or len(header) != 2 * dims + 3:
             raise ValueError(f"malformed snapshot header in {path}: {header}")
-        points = tuple(int(float(v)) for v in header[1 : 1 + dims])
+        sizes = [float(v) for v in header[1 : 1 + dims]]
+        if not all(n.is_integer() and n >= 1 for n in sizes):
+            raise ValueError(f"snapshot grid sizes must be positive integers, got {header[1 : 1 + dims]}")
+        points = tuple(int(n) for n in sizes)
         lengths = tuple(float(v) for v in header[1 + dims : 1 + 2 * dims])
         mass = float(header[1 + 2 * dims])
         time = float(header[2 + 2 * dims])
@@ -521,8 +747,10 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         body_start = fh.tell()
         if not fh.readline().strip():
             raise ValueError(f"snapshot body has 0 rows, expected {expected}")
-        fh.seek(body_start)
-        body = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        body = _read_body(path, line, expected) if expected >= _ARRAY_MIN_ROWS else None
+        if body is None:
+            fh.seek(body_start)
+            body = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     if body.shape != (expected, 2):
         raise ValueError(
             f"snapshot body has {body.shape[0]} rows of {body.shape[1]} fields, "

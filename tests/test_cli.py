@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ontofield.cli as cli
 from ontofield.cli import main, validate_config
@@ -493,3 +495,55 @@ def test_output_directory_resolution_order(tmp_path, monkeypatch):
     flag_dir = tmp_path / "from_flag"
     assert main(["run", config, "--output-dir", str(flag_dir)]) == 0
     assert (flag_dir / "spectrum.csv").exists()
+
+
+# --- validate/run agreement --------------------------------------------------------
+
+# One small valid config per experiment; the property test edits them.
+_SMALL_CONFIGS = {
+    "identities": {"n_levels": 4, "omega": 2.0},
+    "spectrum": {"n_states": 4, "delta_t": 0.5},
+    "kernel": {
+        "kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "radial_reduced", "window": "septic",
+        "taper_frac": 0.5, "z_start": 0.5, "z_stop": 5.0, "z_count": 2,
+    },
+    "decay": {"mass": 1.0, "cutoff": None, "method": "contour", "z_start": 2.0, "z_stop": 8.0, "z_count": 8},
+    "front": {
+        "mass": 1.0, "box_length": 64.0, "points": 128, "cutoff": None, "k0": 1.0, "center": 16.0,
+        "width": 4.0, "dt": 2.0, "steps": 5,
+    },
+    "evolve": {
+        "mass": 1.0, "box_length": 16.0, "points": 16, "cutoff": None, "k0": 1.0, "center": 4.0,
+        "width": 2.0, "dt": 0.5, "steps": 2,
+    },
+    "interact": {
+        "mass": 1.0, "box_length": 16.0, "points": 16, "cutoff": None, "k0": 1.0, "center": 4.0,
+        "width": 2.0, "amplitude": 0.05, "lambda": 0.1, "dt": 0.2, "steps": 20,
+    },
+    "vacuum": {"mass": 1.0, "box_length": 6.283185307179586, "points": 4, "cutoff": None, "samples": 100},
+}
+_KEYS = sorted({key for cfg in _SMALL_CONFIGS.values() for key in cfg} | {"experiment", "seed", "t", "bogus"})
+# Values that are valid for some keys and invalid for others; all keep a run small.
+_VALUES = [-1, 0, 0.5, 1, 2, 3, 8, 100, "x", None, True, [2, 2], [4, 2, 2], "F2", "contour", "complex", "cosine"]
+_DELETE = object()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_SMALL_CONFIGS)),
+    st.lists(st.tuples(st.sampled_from(_KEYS), st.sampled_from(_VALUES + [_DELETE])), max_size=2),
+)
+def test_validate_predicts_whether_run_rejects_the_config(tmp_path_factory, experiment, edits):
+    # validate exit 0 means run never exits 2; validate exit 2 means run exits 2.
+    config = {"experiment": experiment, **_SMALL_CONFIGS[experiment]}
+    for key, value in edits:
+        if value is _DELETE:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    tmp = tmp_path_factory.mktemp("agree")
+    path = write_config(tmp, config)
+    verdict = main(["validate", path])
+    outcome = main(["run", path, "--output-dir", str(tmp / "out")])
+    assert verdict in (0, 2)
+    assert (outcome == 2) == (verdict == 2), (config, verdict, outcome)

@@ -56,14 +56,19 @@ def _ties():
     return found
 
 
-def test_cells_equal_the_percent_template_on_edge_values():
+def _edge_values():
+    # Every power of ten and its neighbours, every power of two, the ties,
+    # the extremes and both zeros, with both signs.
     powers = [float(f"1e{k}") for k in range(-323, 309)]
     neighbours = [np.nextafter(p, d) for p in powers for d in (0.0, np.inf)]
     twos = np.ldexp(1.0, np.arange(-1074, 1024)).tolist()
-    ties = _ties()
-    assert len(ties) > 20
-    edges = powers + neighbours + twos + ties + [5e-324, 1.7976931348623157e308, 0.0, -0.0]
-    _assert_cells_match(edges + [-v for v in edges])
+    edges = powers + neighbours + twos + _ties() + [5e-324, 1.7976931348623157e308, 0.0, -0.0]
+    return edges + [-v for v in edges]
+
+
+def test_cells_equal_the_percent_template_on_edge_values():
+    assert len(_ties()) > 20
+    _assert_cells_match(_edge_values())
 
 
 def test_most_ordinary_values_take_the_array_route():

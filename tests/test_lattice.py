@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ontofield import lattice
 from ontofield.lattice import (
     ComplexField,
     build_lattice,
@@ -224,6 +225,10 @@ def test_snapshot_bytes_and_bits_survive_awkward_values(tmp_path):
     loaded, _ = load_field(path)
     assert loaded.values.view(np.int64).tobytes() == values.view(np.int64).tobytes()
     assert loaded.time == -1.5e-17
+    # The body is long enough for the array route, and within its grammar.
+    assert 4100 >= lattice._ARRAY_MIN_ROWS
+    with path.open(newline="") as fh:
+        assert lattice._read_body(path, fh.readline(), 4100) is not None
 
 
 @st.composite
@@ -316,6 +321,7 @@ _ROW = "1,2\r\n"
         _HEADER + _ROW * 3 + "1,2,3\r\n",
         _HEADER + _ROW * 3 + "1,x\r\n",
         _HEADER + "#1,2\r\n" + _ROW * 3,
+        "1,4.9,8,1,0.5\r\n" + _ROW * 4,
     ],
     ids=[
         "empty",
@@ -327,6 +333,7 @@ _ROW = "1,2\r\n"
         "three-fields",
         "non-numeric",
         "comment-row",
+        "non-integral-grid-size",
     ],
 )
 def test_load_rejects_malformed_snapshots_without_warnings(tmp_path, recwarn, text):
