@@ -38,6 +38,21 @@ def array_route(monkeypatch):
     return bodies
 
 
+@pytest.fixture
+def uncertified(monkeypatch):
+    """Per chunk, the count of values the array route leaves to float()."""
+    counts = []
+    certify = lattice._scale_decimal
+
+    def count(digits, exp10):
+        values, certified = certify(digits, exp10)
+        counts.append(int(np.count_nonzero(~certified)))
+        return values, certified
+
+    monkeypatch.setattr(lattice, "_scale_decimal", count)
+    return counts
+
+
 def _snapshot(values, path):
     """Save ``values`` (re, im, re, ...) as a 1D snapshot, padded with ones to an even site count."""
     values = np.asarray(values, dtype=np.float64)
@@ -161,16 +176,7 @@ def _hard_cells():
     return cells + ["1e+400", "-1e+400", "1e-400", "12345678901234567e-999", "0e+999"]
 
 
-def test_array_route_rounds_hard_cases_correctly(tmp_path, monkeypatch):
-    certify = lattice._scale_decimal
-    uncertified = []
-
-    def count(digits, exp10):
-        values, certified = certify(digits, exp10)
-        uncertified.append(int(np.count_nonzero(~certified)))
-        return values, certified
-
-    monkeypatch.setattr(lattice, "_scale_decimal", count)
+def test_array_route_rounds_hard_cases_correctly(tmp_path, uncertified):
     hard = _hard_cells()
     cells = hard + ["1"] * (2 * _ROWS - len(hard))
     _text_snapshot(tmp_path / "hard.csv", cells)
@@ -180,17 +186,8 @@ def test_array_route_rounds_hard_cases_correctly(tmp_path, monkeypatch):
     assert len(uncertified) == 1 and 0.9 * len(hard) < uncertified[0] <= len(hard)
 
 
-def test_ordinary_values_need_no_per_cell_fallback(tmp_path, monkeypatch):
+def test_ordinary_values_need_no_per_cell_fallback(tmp_path, uncertified):
     # A route that sent every value to float() would pass the bit tests.
-    certify = lattice._scale_decimal
-    uncertified = []
-
-    def count(digits, exp10):
-        values, certified = certify(digits, exp10)
-        uncertified.append(int(np.count_nonzero(~certified)))
-        return values, certified
-
-    monkeypatch.setattr(lattice, "_scale_decimal", count)
     rng = np.random.default_rng(5)
     values = rng.normal(size=2 * _ROWS) * 10.0 ** rng.integers(-30, 30, size=2 * _ROWS)
     pairs = _snapshot(values, tmp_path / "snap.csv")

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ontofield import lattice
 from ontofield.lattice import (
+    _ARRAY_MIN_ROWS,
+    _read_body,
     ComplexField,
     build_lattice,
     evolution_phase,
@@ -226,9 +227,9 @@ def test_snapshot_bytes_and_bits_survive_awkward_values(tmp_path):
     assert loaded.values.view(np.int64).tobytes() == values.view(np.int64).tobytes()
     assert loaded.time == -1.5e-17
     # The body is long enough for the array route, and within its grammar.
-    assert 4100 >= lattice._ARRAY_MIN_ROWS
+    assert 4100 >= _ARRAY_MIN_ROWS
     with path.open(newline="") as fh:
-        assert lattice._read_body(path, fh.readline(), 4100) is not None
+        assert _read_body(path, fh.readline(), 4100) is not None
 
 
 @st.composite
