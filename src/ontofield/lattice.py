@@ -623,7 +623,9 @@ def _parse_rows(buf: np.ndarray, lo: int, hi: int, marks: np.ndarray) -> np.ndar
     y = x ^ (_POINT * _ONES)
     flag = ~(((y & _LOW7) + _LOW7) | y | _LOW7)
     x ^= (flag >> 7) * _POINT
-    points = (((flag[:, 0] + flag[:, 1] + flag[:, 2]) >> 7) * _ONES) >> 56
+    # Shifted down first, the three words add to at most 3 per byte, and the
+    # multiply sums the bytes into the top one without a carry.
+    points = (((flag[:, 0] >> 7) + (flag[:, 1] >> 7) + (flag[:, 2] >> 7)) * _ONES) >> 56
     # A lone flag bit 8 * i + 7 of the window is the float exponent of its
     # value; i is the point's byte, followed by 23 - i digits.
     flag_bits = (flag.astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128])).view(np.int64) >> 52

@@ -108,6 +108,33 @@ def test_array_route_reads_the_writers_edge_values(tmp_path, array_route):
     assert array_route and array_route[0] is not None
 
 
+def _with_point(value, at):
+    # A writer cell with one more "." at the given index; points in the
+    # last byte of a mantissa word set its top bit.
+    cell = "%.17g" % value
+    at = min(at, len(cell))
+    return cell[:at] + "." + cell[at:]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.text("0123456789.e+-", min_size=1, max_size=24),
+        st.builds(_with_point, st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 24)),
+    )
+)
+def test_array_route_reads_a_cell_only_as_np_loadtxt_does(tmp_path_factory, cell):
+    path = tmp_path_factory.mktemp("cell") / "snap.csv"
+    _text_snapshot(path, [cell] + ["1"] * (2 * _ROWS - 1))
+    try:
+        expected = _loadtxt_body(path.read_text())
+    except ValueError:
+        with pytest.raises(ValueError):
+            load_field(path)
+    else:
+        assert np.array_equal(_loaded_bits(path), expected.view(np.int64).ravel())
+
+
 def _near_midpoint(exp10, target):
     """A ``D`` near ``target`` with ``D * 10**exp10`` closest to a midpoint between two doubles.
 
@@ -238,6 +265,9 @@ def _padded(rows, body_rows):
         _padded(_ROWS, "#1,2\r\n" + _ROW * (_ROWS - 1)),
         _padded(_ROWS, _ROW * (_ROWS - 1) + ",2\r\n"),
         _padded(_ROWS, _ROW * (_ROWS - 1) + "1..5,2\r\n"),
+        _padded(_ROWS, _ROW * (_ROWS - 1) + "1.234567890123456.,2\r\n"),
+        _padded(_ROWS, _ROW * (_ROWS - 1) + "1.2345678.01234567,2\r\n"),
+        _padded(_ROWS, _ROW * (_ROWS - 1) + "0000000.1234567.1234567.,2\r\n"),
         _padded(_ROWS, _ROW * (_ROWS - 1) + "1,-\r\n"),
         _padded(_ROWS, _ROW * (_ROWS - 1) + "1,.\r\n"),
         _padded(_ROWS, _ROW * (_ROWS - 1) + "1,2e+\r\n"),
@@ -256,6 +286,9 @@ def _padded(rows, body_rows):
         "comment-row",
         "empty-cell",
         "two-points",
+        "two-points-ending-words-0-and-2",
+        "two-points-ending-words-0-and-1",
+        "three-points-ending-every-word",
         "sign-only",
         "point-only",
         "exponent-without-digits",
