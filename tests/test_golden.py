@@ -11,7 +11,9 @@ cutoff at ``t != 0``, the ``"direct_quadrature"`` alias with the ``bump``
 window down to ``z = 0`` (which the CLI's grid cannot reach), and a contour
 table at negative ``t``.  Three more runs end off their ``record_every``
 grid: a literal-convolution ``evolve`` and a complex and a real
-``interact``.
+``interact``.  Two ``vacuum`` runs of 512 and 600 sites cover correlators
+wider than one 256-site accumulation strip, the second with a partial last
+strip.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64)
 on a CPU with AVX-512, where numpy dispatches to its AVX-512 loops; a
@@ -186,4 +188,38 @@ OFF_GRID_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(OFF_GRID_CONFIGS))
 def test_off_grid_run_artifacts_match_the_golden_digests(tmp_path, case):
     config, golden = OFF_GRID_CONFIGS[case]
+    assert run_digests(tmp_path, json.dumps(config)) == golden
+
+
+# Vacuum runs whose correlators span more than one 256-site strip: 512 sites
+# in two full strips, and 600 sites in two full strips and a partial third.
+VACUUM_STRIP_CONFIGS = {
+    "sites_512": (
+        {
+            "experiment": "vacuum", "mass": 1.0, "box_length": [8.0, 6.0, 4.0],
+            "points": [16, 8, 4], "cutoff": None, "samples": 300, "evolve_time": 0.7,
+            "seed": 2**63 + 5,
+        },
+        {
+            "correlator.csv": "bd3185921eb30b25a011222974b12f3e911fbc77cee0d42bcd1ea0c201f9f1e2",
+            "correlator_evolved.csv": "419548f0cf09d9eefbe29f30b7b32816db53ff1e8ec16d97b56eebe6fea00c79",
+        },
+    ),
+    "sites_600": (
+        {
+            "experiment": "vacuum", "mass": 1.0, "box_length": [5.0, 5.0, 3.0],
+            "points": [10, 10, 6], "cutoff": 2.5, "samples": 100, "evolve_time": -1.3,
+            "seed": 3,
+        },
+        {
+            "correlator.csv": "97b76c903a219d421b99ad656f5a37596feac50808811cc4016ad417ab7bdad3",
+            "correlator_evolved.csv": "b8542a439a59657e2653b182224df9c27acdce75d9511063b83a066b7d13ba4b",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VACUUM_STRIP_CONFIGS))
+def test_multi_strip_vacuum_artifacts_match_the_golden_digests(tmp_path, case):
+    config, golden = VACUUM_STRIP_CONFIGS[case]
     assert run_digests(tmp_path, json.dumps(config)) == golden
