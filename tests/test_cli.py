@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontofield.cli as cli
+import ontofield.vacuum as vacuum
 from ontofield.cli import main, validate_config
 from ontofield.dynamics import stability_bound
 from ontofield.kernels import f1_contour
@@ -398,6 +400,22 @@ def test_correlator_too_large_for_memory_exits_with_the_numerical_code(tmp_path,
     assert json.loads((out / "error.json").read_text())["exit_code"] == 3
 
 
+def test_validate_counts_the_evolved_estimate_against_memory(tmp_path, capsys, monkeypatch):
+    # A machine whose memory holds one 512-site estimate but not two: the
+    # evolved estimate is accumulated beside the static one.
+    physical = (vacuum._correlator_bytes(512, 1) + vacuum._correlator_bytes(512, 2)) // 2
+    page = os.sysconf("SC_PAGE_SIZE")
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: physical // page if name == "SC_PHYS_PAGES" else sysconf(name))
+    payload = {**VACUUM_TOO_LARGE, "points": [8, 8, 8]}
+    assert main(["validate", write_config(tmp_path, payload)]) == 0
+    capsys.readouterr()
+    payload["evolve_time"] = 1.0
+    assert main(["validate", write_config(tmp_path, payload)]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert any("512 sites, 2 at once" in v for v in violations)
+
+
 def test_vacuum_run_reports_static_and_evolved_pulls(tmp_path):
     payload = {
         "experiment": "vacuum",
@@ -418,18 +436,42 @@ def test_vacuum_run_reports_static_and_evolved_pulls(tmp_path):
     assert (out / "correlator_evolved.csv").exists()
 
 
+def test_vacuum_run_draws_each_sample_once_for_both_correlators(tmp_path, monkeypatch):
+    # The static and the evolved estimate share one draw per block.
+    draw = vacuum._draw_phases
+    rows = []
+
+    def counted(spec, start, stop):
+        rows.append((start, stop))
+        return draw(spec, start, stop)
+
+    monkeypatch.setattr(vacuum, "_draw_phases", counted)
+    payload = {
+        "experiment": "vacuum", "mass": 1.0, "box_length": 8.0, "points": 8,
+        "cutoff": None, "samples": 300, "evolve_time": 0.5, "seed": 3,
+    }
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    assert (out / "correlator.csv").exists() and (out / "correlator_evolved.csv").exists()
+    assert sum(stop - start for start, stop in rows) == 300
+    assert sorted(rows) == [(0, vacuum._BATCH_ROWS), (vacuum._BATCH_ROWS, 300)]
+
+
 def test_non_finite_results_are_written_as_null_in_strict_json(tmp_path, capsys, monkeypatch):
     # A zero standard error makes the vacuum pulls x/0 (infinite) and 0/0
     # (NaN), which plain json.dumps would write as Infinity and NaN.
-    def degenerate(spec, evolve_time=0.0):
+    def degenerate(spec, evolve_times):
         n = int(np.prod(spec.lattice.grid_points))
         zeros = np.zeros((n, n))
-        return CorrelatorEstimate(
-            mean=2.0 * np.eye(n, dtype=complex), stderr=zeros, count=spec.count,
-            zero_variance=zeros == 0.0,
-        )
+        return [
+            CorrelatorEstimate(
+                mean=2.0 * np.eye(n, dtype=complex), stderr=zeros, count=spec.count,
+                zero_variance=zeros == 0.0,
+            )
+            for _ in evolve_times
+        ]
 
-    monkeypatch.setattr(cli, "ensemble_correlator", degenerate)
+    monkeypatch.setattr(cli, "ensemble_correlators", degenerate)
     payload = {
         "experiment": "vacuum",
         "mass": 1.0,

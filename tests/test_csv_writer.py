@@ -194,12 +194,15 @@ def test_writer_bytes_do_not_depend_on_the_simd_dispatch(tmp_path):
 _PEAK_SCRIPT = """
 import sys
 from ontofield.lattice import build_lattice
-from ontofield.vacuum import EnsembleSpec, _correlator_bytes, ensemble_correlator
+from ontofield.vacuum import EnsembleSpec, _correlator_bytes, ensemble_correlators
 
 def run(points, path):
+    # The CLI's vacuum run: one joint pass for the static and the evolved
+    # estimate, then both CSVs.
     lattice = build_lattice([6.0] * len(points), points, 1.0)
-    estimate = ensemble_correlator(EnsembleSpec(lattice, count=300, seed=4), evolve_time=0.5)
-    estimate.write_csv(path)
+    static, evolved = ensemble_correlators(EnsembleSpec(lattice, count=300, seed=4), (0.0, 0.5))
+    static.write_csv(path)
+    evolved.write_csv(path)
 
 def status_bytes(field):
     # VmHWM is this address space's peak; ru_maxrss would start at the parent's.
@@ -211,7 +214,7 @@ def status_bytes(field):
 run([8], sys.argv[1])
 before = status_bytes("VmRSS")
 run([16, 8, 8], sys.argv[1])
-print(status_bytes("VmHWM") - before, _correlator_bytes(1024))
+print(status_bytes("VmHWM") - before, _correlator_bytes(1024, 2))
 """
 
 
@@ -225,6 +228,6 @@ def test_correlator_peak_memory_stays_under_the_guard_estimate(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     peak, estimate = (int(v) for v in proc.stdout.split())
-    # The pair term alone is 40 * 1024**2 bytes: a peak far below it would
-    # mean the run did not take place.
+    # The two estimates' accumulators alone are 48 * 1024**2 bytes: a peak
+    # far below it would mean the run did not take place.
     assert 30 * 1024**2 < peak <= estimate

@@ -24,6 +24,7 @@ from ontofield.vacuum import (
     _draw_phases,
     _position_block,
     ensemble_correlator,
+    ensemble_correlators,
     sample_vacuum,
 )
 
@@ -76,6 +77,11 @@ def test_correlator_requires_a_minimum_ensemble():
         ensemble_correlator(small_spec(count=50))
 
 
+def test_joint_pass_needs_a_time():
+    with pytest.raises(ValueError, match="at least one time"):
+        ensemble_correlators(small_spec(), ())
+
+
 def test_correlator_mean_is_hermitian_with_positive_errors():
     estimate = ensemble_correlator(small_spec())
     assert np.array_equal(estimate.mean, estimate.mean.conj().T)
@@ -121,7 +127,7 @@ def _einsum_correlator(spec, evolve_time):
     sum_sq = np.zeros((n_sites, n_sites))
     for start in range(0, spec.count, vacuum._BATCH_ROWS):
         stop = min(start + vacuum._BATCH_ROWS, spec.count)
-        block = _position_block(spec, start, stop, phase).reshape(stop - start, n_sites)
+        block = _position_block(_draw_phases(spec, start, stop), phase).reshape(stop - start, n_sites)
         sum_w += np.einsum("sx,sy->xy", block.conj(), block)
         abs_sq = np.abs(block) ** 2
         sum_sq += np.einsum("sx,sy->xy", abs_sq, abs_sq)
@@ -141,6 +147,50 @@ def test_blas_accumulation_matches_the_einsum_reference(t):
     mean, stderr = _einsum_correlator(spec, t)
     assert estimate.mean == pytest.approx(mean, rel=0, abs=1e-14)
     assert estimate.stderr == pytest.approx(stderr, rel=1e-13, abs=0)
+
+
+
+def _strip_spec(seed):
+    # 288 sites: a full 256-site strip, a partial one and a mirrored block
+    # between them; 300 samples: a full block of draws and a partial one.
+    lattice = build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5, "zero")
+    return EnsembleSpec(lattice=lattice, count=300, seed=seed)
+
+
+def test_joint_pass_matches_the_einsum_reference_at_both_times():
+    # 512 sites: two accumulation strips and one mirrored off-diagonal block.
+    spec = EnsembleSpec(
+        lattice=build_lattice([8.0, 6.0, 4.0], [16, 8, 4], 1.0), count=300, seed=2**63 + 5
+    )
+    assert np.prod(spec.lattice.grid_points) > vacuum._STRIP_SITES
+    times = (0.0, 0.7)
+    for t, estimate in zip(times, ensemble_correlators(spec, times), strict=True):
+        mean, stderr = _einsum_correlator(spec, t)
+        assert np.max(np.abs(estimate.mean - mean)) <= 1e-14, t
+        assert np.all(np.abs(estimate.stderr - stderr) <= 1e-13 * stderr), t
+
+
+@pytest.mark.parametrize("seed", [0, 6, 2**63 + 5])
+def test_joint_pass_equals_one_call_per_time_bit_for_bit(seed):
+    # The evolved times come first, so a phase multiplied into the shared
+    # draws in place would reach the estimates after it.
+    spec = _strip_spec(seed)
+    times = (0.7, -1.2, 0.0)
+    joint = ensemble_correlators(spec, times)
+    assert len(joint) == len(times)
+    for t, estimate in zip(times, joint):
+        alone = ensemble_correlator(spec, evolve_time=t)
+        assert estimate.count == alone.count == spec.count
+        for field in ("mean", "stderr", "zero_variance"):
+            assert getattr(estimate, field).tobytes() == getattr(alone, field).tobytes(), (t, field)
+
+
+def test_strips_leave_the_estimate_exactly_hermitian():
+    # The lower triangle is mirrored from the upper one, strip by strip.
+    estimate = ensemble_correlator(_strip_spec(11), evolve_time=0.3)
+    assert np.array_equal(estimate.mean, estimate.mean.conj().T)
+    assert np.array_equal(estimate.stderr, estimate.stderr.T)
+    assert np.all(estimate.stderr > 0.0)
 
 
 def _vacuum_digests(tmp_path, env):
@@ -183,17 +233,22 @@ def test_correlator_rejects_a_non_finite_evolve_time(t):
 
 
 def test_correlator_too_large_for_memory_raises_before_allocating(monkeypatch):
-    # 64^3 sites need about 40 * 262144^2 bytes (2.7 TB) at the peak.
-    # The check must refuse the run before any phase or block is built.
+    # 64^3 sites need about PAIR_BYTES * 262144^2 bytes (TBs) per estimate at the
+    # peak.  The check must refuse the run before any phase or block is built.
     def must_not_run(*args, **kwargs):
         raise AssertionError("the ensemble started before the memory check")
 
     monkeypatch.setattr(vacuum, "evolution_phase", must_not_run)
+    monkeypatch.setattr(vacuum, "_draw_phases", must_not_run)
     monkeypatch.setattr(vacuum, "_position_block", must_not_run)
     spec = EnsembleSpec(lattice=build_lattice([8.0] * 3, [64] * 3, 1.0), count=100, seed=0)
+    block_bytes = vacuum._BLOCK_SITE_BYTES * vacuum._BATCH_ROWS * 262144
     with pytest.raises(CorrelatorMemoryError, match="physical memory") as info:
         ensemble_correlator(spec, evolve_time=1.0)
-    assert str(40 * 262144**2 + 64 * vacuum._BATCH_ROWS * 262144) in str(info.value)
+    assert str(vacuum._PAIR_BYTES * 262144**2 + block_bytes) in str(info.value)
+    with pytest.raises(CorrelatorMemoryError, match="physical memory") as info:
+        ensemble_correlators(spec, (0.0, 1.0))
+    assert str(2 * vacuum._PAIR_BYTES * 262144**2 + block_bytes) in str(info.value)
 
 
 def _csv_writer_bytes(estimate, path):
@@ -277,7 +332,7 @@ def test_batched_transform_equals_per_sample_transform(case, t):
     # one-field functions.
     spec, start, stop = case
     lattice = spec.lattice
-    block = _position_block(spec, start, stop, evolution_phase(lattice, t) if t != 0.0 else None)
+    block = _position_block(_draw_phases(spec, start, stop), evolution_phase(lattice, t) if t != 0.0 else None)
     assert block.shape == (stop - start, *lattice.grid_points)
     for row, index in enumerate(range(start, stop)):
         field = sample_vacuum(spec, index)
