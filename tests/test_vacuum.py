@@ -149,14 +149,6 @@ def test_blas_accumulation_matches_the_einsum_reference(t):
     assert estimate.stderr == pytest.approx(stderr, rel=1e-13, abs=0)
 
 
-
-def _strip_spec(seed):
-    # 288 sites: a full 256-site strip, a partial one and a mirrored block
-    # between them; 300 samples: a full block of draws and a partial one.
-    lattice = build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5, "zero")
-    return EnsembleSpec(lattice=lattice, count=300, seed=seed)
-
-
 def test_joint_pass_matches_the_einsum_reference_at_both_times():
     # 512 sites: two accumulation strips and one mirrored off-diagonal block.
     spec = EnsembleSpec(
@@ -172,9 +164,12 @@ def test_joint_pass_matches_the_einsum_reference_at_both_times():
 
 @pytest.mark.parametrize("seed", [0, 6, 2**63 + 5])
 def test_joint_pass_equals_one_call_per_time_bit_for_bit(seed):
+    # 288 sites: a full 256-site strip, a partial one and a mirrored block
+    # between them; 300 samples: a full block of draws and a partial one.
     # The evolved times come first, so a phase multiplied into the shared
     # draws in place would reach the estimates after it.
-    spec = _strip_spec(seed)
+    lattice = build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5, "zero")
+    spec = EnsembleSpec(lattice=lattice, count=300, seed=seed)
     times = (0.7, -1.2, 0.0)
     joint = ensemble_correlators(spec, times)
     assert len(joint) == len(times)
@@ -183,14 +178,6 @@ def test_joint_pass_equals_one_call_per_time_bit_for_bit(seed):
         assert estimate.count == alone.count == spec.count
         for field in ("mean", "stderr", "zero_variance"):
             assert getattr(estimate, field).tobytes() == getattr(alone, field).tobytes(), (t, field)
-
-
-def test_strips_leave_the_estimate_exactly_hermitian():
-    # The lower triangle is mirrored from the upper one, strip by strip.
-    estimate = ensemble_correlator(_strip_spec(11), evolve_time=0.3)
-    assert np.array_equal(estimate.mean, estimate.mean.conj().T)
-    assert np.array_equal(estimate.stderr, estimate.stderr.T)
-    assert np.all(estimate.stderr > 0.0)
 
 
 def _vacuum_digests(tmp_path, env):
@@ -233,8 +220,8 @@ def test_correlator_rejects_a_non_finite_evolve_time(t):
 
 
 def test_correlator_too_large_for_memory_raises_before_allocating(monkeypatch):
-    # 64^3 sites need about PAIR_BYTES * 262144^2 bytes (TBs) per estimate at the
-    # peak.  The check must refuse the run before any phase or block is built.
+    # 64^3 sites need _PAIR_BYTES * 262144^2 bytes (terabytes) per estimate.
+    # The check must refuse the run before any phase or block is built.
     def must_not_run(*args, **kwargs):
         raise AssertionError("the ensemble started before the memory check")
 
