@@ -13,7 +13,9 @@ table at negative ``t``.  Three more runs end off their ``record_every``
 grid: a literal-convolution ``evolve`` and a complex and a real
 ``interact``.  Two ``vacuum`` runs of 512 and 600 sites cover correlators
 wider than one 256-site accumulation strip, the second with a partial last
-strip.
+strip.  Two ``interact`` runs leave one dimension: a real 3D field and a
+complex 2D one, each on anisotropic spacings with a 2-point axis (the last
+and the first), so that the stencil's wrap planes are also its bulk.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64)
 on a CPU with AVX-512, where numpy dispatches to its AVX-512 loops; a
@@ -222,4 +224,37 @@ VACUUM_STRIP_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(VACUUM_STRIP_CONFIGS))
 def test_multi_strip_vacuum_artifacts_match_the_golden_digests(tmp_path, case):
     config, golden = VACUUM_STRIP_CONFIGS[case]
+    assert run_digests(tmp_path, json.dumps(config)) == golden
+
+
+# Interacting runs in more than one dimension, on anisotropic spacings with a
+# 2-point axis: the real field's last axis, the complex field's first.
+MULTI_DIM_INTERACT_CONFIGS = {
+    "real_3d": (
+        {
+            "experiment": "interact", "mass": 0.8, "box_length": [6.0, 5.0, 3.0],
+            "points": [8, 6, 2], "cutoff": None, "k0": [1.0, -0.5, 0.0],
+            "center": [2.0, 3.0, 1.0], "width": 1.2, "amplitude": 1.5, "lambda": 0.7,
+            "dt": 0.1, "steps": 30, "record_every": 7,
+        },
+        {
+            "energy.csv": "bccfa69263bb8ee06b0588bbc5392ab03808989fa592f7b7e5516a805747f2d6",
+            "final_field.csv": "a604b777336606388ef531e65ededd8075b23c0f918953310b0fe69b92118714",
+        },
+    ),
+    "complex_2d": (
+        {
+            "experiment": "interact", "mass": 1.1, "box_length": [4.0, 7.0], "points": [2, 10],
+            "cutoff": None, "k0": [0.0, 1.0], "center": [1.0, 2.5], "width": 1.4,
+            "amplitude": 1.3, "lambda": -0.4, "dt": 0.1, "steps": 25, "record_every": 6,
+            "field_mode": "complex",
+        },
+        {"final_field.csv": "466945622d8186692a316086bf3c35189c0bf207e0e78b54942bbecc00f1b4cd"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_DIM_INTERACT_CONFIGS))
+def test_multi_dim_interact_artifacts_match_the_golden_digests(tmp_path, case):
+    config, golden = MULTI_DIM_INTERACT_CONFIGS[case]
     assert run_digests(tmp_path, json.dumps(config)) == golden
