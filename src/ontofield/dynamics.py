@@ -12,7 +12,9 @@ speeds against the group velocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -247,46 +249,120 @@ def time_derivative_check(b: ComplexField, lattice: MomentumLattice, dt: float) 
     return float(np.max(np.abs(fd - rhs)))
 
 
+# One bound ufunc call ``ufunc(x, y, out)``.  The stencils are lists of them,
+# run in order by :func:`_run`: a positional ``out`` and one loop keep the
+# per-call overhead low on small grids.
+_Call = tuple[np.ufunc, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _run(calls: list[_Call]) -> None:
+    for ufunc, x, y, out in calls:
+        ufunc(x, y, out)
+
+
+def _flat(array: np.ndarray) -> np.ndarray:
+    """The 1-D view of a C-contiguous array; any other array raises ``ValueError``.
+
+    ``reshape(-1)`` of a non-contiguous array silently returns a copy, and a
+    stencil bound to that copy would read stale data.
+    """
+    if not array.flags.c_contiguous:
+        raise ValueError("stencil arrays must be C-contiguous")
+    return array.reshape(-1)
+
+
+def _divide_by(divisor: float, dtype: np.dtype) -> tuple[np.ufunc, np.ndarray]:
+    """``(ufunc, constant)`` whose call ``ufunc(x, constant)`` is ``x / divisor``.
+
+    A real ``x / 2**e`` is ``x * 2**-e`` to the bit: both round the same real
+    quotient, and the reciprocal of a power of two is exact when it is
+    finite.  The multiply costs a third of the divide on a 32^3 field.  A
+    complex field always divides: a complex multiply by ``r + 0j`` forms
+    ``x.imag * 0`` terms that can flip the sign of a zero.
+    """
+    reciprocal = 1.0 / divisor
+    if np.dtype(dtype) == np.float64 and math.frexp(divisor)[0] == 0.5 and math.isfinite(reciprocal):
+        return np.multiply, np.array(reciprocal, dtype=dtype)
+    return np.divide, np.array(divisor, dtype=dtype)
+
+
+def _axis_views(array: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+    """``(up, low, first, last)``: views of ``array`` for its neighbours along ``axis``.
+
+    In C order the site after flat index ``j`` along ``axis`` is ``j + st``,
+    with ``st = prod(shape[axis+1:])``, so ``up = flat[st:]`` and ``low =
+    flat[:-st]`` pair every site with the one after it, each pair at the same
+    index of the two views, and a ufunc on them is one contiguous call.  The
+    pairs whose ``i + 1`` wraps around the box are wrong: there ``low``'s
+    ``i = N-1`` plane meets the next outer index's ``i = 0`` plane (or
+    nothing, at the end of the array).  ``first`` and ``last`` are the
+    ``i = 0`` and ``i = N-1`` planes, whose pair is the periodic one.
+    """
+    st = math.prod(array.shape[axis + 1:])
+    flat = _flat(array)
+    head = (slice(None),) * axis
+    return flat[st:], flat[:-st], array[head + (slice(None, 1),)], array[head + (slice(-1, None),)]
+
+
 def _fd_laplacian(
-    values: np.ndarray, spacings: tuple[float, ...], out: np.ndarray, scratch: np.ndarray
-) -> Callable[[], None]:
+    values: np.ndarray,
+    spacings: tuple[float, ...],
+    out: np.ndarray,
+    term: np.ndarray,
+    plane: np.ndarray,
+) -> list[_Call]:
     """Bind the periodic centered second difference of ``values`` to buffers.
 
-    Each call of the result writes the Laplacian of the current contents of
-    ``values`` into ``out``.  Per axis, ``((b[i+1] - 2.0*b[i]) + b[i-1]) /
-    dx**2`` is formed in ``scratch`` by slices (the wrap-around site on its
-    own) and added to a sum that starts at zero; the add to zero turns a
-    ``-0.0`` into ``+0.0``.  ``out`` and ``scratch`` have the shape and dtype
-    of ``values`` and alias neither it nor each other.  The views and the
-    constants (0-d arrays of that dtype, as a Python scalar operand costs a
-    conversion per call) are made here, once.
+    Running the calls (:func:`_run`) writes the Laplacian of the current
+    contents of ``values`` into ``out``.  Per axis, ``term`` goes through
+    ``((b[i+1] - 2.0*b[i]) + b[i-1]) / dx**2`` and is added to a sum that
+    starts at zero; the add to zero turns a ``-0.0`` into ``+0.0``.  Each
+    neighbour difference is one contiguous call on the flat C-order views of
+    :func:`_axis_views`, in place in ``term``, and its wrap plane is then
+    rewritten by a strided call from the periodic neighbour:
+
+    - ``term = 2.0*b``; ``term[i] = b[i+1] - term[i]`` by the flat shift; the
+      ``i = N-1`` plane, which that call may have overwritten, is formed
+      again as ``2.0*b`` and then ``b[0] - term``;
+    - the ``i = 0`` plane of ``term + b[i-1]`` goes into the matching plane
+      of ``plane`` first, as the flat ``term[i] += b[i-1]`` that follows may
+      overwrite it; both are divided by ``dx**2``, the plane back into
+      ``term``.
+
+    Every site of ``term`` goes through the operations of the ``np.roll`` form
+    in its order, so the result is bitwise that form, and every buffer site is
+    written before it is read, for every axis length.  In-place calls touch
+    two arrays where a third buffer would add a stream to each call.
+
+    The arrays share shape and dtype and alias none of the others.
+    ``values`` and ``term`` are read through flat views, so they must be
+    C-contiguous, and any other raises ``ValueError``: ``reshape(-1)`` of a
+    non-contiguous array would be a copy, and the stencil would read stale
+    data.  The constants are 0-d arrays of that dtype, as a Python scalar
+    operand costs a conversion per call.
     """
-    two = np.array(2.0, dtype=values.dtype)
-    zero = np.array(0.0, dtype=values.dtype)
-    terms = []
+    dtype = values.dtype
+    two = np.array(2.0, dtype=dtype)
+    total = np.array(0.0, dtype=dtype)  # the first axis adds to zero, the others to the sum so far
+    calls: list[_Call] = []
     for axis, dx in enumerate(spacings):
-        head = (slice(None),) * axis
-        upper, lower = head + (slice(1, None),), head + (slice(None, -1),)
-        first, last = head + (slice(None, 1),), head + (slice(-1, None),)
-        terms.append((
-            values[upper], values[lower], values[first], values[last],
-            scratch[upper], scratch[lower], scratch[first], scratch[last],
-            np.array(dx**2, dtype=values.dtype),
-        ))
-
-    def laplacian() -> None:
-        total = zero  # the first axis adds to zero, the others to the sum so far
-        for b_up, b_low, b_first, b_last, s_up, s_low, s_first, s_last, dx_sq in terms:
-            np.multiply(two, values, out=scratch)
-            np.subtract(b_up, s_low, out=s_low)
-            np.subtract(b_first, s_last, out=s_last)
-            np.add(s_up, b_low, out=s_up)
-            np.add(s_first, b_last, out=s_first)
-            np.divide(scratch, dx_sq, out=scratch)
-            np.add(total, scratch, out=out)
-            total = out
-
-    return laplacian
+        b_up, b_low, b_first, b_last = _axis_views(values, axis)
+        t_up, t_low, t_first, t_last = _axis_views(term, axis)
+        seam = plane[(slice(None),) * axis + (slice(None, 1),)]
+        divide, dx_sq = _divide_by(dx**2, dtype)
+        calls += [
+            (np.multiply, two, values, term),
+            (np.subtract, b_up, t_low, t_low),
+            (np.multiply, two, b_last, t_last),
+            (np.subtract, b_first, t_last, t_last),
+            (np.add, t_first, b_last, seam),
+            (np.add, t_up, b_low, t_up),
+            (divide, term, dx_sq, term),
+            (divide, seam, dx_sq, t_first),
+            (np.add, total, term, out),
+        ]
+        total = out
+    return calls
 
 
 def _force(
@@ -296,12 +372,15 @@ def _force(
     coupling: float,
     out: np.ndarray,
     scratch: np.ndarray,
+    plane: np.ndarray,
 ) -> Callable[[], None]:
     """Bind ``Lap b - M^2 b - (coupling/6) b^3`` of ``state`` to buffers.
 
     Each call writes the force of the current contents of ``state`` into
-    ``out``, with the operations of the expression in its order; ``scratch``
-    holds the Laplacian's terms, then the mass term, then the cubic one.
+    ``out``, with the operations of the expression in its order: the
+    flat-shift Laplacian of :func:`_fd_laplacian` (through ``scratch`` and
+    one plane of ``plane``, under its contiguity rule), then the mass term
+    and the cubic one in ``scratch``.
 
     A real cube is ``(b*b)*b``: each multiply is correctly rounded whatever
     SIMD level numpy dispatches to, while float64 ``np.power`` took 2.4 ms
@@ -309,23 +388,79 @@ def _force(
     followed the dispatch.  A complex cube stays ``np.power(b, 3)``, which
     gave the same bits with the dispatch on and off where ``b*b*b`` did not.
     """
-    laplacian = _fd_laplacian(state, spacings, out, scratch)
+    calls = _fd_laplacian(state, spacings, out, scratch, plane)
     m_sq, three, c6 = (np.array(c, dtype=state.dtype) for c in (mass_sq, 3, coupling / 6.0))
-    real = state.dtype == np.float64
+    calls += [(np.multiply, m_sq, state, scratch), (np.subtract, out, scratch, out)]
+    if state.dtype == np.float64:
+        calls += [(np.multiply, state, state, scratch), (np.multiply, scratch, state, scratch)]
+    else:
+        calls += [(np.power, state, three, scratch)]
+    calls += [(np.multiply, c6, scratch, scratch), (np.subtract, out, scratch, out)]
+    return partial(_run, calls)
 
-    def force() -> None:
-        laplacian()
-        np.multiply(m_sq, state, out=scratch)
-        np.subtract(out, scratch, out=out)
-        if real:
-            np.multiply(state, state, out=scratch)
-            np.multiply(scratch, state, out=scratch)
+
+def _energy(
+    state: np.ndarray,
+    vel: np.ndarray,
+    acc: np.ndarray,
+    spacings: tuple[float, ...],
+    mass_sq: float,
+    coupling: float,
+    dt: float,
+    cell_volume: float,
+    grad: np.ndarray,
+    diff: np.ndarray,
+    term: np.ndarray,
+) -> Callable[[], float]:
+    """Bind the discrete energy of a real leapfrog run to buffers.
+
+    Each call returns ``sum(density) * cell_volume`` of the current contents
+    of ``state``, ``vel`` and ``acc``, where ``density`` is
+
+        v*v/2 - (dt^2/8) acc*acc + |grad+ b|^2/2 + M^2 b^2/2 + coupling b^4/24
+
+    with the operations in that order.  The forward differences ``b[i+1] -
+    b[i]`` go into ``diff`` by one flat-shift call on the views of
+    :func:`_axis_views` and a rewrite of the ``i = N-1`` plane from ``b[0]``;
+    per axis ``(diff/dx)**2`` is summed into ``grad``.  ``grad``,
+    ``diff`` and ``term`` are written before they are read, so they may be
+    the force's buffers between steps; they and ``state`` follow the
+    contiguity rule of :func:`_fd_laplacian`.
+    """
+    half, c_acc, c_mass, c_quartic = (
+        np.array(c, dtype=state.dtype) for c in (0.5, 0.125 * dt**2, 0.5 * mass_sq, coupling / 24.0)
+    )
+    calls: list[_Call] = []
+    for axis, dx in enumerate(spacings):
+        b_up, b_low, b_first, b_last = _axis_views(state, axis)
+        _, d_low, _, d_last = _axis_views(diff, axis)
+        divide, by_dx = _divide_by(dx, state.dtype)
+        calls += [
+            (np.subtract, b_up, b_low, d_low),
+            (np.subtract, b_first, b_last, d_last),
+            (divide, diff, by_dx, diff),
+        ]
+        # A square is never -0.0, so the first axis needs no add to zero.
+        if axis == 0:
+            calls += [(np.multiply, diff, diff, grad)]
         else:
-            np.power(state, three, out=scratch)
-        np.multiply(c6, scratch, out=scratch)
-        np.subtract(out, scratch, out=out)
+            calls += [(np.multiply, diff, diff, diff), (np.add, grad, diff, grad)]
+    calls += [
+        (np.multiply, vel, vel, diff), (np.multiply, half, diff, diff),
+        (np.multiply, acc, acc, term), (np.multiply, c_acc, term, term),
+        (np.subtract, diff, term, diff),
+        (np.multiply, half, grad, term), (np.add, diff, term, diff),
+        (np.multiply, state, state, term), (np.multiply, c_mass, term, term),
+        (np.add, diff, term, diff),
+        (np.multiply, state, state, term), (np.multiply, term, term, term),
+        (np.multiply, c_quartic, term, term), (np.add, diff, term, diff),
+    ]
 
-    return force
+    def energy() -> float:
+        _run(calls)
+        return float(np.sum(diff) * cell_volume)
+
+    return energy
 
 
 def kg_residual(run: EvolutionRun) -> ResidualReport:
@@ -349,11 +484,12 @@ def kg_residual(run: EvolutionRun) -> ResidualReport:
     count = 0
     for j in range(1, len(run.snapshots) - 1):
         b_prev = run.snapshots[j - 1].values
-        b_here = run.snapshots[j].values
+        # The stencil reads flat views, so a non-contiguous snapshot goes in as a copy.
+        b_here = np.ascontiguousarray(run.snapshots[j].values)
         b_next = run.snapshots[j + 1].values
         btt = (b_next - 2.0 * b_here + b_prev) / dt**2
-        laplacian = np.empty_like(b_here)
-        _fd_laplacian(b_here, spacings, laplacian, np.empty_like(b_here))()
+        laplacian, *work = (np.empty_like(b_here) for _ in range(3))
+        _run(_fd_laplacian(b_here, spacings, laplacian, *work))
         residual = laplacian - btt - lattice.mass**2 * b_here
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
         sq_sum += float(np.sum(np.abs(residual) ** 2))
@@ -453,6 +589,14 @@ def leapfrog_interact(
     instability monitor is the norm ``sum (|v|^2 + |b|^2) dV`` instead.  Runs
     whose monitor grows past 10x its initial value abort with an
     ``InstabilityError`` that names it.
+
+    The step runs in place on C-contiguous arrays of the field's dtype: the
+    force and the energy are bound once (:func:`_force`, :func:`_energy`), and
+    every bulk neighbour difference of their stencils is one contiguous call
+    on the flat C-order view, shifted by the axis stride, followed by a
+    strided rewrite of the plane whose neighbour wraps around the box.
+    ``(dt/2) acc`` is formed once per step and serves as that step's closing
+    half-kick and the next one's opening half-kick.
     """
     if field_mode not in ("real", "complex"):
         raise ValueError(f"field_mode must be 'real' or 'complex', got {field_mode!r}")
@@ -480,46 +624,44 @@ def leapfrog_interact(
 
     mass_sq = lattice.mass**2
     spacings = lattice.spacings
-
-    def record_energy(state: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> float:
-        gradient_sq = np.zeros_like(state)
-        for axis, dx in enumerate(spacings):
-            gradient_sq = gradient_sq + ((np.roll(state, -1, axis) - state) / dx) ** 2
-        density = (
-            0.5 * vel**2
-            - 0.125 * dt**2 * acc**2
-            + 0.5 * gradient_sq
-            + 0.5 * mass_sq * state**2
-            + (coupling / 24.0) * np.square(np.square(state))
+    # Buffers C-contiguous like b and v: the force goes to acc through
+    # scratch and one plane of diff; kick holds (dt/2) acc; the energy
+    # reuses scratch and diff between steps, with grad of its own.
+    acc, scratch, diff, kick = (np.empty_like(b) for _ in range(4))
+    force = _force(b, spacings, mass_sq, coupling, acc, scratch, diff)
+    if field_mode == "real":
+        quantity = "energy"
+        monitor = _energy(
+            b, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume,
+            np.empty_like(b), diff, scratch,
         )
-        return float(np.sum(density) * lattice.cell_volume)
+    else:
+        quantity = "norm"
 
-    def record_norm(state: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> float:
-        return float(np.sum(np.abs(vel) ** 2 + np.abs(state) ** 2) * lattice.cell_volume)
+        def monitor() -> float:
+            return float(np.sum(np.abs(v) ** 2 + np.abs(b) ** 2) * lattice.cell_volume)
 
-    monitor, quantity = (record_energy, "energy") if field_mode == "real" else (record_norm, "norm")
-    acc = np.empty_like(b)
-    scratch = np.empty_like(b)
-    force = _force(b, spacings, mass_sq, coupling, acc, scratch)
     force()
     t0 = b0.time
     snapshots = [ComplexField(space="position", values=b.astype(complex), time=t0)]
     velocities = [np.array(v, copy=True)]
-    monitored = [monitor(b, v, acc)]
+    monitored = [monitor()]
 
     # Overflow on the way to an instability abort is expected; the finiteness
     # check below turns it into a typed error.  The step updates b, v and acc
-    # in place: v += (dt/2) acc; b += dt v; acc = force(b); v += (dt/2) acc.
+    # in place: v += kick; b += dt v; acc = force(b); kick = (dt/2) acc;
+    # v += kick.  A step's closing kick is the next step's opening one.
     half_dt, full_dt = (np.array(c, dtype=b.dtype) for c in (0.5 * dt, dt))
+    add, multiply = np.add, np.multiply
+    multiply(half_dt, acc, kick)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            np.multiply(half_dt, acc, out=scratch)
-            v += scratch
-            np.multiply(full_dt, v, out=scratch)
-            b += scratch
+            add(v, kick, v)
+            multiply(full_dt, v, scratch)
+            add(b, scratch, b)
             force()
-            np.multiply(half_dt, acc, out=scratch)
-            v += scratch
+            multiply(half_dt, acc, kick)
+            add(v, kick, v)
             if n in recorded:
                 if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
                     raise InstabilityError(n, float("nan"), monitored[0], quantity)
@@ -527,7 +669,7 @@ def leapfrog_interact(
                     ComplexField(space="position", values=b.astype(complex), time=t0 + n * dt)
                 )
                 velocities.append(np.array(v, copy=True))
-                monitored.append(monitor(b, v, acc))
+                monitored.append(monitor())
                 if abs(monitored[-1]) > 10.0 * max(abs(monitored[0]), 1e-30):
                     raise InstabilityError(n, monitored[-1], monitored[0], quantity)
 

@@ -26,6 +26,7 @@ from ontofield.dynamics import (
     stability_bound,
     time_derivative_check,
     wavefront_measure,
+    _energy,
     _force,
 )
 from ontofield.lattice import (
@@ -299,16 +300,33 @@ def _roll_force(state, spacings, mass_sq, coupling):
 # Signed zeros are drawn often: the stencil's leading add to zero is what turns
 # a -0.0 Laplacian into +0.0, as the roll form does.
 _ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+# Powers of two are drawn often: a real field divides by them as a multiply by
+# the exact reciprocal.
+_SPACINGS = st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(0.05, 5.0)
 
 
 @st.composite
 def _force_cases(draw):
     dims = draw(st.integers(1, 3))
     shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dims, max_size=dims)))
-    spacings = tuple(draw(st.lists(st.floats(0.05, 5.0), min_size=dims, max_size=dims)))
+    spacings = tuple(draw(st.lists(_SPACINGS, min_size=dims, max_size=dims)))
     pairs = draw(arrays(np.float64, (*shape, 2), elements=_ENTRIES))
     state = pairs[..., 0].copy() if draw(st.booleans()) else pairs.view(complex)[..., 0]
     return state, spacings, draw(st.floats(0.0, 10.0)), draw(st.floats(-5.0, 5.0))
+
+
+def _seam_case(shape, dtype=float):
+    """A state with distinct entries and a signed zero, on spacings that differ per axis."""
+    values = np.linspace(-1.7, 2.3, int(np.prod(shape))).reshape(shape)
+    values.flat[0] = -0.0
+    state = values.astype(dtype) * (1.0 - 0.5j if dtype is complex else 1.0)
+    spacings = tuple(0.5 + 0.75 * axis for axis in range(len(shape)))
+    return state, spacings, 0.8, -2.5
+
+
+def _buffers(state, count):
+    """``count`` work buffers shaped like ``state``, NaN-filled so that a read before a write shows."""
+    return [np.full_like(state, np.nan) for _ in range(count)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -319,23 +337,109 @@ def _force_cases(draw):
 # a reference that cubes a real state the other way fails here.
 @example((np.array([1.3, -1.3, 0.0]), (2.0,), 0.0, 6.0))
 @example((np.array([[1.3, -1.3, 0.0], [0.0, 1.3, -1.3]]), (4.0, 5.0), 0.0, 6.0))
+# Axes of length 1 and 2 first, in the middle and last: there the flat shift
+# of one axis runs across every seam of the others, and the wrap plane is
+# the whole axis or half of it.
+@example(_seam_case((1, 3, 4)))
+@example(_seam_case((3, 1, 4)))
+@example(_seam_case((3, 4, 1)))
+@example(_seam_case((2, 3, 5)))
+@example(_seam_case((3, 2, 5), complex))
+@example(_seam_case((3, 5, 2)))
+@example(_seam_case((1, 2), complex))
+@example(_seam_case((2, 1)))
+# Quotients by a power of two that round in the subnormal range or overflow,
+# where a multiply by a reciprocal that is not exact would differ.
+@example((np.array([5e-324, -1e-310, 3e-308, -0.0, 7e-322]), (2.0,), 0.0, 0.0))
+@example((np.array([[1e308, -1.5e308], [4e307, 0.0]]), (0.5, 0.25), 0.0, 0.0))
 def test_buffered_force_is_bitwise_the_roll_force(case):
     state, spacings, mass_sq, coupling = case
-    out, scratch = np.empty_like(state), np.empty_like(state)
-    _force(state, spacings, mass_sq, coupling, out, scratch)()
-    expected = _roll_force(state, spacings, mass_sq, coupling)
+    out, *work = _buffers(state, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _force(state, spacings, mass_sq, coupling, out, *work)()
+        expected = _roll_force(state, spacings, mass_sq, coupling)
     assert out.dtype == expected.dtype
     assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["transposed", "sliced"])
+def test_stencils_reject_or_copy_a_non_contiguous_state(layout):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((4, 6, 8))
+    view = values.transpose(1, 0, 2) if layout == "transposed" else values[:, :, ::2]
+    assert not view.flags.c_contiguous
+    state = np.ascontiguousarray(view)
+    out, scratch, plane = _buffers(state, 3)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _force(view, (0.5, 0.7, 0.9), 1.0, 2.0, out, scratch, plane)
+    # The scratch buffer is read through its flat view as well.
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _force(state, (0.5, 0.7, 0.9), 1.0, 2.0, out, np.asfortranarray(scratch), plane)
+
+    # kg_residual binds the stencil to a contiguous copy of each snapshot.
+    lattice = build_lattice([3.0, 4.0, 5.0], state.shape, 1.0)
+
+    def residual(snapshot_values):
+        snapshots = tuple(
+            ComplexField("position", values, time=0.1 * j) for j, values in enumerate(snapshot_values)
+        )
+        return kg_residual(EvolutionRun(lattice=lattice, steps=2, snapshots=snapshots))
+
+    fields = [(1.0 + 0.5j) * view, (1.0 - 0.25j) * np.ones_like(view) + view**2, view**3]
+    views = [field.transpose(1, 0, 2).copy().transpose(1, 0, 2) for field in fields]
+    assert not any(field.flags.c_contiguous for field in views)
+    assert residual(views) == residual([np.ascontiguousarray(field) for field in views])
+
+
+def _roll_energy(state, vel, acc, spacings, mass_sq, coupling, dt, cell_volume):
+    """Reference energy by np.roll and fresh arrays, which ``_energy`` must match bit for bit."""
+    gradient_sq = np.zeros_like(state)
+    for axis, dx in enumerate(spacings):
+        gradient_sq = gradient_sq + ((np.roll(state, -1, axis) - state) / dx) ** 2
+    density = (
+        0.5 * vel**2
+        - 0.125 * dt**2 * acc**2
+        + 0.5 * gradient_sq
+        + 0.5 * mass_sq * state**2
+        + (coupling / 24.0) * np.square(np.square(state))
+    )
+    return float(np.sum(density) * cell_volume)
+
+
+@st.composite
+def _energy_cases(draw):
+    dims = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dims, max_size=dims)))
+    spacings = tuple(draw(st.lists(_SPACINGS, min_size=dims, max_size=dims)))
+    state, vel, acc = (draw(arrays(np.float64, shape, elements=_ENTRIES)) for _ in range(3))
+    constants = (draw(st.floats(0.0, 10.0)), draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 1.0)))
+    return state, vel, acc, spacings, *constants
+
+
+@settings(max_examples=25, deadline=None)
+@given(_energy_cases())
+@example((np.array([-0.0, 0.0]), np.array([0.0, -0.0]), np.array([-0.0, -0.0]), (0.5,), 1.0, 0.1, 0.2))
+@example((*(np.linspace(-3.0, 4.0, 24).reshape(3, 1, 8) * f for f in (1.0, -0.5, 2.0)), (0.3, 0.6, 0.9), 0.7, 1.5, 0.25))
+@example((*(np.linspace(-3.0, 4.0, 24).reshape(4, 3, 2) * f for f in (1.0, -0.5, 2.0)), (0.3, 0.6, 0.9), 0.7, 1.5, 0.25))
+def test_buffered_energy_is_bitwise_the_roll_energy(case):
+    state, vel, acc, spacings, mass_sq, coupling, dt = case
+    cell_volume = float(np.prod(spacings))
+    energy = _energy(state, vel, acc, spacings, mass_sq, coupling, dt, cell_volume, *_buffers(state, 3))
+    expected = _roll_energy(state, vel, acc, spacings, mass_sq, coupling, dt, cell_volume)
+    assert energy().hex() == expected.hex()
 
 
 _FORCE_DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from ontofield.dynamics import _force
-state = 2.0 * np.random.default_rng(13).standard_normal((32, 32, 32))
-out, scratch = np.empty_like(state), np.empty_like(state)
-_force(state, (0.5, 0.5, 0.5), 1.0, 3.0, out, scratch)()
+from ontofield.dynamics import _energy, _force
+rng = np.random.default_rng(13)
+state = 2.0 * rng.standard_normal((32, 32, 32))
+vel = rng.standard_normal((32, 32, 32))
+out, *work = (np.empty_like(state) for _ in range(4))
+_force(state, (0.5, 0.5, 0.5), 1.0, 3.0, out, *work[:2])()
 print(hashlib.sha256(out.tobytes()).hexdigest())
+print(_energy(state, vel, out, (0.5, 0.5, 0.5), 1.0, 3.0, 0.1, 0.125, *work)().hex())
 """
 
 
