@@ -59,13 +59,15 @@ _BATCH_ROWS = 256
 # strip's product equals those rows of the full product bit for bit.
 _STRIP_SITES = 256
 # Peak memory of a vacuum run, in bytes per site pair of each estimate (its
-# complex and float accumulator, 16 + 8, its zero-variance flags, 1, and the
-# CLI's float pull temporary, 8, which outgrows a CSV's index columns) and
-# per site of a block of samples (its draws, one time's phases, transforms,
-# conjugate and strip product).  Measured peaks of `ontofield run` above a
-# warmed-up process (300 samples) were 46.2 and 162.2 MB for one estimate
-# and 72.4 and 267.5 MB for two, at 1024 and 2048 sites, under the 59.8 and
-# 188.7 MB and 94.4 and 327.2 MB this gives.
+# complex and float accumulator, 16 + 8, its zero-variance flags, 1, and 8
+# that the CLI's float pull matrix took before its pulls went row strip by
+# row strip, kept as headroom) and per site of a block of samples (its
+# draws, one time's phases, transforms, conjugate and strip product).
+# Measured peaks of `ontofield run` (VmHWM above VmRSS after a 64-site
+# warm-up run in the same process, 300 samples) were 37.1 and 124.1 MB for
+# one estimate and 65.2 and 230.4 MB for two, at 1024 and 2048 sites (41.1,
+# 137.6, 67.4 and 242.5 MB with the pulls formed over the whole matrix),
+# under the 59.8 and 188.7 MB and 94.4 and 327.2 MB this gives.
 _PAIR_BYTES = 33
 _BLOCK_SITE_BYTES = 96
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -492,6 +493,49 @@ def test_non_finite_results_are_written_as_null_in_strict_json(tmp_path, capsys,
         assert results["static"]["max_diagonal_pull"] is None
         assert results["static"]["max_offdiagonal_pull"] is None
         assert results["static"]["zero_variance_entries"] == 16
+
+
+def _matrix_pull_summary(est):
+    """The pull summary over one float matrix of every site pair, as a reference."""
+    n = est.mean.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag_pulls = np.abs(np.diag(est.mean) - 1.0) / np.diag(est.stderr)
+        off_pulls = np.abs(est.mean) / est.stderr
+    off_pulls.flat[:: n + 1] = -np.inf
+    return {
+        "max_diagonal_pull": float(np.max(diag_pulls)),
+        "max_offdiagonal_pull": float(np.max(off_pulls)),
+        "zero_variance_entries": int(np.sum(est.zero_variance)),
+    }
+
+
+# Site pairs given a zero standard error: with a zero mean the pull is 0/0
+# (NaN), otherwise x/0 (infinite).  On the diagonal the NaN is masked out.
+@pytest.mark.parametrize(
+    "n, zero_mean, zero_stderr",
+    [
+        (1, [], []),
+        (5, [], []),
+        (300, [], []),
+        (600, [(400, 10)], [(400, 10)]),
+        (600, [], [(300, 599)]),
+        (600, [(450, 450)], [(450, 450)]),
+        (520, [(3, 515)], [(3, 515), (515, 3)]),
+    ],
+)
+def test_strip_pull_summary_equals_the_matrix_form(n, zero_mean, zero_stderr):
+    rng = np.random.default_rng(n)
+    mean = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    stderr = rng.uniform(0.5, 2.0, (n, n))
+    for pair in zero_mean:
+        mean[pair] = 0.0
+    for pair in zero_stderr:
+        stderr[pair] = 0.0
+    est = CorrelatorEstimate(mean=mean, stderr=stderr, count=100, zero_variance=stderr == 0.0)
+    summary = cli._pull_summary(est)
+    assert repr(summary) == repr(_matrix_pull_summary(est))
+    off_nan = any(pair in zero_stderr and pair[0] != pair[1] for pair in zero_mean)
+    assert math.isnan(summary["max_offdiagonal_pull"]) == off_nan
 
 
 # --- reproducibility and routing ----------------------------------------------------
