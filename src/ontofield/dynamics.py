@@ -423,14 +423,16 @@ def _energy(
     with the operations in that order.  The forward differences ``b[i+1] -
     b[i]`` go into ``diff`` by one flat-shift call on the views of
     :func:`_axis_views` and a rewrite of the ``i = N-1`` plane from ``b[0]``;
-    per axis ``(diff/dx)**2`` is summed into ``grad``.  ``grad``,
-    ``diff`` and ``term`` are written before they are read, so they may be
-    the force's buffers between steps; they and ``state`` follow the
-    contiguity rule of :func:`_fd_laplacian`.
+    per axis ``(diff/dx)**2`` is added to a sum in ``grad`` that starts at
+    zero.  ``grad``, ``diff`` and ``term`` are written before they are read,
+    so they may be the force's buffers between steps.  ``state`` and
+    ``diff`` are read through flat views and follow the contiguity rule of
+    :func:`_fd_laplacian`.
     """
     half, c_acc, c_mass, c_quartic = (
         np.array(c, dtype=state.dtype) for c in (0.5, 0.125 * dt**2, 0.5 * mass_sq, coupling / 24.0)
     )
+    total = np.array(0.0, dtype=state.dtype)  # the first axis adds to zero, the others to grad
     calls: list[_Call] = []
     for axis, dx in enumerate(spacings):
         b_up, b_low, b_first, b_last = _axis_views(state, axis)
@@ -440,12 +442,10 @@ def _energy(
             (np.subtract, b_up, b_low, d_low),
             (np.subtract, b_first, b_last, d_last),
             (divide, diff, by_dx, diff),
+            (np.multiply, diff, diff, diff),
+            (np.add, total, diff, grad),
         ]
-        # A square is never -0.0, so the first axis needs no add to zero.
-        if axis == 0:
-            calls += [(np.multiply, diff, diff, grad)]
-        else:
-            calls += [(np.multiply, diff, diff, diff), (np.add, grad, diff, grad)]
+        total = grad
     calls += [
         (np.multiply, vel, vel, diff), (np.multiply, half, diff, diff),
         (np.multiply, acc, acc, term), (np.multiply, c_acc, term, term),
