@@ -8,139 +8,17 @@ independent quadrature routes, finite-difference interacting dynamics, and a
 random-phase vacuum ensemble with its correlator statistics.
 """
 
-from ontofield.cyclic import (
-    BasisChange,
-    CycleConfig,
-    OntState,
-    basis_change,
-    energy_levels,
-    evolution_matrix,
-    evolve_step,
-)
-from ontofield.ladder import (
-    CommutatorReport,
-    ModeOperators,
-    TimedOperator,
-    b_eigensystem,
-    build_mode,
-    commutator_defect,
-    evolve_operator,
-    reconstruct_a,
-    truncate_from_a,
-)
-from ontofield.lattice import (
-    ComplexField,
-    MomentumLattice,
-    build_lattice,
-    evolution_phase,
-    load_field,
-    position_axes,
-    save_field,
-    spectral_evolve,
-    to_momentum,
-    to_position,
-)
-from ontofield.kernels import (
-    DecayFit,
-    KernelSpec,
-    KernelTable,
-    QuadratureError,
-    SuppressionReport,
-    decay_fit,
-    f1_contour,
-    f1_direct,
-    f2_contour,
-    f2_direct,
-    group_velocity,
-    kernel_table,
-    spacelike_suppression_scan,
-)
-from ontofield.dynamics import (
-    EvolutionRun,
-    FrontMeasurement,
-    FrontTrackingError,
-    InstabilityError,
-    ResidualReport,
-    evolve_convolution,
-    gaussian_packet,
-    kg_residual,
-    leapfrog_interact,
-    refinement_study,
-    spectral_run,
-    stability_bound,
-    time_derivative_check,
-    wavefront_measure,
-)
-from ontofield.vacuum import (
-    CorrelatorEstimate,
-    CorrelatorMemoryError,
-    EnsembleSpec,
-    ensemble_correlator,
-    ensemble_correlators,
-    sample_vacuum,
-)
+from ontofield import cyclic, dynamics, kernels, ladder, lattice, vacuum
+from ontofield.cyclic import *  # noqa: F403
+from ontofield.ladder import *  # noqa: F403
+from ontofield.lattice import *  # noqa: F403
+from ontofield.kernels import *  # noqa: F403
+from ontofield.dynamics import *  # noqa: F403
+from ontofield.vacuum import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisChange",
-    "CycleConfig",
-    "OntState",
-    "basis_change",
-    "energy_levels",
-    "evolution_matrix",
-    "evolve_step",
-    "CommutatorReport",
-    "ModeOperators",
-    "TimedOperator",
-    "b_eigensystem",
-    "build_mode",
-    "commutator_defect",
-    "evolve_operator",
-    "reconstruct_a",
-    "truncate_from_a",
-    "ComplexField",
-    "MomentumLattice",
-    "build_lattice",
-    "evolution_phase",
-    "load_field",
-    "position_axes",
-    "save_field",
-    "spectral_evolve",
-    "to_momentum",
-    "to_position",
-    "DecayFit",
-    "KernelSpec",
-    "KernelTable",
-    "QuadratureError",
-    "SuppressionReport",
-    "decay_fit",
-    "f1_contour",
-    "f1_direct",
-    "f2_contour",
-    "f2_direct",
-    "group_velocity",
-    "kernel_table",
-    "spacelike_suppression_scan",
-    "EvolutionRun",
-    "FrontMeasurement",
-    "FrontTrackingError",
-    "InstabilityError",
-    "ResidualReport",
-    "evolve_convolution",
-    "gaussian_packet",
-    "kg_residual",
-    "leapfrog_interact",
-    "refinement_study",
-    "spectral_run",
-    "stability_bound",
-    "time_derivative_check",
-    "wavefront_measure",
-    "CorrelatorEstimate",
-    "CorrelatorMemoryError",
-    "EnsembleSpec",
-    "ensemble_correlator",
-    "ensemble_correlators",
-    "sample_vacuum",
+    *(name for module in (cyclic, ladder, lattice, kernels, dynamics, vacuum) for name in module.__all__),
     "__version__",
 ]

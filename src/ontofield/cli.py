@@ -50,7 +50,7 @@ from ontofield.dynamics import (
     wavefront_measure,
 )
 from ontofield.kernels import (
-    _METHODS, WINDOWS, KernelSpec, QuadratureError, _spec_problems, decay_fit, kernel_table,
+    _KINDS, _METHODS, _MIN_FIT_POINTS, WINDOWS, KernelSpec, QuadratureError, _spec_problems, decay_fit, kernel_table,
 )
 from ontofield.ladder import (
     TimedOperator,
@@ -63,6 +63,7 @@ from ontofield.ladder import (
 )
 from ontofield.lattice import ComplexField, _write_csv, build_lattice, save_field
 from ontofield.vacuum import (
+    _MIN_SAMPLES,
     CorrelatorEstimate,
     EnsembleSpec,
     _correlator_memory_problem,
@@ -181,7 +182,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
         "delta_t": (_pos_real, True, None),
     },
     "kernel": {
-        "kind": (_choice("F1", "F2"), True, None),
+        "kind": (_choice(*_KINDS), True, None),
         "mass": (_nonneg_real, True, None),
         "cutoff": (_nullable(_pos_real), True, None),
         "method": (_choice(*_METHODS), True, None),
@@ -200,7 +201,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
         "taper_frac": (_taper, False, 0.1),
         "z_start": (_pos_real, True, None),
         "z_stop": (_pos_real, True, None),
-        "z_count": (_int_at_least(8), True, None),
+        "z_count": (_int_at_least(_MIN_FIT_POINTS), True, None),
     },
     "front": {
         **_LATTICE_KEYS,
@@ -228,7 +229,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
     },
     "vacuum": {
         **_LATTICE_KEYS,
-        "samples": (_int_at_least(100), True, None),
+        "samples": (_int_at_least(_MIN_SAMPLES), True, None),
         "evolve_time": (_nullable(_real), False, None),
     },
 }
@@ -408,7 +409,7 @@ def _run_spectrum(params: dict, seed: int, out: Path) -> dict:
     phase_defect = float(
         np.max(np.abs(np.diag(diagonalized) - np.exp(-1j * energies * config.delta_t)))
     )
-    _write_csv(out / "spectrum.csv", ["n", "energy"], "%d,%.17g\r\n", [np.arange(n), energies])
+    _write_csv(out / "spectrum.csv", ["n", "energy"], [np.arange(n), energies])
     return {
         "n_states": n,
         "delta_t": config.delta_t,
@@ -471,8 +472,7 @@ def _run_front(params: dict, seed: int, out: Path) -> dict:
     packet = _initial_packet(params, lattice)
     run = spectral_run(packet, lattice, params["dt"], params["steps"], params["record_every"])
     measured = wavefront_measure(run, params["k0"])
-    columns = [measured.times, measured.positions]
-    _write_csv(out / "front.csv", ["t", "peak_position"], "%.17g,%.17g\r\n", columns)
+    _write_csv(out / "front.csv", ["t", "peak_position"], [measured.times, measured.positions])
     return {
         "speed": measured.speed,
         "expected_speed": measured.expected_speed,
@@ -532,7 +532,7 @@ def _run_interact(params: dict, seed: int, out: Path) -> dict:
         "stability_bound": stability_bound(lattice),
     }
     if run.energy is not None:
-        _write_csv(out / "energy.csv", ["t", "energy"], "%.17g,%.17g\r\n", [run.times, run.energy])
+        _write_csv(out / "energy.csv", ["t", "energy"], [run.times, run.energy])
         scale = max(abs(run.energy[0]), 1e-30)
         results["initial_energy"] = float(run.energy[0])
         results["energy_drift"] = float(np.max(np.abs(run.energy - run.energy[0])) / scale)

@@ -51,9 +51,11 @@ __all__ = [
     "spacelike_suppression_scan",
 ]
 
+_KINDS = ("F1", "F2")
 # "direct_quadrature" and "radial_reduced" name one route: rotation symmetry
 # reduces the D=3 integral to one radial dimension exactly.
 _METHODS = ("direct_quadrature", "radial_reduced", "contour")
+_MIN_FIT_POINTS = 8
 _TWO_PI_SQ = 2.0 * np.pi**2
 # |F1| falls like z**-2.5 * exp(-M z) at large z (Watson's lemma).
 _DECAY_PREFACTOR_POWER = 2.5
@@ -401,8 +403,8 @@ def decay_fit(table: "KernelTable", fit_range: tuple[float, float] | None = None
         lo, hi = fit_range
         mask = (z >= lo) & (z <= hi)
         z, mag = z[mask], mag[mask]
-    if z.size < 8:
-        raise ValueError(f"decay fit needs at least 8 points, got {z.size}")
+    if z.size < _MIN_FIT_POINTS:
+        raise ValueError(f"decay fit needs at least {_MIN_FIT_POINTS} points, got {z.size}")
     if np.any(mag == 0.0):
         raise ValueError("decay fit needs nonzero kernel values")
     if np.ptp(z) == 0.0:
@@ -481,8 +483,8 @@ def _spec_problems(
 ) -> list[tuple[str, str]]:
     """Every ``(field, message)`` reason the kernel request cannot be evaluated."""
     problems = []
-    if kind not in ("F1", "F2"):
-        problems.append(("kind", f"must be 'F1' or 'F2', got {kind!r}"))
+    if kind not in _KINDS:
+        problems.append(("kind", f"must be {' or '.join(map(repr, _KINDS))}, got {kind!r}"))
     elif kind == "F1" and t != 0.0:
         problems.append(("t", "the static kernel takes no time argument"))
     if not mass >= 0.0:
@@ -540,14 +542,11 @@ class KernelTable:
 
         ``t`` is empty for F1 and ``Lambda`` for an uncut table.
         """
-        t = "" if self.kind == "F1" else "%.17g" % self.t
-        mass = "%.17g" % self.mass
-        cutoff = "" if self.cutoff is None else "%.17g" % self.cutoff
+        t = None if self.kind == "F1" else self.t
         values = np.asarray(self.values, dtype=complex)
-        columns = [self.z, values.real, values.imag, self.errors]
-        # The columns shared by every row are fixed in the row template.
-        row = f"%.17g,{t},%.17g,%.17g,%.17g,{self.method},{mass},{cutoff}\r\n"
-        _write_csv(path, ["z", "t", "re", "im", "err", "method", "M", "Lambda"], row, columns)
+        z, errors = np.asarray(self.z, dtype=float), np.asarray(self.errors, dtype=float)
+        columns = [z, t, values.real, values.imag, errors, self.method, self.mass, self.cutoff]
+        _write_csv(path, ["z", "t", "re", "im", "err", "method", "M", "Lambda"], columns)
 
 
 def kernel_table(spec: KernelSpec, z_values: Sequence[float]) -> KernelTable:

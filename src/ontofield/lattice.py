@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -34,13 +34,11 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_FIELD_ROW = "%.17g,%.17g\r\n"
 _CSV_BLOCK_ROWS = 4096
 # Tiles shorter than this keep the ``%`` template.  The array route costs
 # about 0.4 ms per tile even when short, and overtook the template between
 # 256 and 512 rows for the field, correlator and kernel rows.
 _VECTOR_MIN_ROWS = 512
-_CONVERSIONS = re.compile(r"(%\.17g|%d)")
 _G17_SLOTS = 29  # the layout of one "%.17g" cell is in _g17_cells
 _POW10_SPAN = 360
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
@@ -248,12 +246,13 @@ def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.cache
-def _pow10_table() -> tuple[np.ndarray, ...]:
-    """``10**s = (hi + lo) * 2**b`` for ``|s| <= 360``: rows ``(hi, hi's halves, lo)``, and ``b``.
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """``10**s = (hi + lo) * 2**b`` for ``|s| <= 360``: rows ``hi``, hi's halves and ``lo``, and ``b``.
 
     Each entry is the 128-bit rounding of ``10**s * 2**-b``, cut into two
     doubles, so ``hi + lo`` is within ``2**-106`` of it, relatively.  Built
-    with integer shifts on first use.
+    with integer shifts on first use.  One row per part and int32 shifts
+    are the layout the gathers and ``np.ldexp`` are fastest on.
     """
     rows = []
     for s in range(-_POW10_SPAN, _POW10_SPAN + 1):
@@ -272,7 +271,7 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
         rows.append((math.ldexp(hi, -127), math.ldexp(float(bits - int(hi)), -127), b))
     hi, lo, b = (np.array(col) for col in zip(*rows))
     hi_hi = hi * _SPLIT - (hi * _SPLIT - hi)
-    return _read_only(np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1), b)
+    return _read_only(np.stack([hi, hi_hi, hi - hi_hi, lo]), b.astype(np.int32))
 
 
 def _two_product(m: np.ndarray, hi: np.ndarray, hi_hi: np.ndarray, hi_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +313,7 @@ def _g17_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     exp10 = np.floor(np.log10(a)).astype(np.int64)
     row = 16 + _POW10_SPAN - exp10
     scale, shift = _pow10_table()
-    hi, hi_hi, hi_lo, lo = np.take(scale, row, axis=0).T
+    hi, hi_hi, hi_lo, lo = np.take(scale, row, axis=1)
     b = np.take(shift, row)
     p, err = _two_product(m, hi, hi_hi, hi_lo)
     e += b
@@ -392,12 +391,13 @@ def _int_cells(v: np.ndarray, out: np.ndarray) -> None:
 
 
 def _format_rows(pieces: list[str], columns: Sequence[np.ndarray]) -> str:
-    """The text of ``row_format % row`` for each row, by array operations.
+    """The text of the ``%`` row template ``pieces`` spell, for each row, by array operations.
 
-    ``pieces`` alternates literal text and conversions, as ``_CONVERSIONS``
-    splits the template.  The rows are laid out slot-major, one matrix row
-    per slot and NUL where a cell is shorter than its slots; one transpose
-    puts the bytes in file order and one ``np.compress`` drops the NULs.
+    ``pieces`` alternates literal text and conversions, ``%d`` or
+    ``%.17g``, one per array of ``columns``.  The rows are laid out
+    slot-major, one matrix row per slot and NUL where a cell is shorter than
+    its slots; one transpose puts the bytes in file order and one
+    ``np.compress`` drops the NULs.
     """
     spans = []
     for index, piece in enumerate(pieces):
@@ -422,15 +422,24 @@ def _format_rows(pieces: list[str], columns: Sequence[np.ndarray]) -> str:
     return np.compress(text != 0, text).tobytes().decode()
 
 
-def _write_csv(path: str | Path, header: Sequence, row_format: str, columns: Sequence) -> None:
-    """Write one CSV artifact: the ``header`` row, then one row per column entry.
+def _cell(value: object) -> str:
+    """The text of a cell that is the same on every row: empty for None, a str as it is, ``%.17g`` for a number."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else _FMT % value
 
-    Every CSV file the package writes goes through here.  ``header`` goes
-    through ``csv.writer`` (CRLF line ends).  ``row_format`` holds one
-    conversion, ``%.17g`` or ``%d``, per 1-D array of ``columns`` (all of
-    one length), constant fields, and its own CRLF.  ``%d`` takes integer
-    arrays.  The rows are written in tiles of ``_CSV_BLOCK_ROWS``, and every
-    tile gives the bytes ``row_format % row`` gives row by row.
+
+def _write_csv(path: str | Path, header: Sequence, columns: Sequence) -> None:
+    """Write one CSV artifact: the ``header`` row, then one row per entry of the array columns.
+
+    Every CSV file the package writes goes through here, and only here are
+    its cells spelled.  Each entry of ``columns`` is a 1-D integer ndarray,
+    written ``%d``; any other 1-D ndarray, written ``%.17g`` of its float64
+    values; or a constant field, the same on every row, which is written as
+    :func:`_cell` spells it, as are the ``header`` cells.  Cells are joined
+    by commas and rows end in CRLF, as the ``csv`` module's default dialect
+    writes them.  The rows are written in tiles of ``_CSV_BLOCK_ROWS``, and
+    every tile gives the bytes the row's ``%`` template gives row by row.
 
     A tile shorter than ``_VECTOR_MIN_ROWS`` is one ``%`` over the template
     repeated, which is faster there.  A longer one is formatted by array
@@ -456,29 +465,34 @@ def _write_csv(path: str | Path, header: Sequence, row_format: str, columns: Seq
 
     The digits come from correctly rounded IEEE operations, and a wrong
     exponent guess only sends a value to ``%``, so the text does not depend
-    on numpy's SIMD dispatch level.
+    on numpy's SIMD dispatch level.  Raises ``ValueError`` when no column is
+    an array, or the arrays are not 1-D and of one length.
     """
-    pieces = _CONVERSIONS.split(row_format)
-    if any("%" in piece for piece in pieces[::2]):
-        raise ValueError(f"row template {row_format!r} has a conversion other than %.17g and %d")
-    columns = [np.asarray(c) for c in columns]
-    if len(columns) != len(pieces) // 2 or len({len(c) for c in columns}) > 1:
-        raise ValueError(f"row template {row_format!r} needs {len(pieces) // 2} columns of one length")
-    for index, piece in enumerate(pieces[1::2]):
-        if piece == "%d" and columns[index].dtype.kind not in "iu":
-            raise TypeError(f"%d column {index} must hold integers, got {columns[index].dtype}")
-        if piece == "%.17g":
-            columns[index] = columns[index].astype(np.float64, copy=False)
-    rows = len(columns[0]) if columns else 0
+    # pieces alternates literal text and one conversion per array.
+    pieces, arrays = [""], []
+    for index, column in enumerate(columns):
+        if index:
+            pieces[-1] += ","
+        if isinstance(column, np.ndarray):
+            integer = column.dtype.kind in "iu"
+            pieces += ["%d" if integer else _FMT, ""]
+            arrays.append(column if integer else column.astype(np.float64, copy=False))
+        else:
+            pieces[-1] += _cell(column)
+    pieces[-1] += "\r\n"
+    if not arrays or any(c.ndim != 1 for c in arrays) or len({len(c) for c in arrays}) > 1:
+        raise ValueError("CSV columns need at least one array, and every array 1-D and of one length")
+    template = "".join(piece if index % 2 else piece.replace("%", "%%") for index, piece in enumerate(pieces))
+    rows = len(arrays[0])
     with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(_cell(cell) for cell in header) + "\r\n")
         for lo in range(0, rows, _CSV_BLOCK_ROWS):
-            tile = [c[lo : lo + _CSV_BLOCK_ROWS] for c in columns]
+            tile = [c[lo : lo + _CSV_BLOCK_ROWS] for c in arrays]
             if len(tile[0]) < _VECTOR_MIN_ROWS:
                 cells = [None] * (len(tile[0]) * len(tile))
                 for index, column in enumerate(tile):
                     cells[index :: len(tile)] = column.tolist()
-                fh.write((row_format * len(tile[0])) % tuple(cells))
+                fh.write((template * len(tile[0])) % tuple(cells))
             else:
                 fh.write(_format_rows(pieces, tile))
 
@@ -495,14 +509,9 @@ def save_field(field: ComplexField, lattice: MomentumLattice, path: str | Path) 
     back bit for bit.
     """
     _require(field, lattice, "position")
-    header = (
-        [lattice.dims]
-        + [_FMT % n for n in lattice.grid_points]
-        + [_FMT % l for l in lattice.box_lengths]
-        + [_FMT % lattice.mass, _FMT % field.time]
-    )
+    header = [lattice.dims, *lattice.grid_points, *lattice.box_lengths, lattice.mass, field.time]
     values = np.ascontiguousarray(field.values, dtype=complex).ravel()
-    _write_csv(path, header, _FIELD_ROW, [values.real, values.imag])
+    _write_csv(path, header, [values.real, values.imag])
 
 
 def _bytes_word(text: bytes) -> int:
@@ -524,24 +533,19 @@ _SMALLEST_NORMAL = 2.2250738585072014e-308
 
 @functools.cache
 def _reader_tables() -> tuple[np.ndarray, ...]:
-    """The read route's tables: ``keep``, ``exp_masks``, ``pow10``, ``scale``, ``shift``.
+    """The read route's tables: ``keep``, ``exp_masks``, ``pow10``.
 
     ``keep[d]`` is a 24-byte window as one ``V24`` item, its first ``d``
     bytes clear and the rest set; ``exp_masks`` picks the exponent's digits
     out of a cell's last three bytes (none, two, three); ``pow10[k]`` is
-    ``10**k`` as uint64; ``scale`` and ``shift`` are :func:`_pow10_table`
-    with one row per column and its shifts as int32, the layouts the
-    gathers and ``np.ldexp`` are fastest on.
+    ``10**k`` as uint64.
     """
     window = (1 << 8 * _CELL_SLOTS) - 1
     keep = [[(window >> 8 * d << 8 * d) >> 64 * j & (1 << 64) - 1 for j in range(3)] for d in range(_CELL_SLOTS + 1)]
-    scale, shift = _pow10_table()
     return _read_only(
         np.array(keep, dtype=np.uint64).view("V24").ravel(),
         np.array([0, 0xFFFF00, 0xFFFFFF], dtype=np.uint64),
         np.array([10**k for k in range(20)], dtype=np.uint64),
-        np.ascontiguousarray(scale.T),
-        shift.astype(np.int32),
     )
 
 
@@ -556,7 +560,7 @@ def _eight_digits(x: np.ndarray) -> np.ndarray:
 def _scale_decimal(digits: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``digits * 10**exp10`` rounded to the nearest double, for uint64 ``digits < 10**18``,
     and a mask of the values whose rounding is certified (see :func:`load_field`)."""
-    *_, scale, shift = _reader_tables()
+    scale, shift = _pow10_table()
     row = exp10 + _POW10_SPAN
     in_table = (row >= 0) & (row <= 2 * _POW10_SPAN)
     row[~in_table] = _POW10_SPAN
@@ -584,7 +588,7 @@ def _parse_rows(buf: np.ndarray, lo: int, hi: int, marks: np.ndarray) -> np.ndar
     is bool scratch space of shape ``(2, len(buf))``.  Returns None if a
     byte leaves the grammar described in :func:`load_field`.
     """
-    keep, exp_masks, pow10, _, _ = _reader_tables()
+    keep, exp_masks, pow10 = _reader_tables()
     seg = buf[lo:hi]
     commas = np.equal(seg, ord(","), out=marks[0, : len(seg)])
     ends = np.flatnonzero(np.logical_or(commas, np.equal(seg, ord("\r"), out=marks[1, : len(seg)]), out=commas)) + lo
@@ -649,44 +653,41 @@ def _parse_rows(buf: np.ndarray, lo: int, hi: int, marks: np.ndarray) -> np.ndar
     return values
 
 
-def _read_body(path: Path, header: str, rows: int) -> np.ndarray | None:
-    """The ``(rows, 2)`` body of the snapshot at ``path``, parsed by :func:`_parse_rows`.
+def _read_body(fh: BinaryIO, size: int, rows: int) -> np.ndarray | None:
+    """The ``(rows, 2)`` body that the binary handle ``fh`` holds from its position on, parsed by :func:`_parse_rows`.
 
-    The file is read in chunks of ``_READ_CHUNK`` bytes into one buffer;
-    each chunk is cut after its last line end and the rest carried over.
-    Returns None if the first line is not ``header``, if the body leaves
-    the grammar, or if it does not hold exactly ``rows`` rows.
+    ``size`` is the number of bytes left.  They are read in chunks of
+    ``_READ_CHUNK`` bytes into one buffer; each chunk is cut after its last
+    line end and the rest carried over.  Returns None if the body leaves
+    the grammar or does not hold exactly ``rows`` rows.
     """
-    if not header.isascii():
+    # No row is shorter than "0,0\r\n".
+    if 5 * rows > size:
         return None
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        # No row is shorter than "0,0\r\n".
-        if fh.readline() != header.encode() or 5 * rows > size:
+    buf = np.zeros(_READ_PAD + min(_READ_CHUNK, size), dtype=np.uint8)
+    marks = np.empty((2, len(buf)), dtype=bool)
+    view = memoryview(buf)
+    out = np.empty(2 * rows)
+    filled = carry = 0
+    while got := fh.readinto(view[_READ_PAD + carry :]):
+        end = _READ_PAD + carry + got
+        window = max(_READ_PAD, end - _ROW_BYTES)
+        stop = window + bytes(view[window:end]).rfind(b"\n") + 1
+        values = None if stop == window else _parse_rows(buf, _READ_PAD, stop, marks)
+        if values is None or filled + len(values) > len(out):
             return None
-        buf = np.zeros(_READ_PAD + min(_READ_CHUNK, size), dtype=np.uint8)
-        marks = np.empty((2, len(buf)), dtype=bool)
-        view = memoryview(buf)
-        out = np.empty(2 * rows)
-        filled = carry = 0
-        while got := fh.readinto(view[_READ_PAD + carry :]):
-            end = _READ_PAD + carry + got
-            window = max(_READ_PAD, end - _ROW_BYTES)
-            stop = window + bytes(view[window:end]).rfind(b"\n") + 1
-            values = None if stop == window else _parse_rows(buf, _READ_PAD, stop, marks)
-            if values is None or filled + len(values) > len(out):
-                return None
-            out[filled : filled + len(values)] = values
-            filled += len(values)
-            carry = end - stop
-            buf[_READ_PAD : _READ_PAD + carry] = buf[stop:end]
+        out[filled : filled + len(values)] = values
+        filled += len(values)
+        carry = end - stop
+        buf[_READ_PAD : _READ_PAD + carry] = buf[stop:end]
     return out.reshape(rows, 2) if carry == 0 and filled == len(out) else None
 
 
 def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
     """Read a snapshot written by :func:`save_field`.
 
-    The header line is parsed with the ``csv`` module; a grid size that is
+    The file is opened once, in binary mode.  The header line is parsed
+    with the ``csv`` module; a grid size that is
     not a positive integer raises ``ValueError``.  Every body value comes
     back bit for bit, ``nan`` and ``inf`` included, by one of two routes
     that give the same bits:
@@ -729,11 +730,11 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
     one via :func:`build_lattice` if needed.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open("rb") as fh:
         line = fh.readline()
         if not line:
             raise ValueError(f"{path} is empty")
-        header = next(csv.reader([line]))
+        header = next(csv.reader([line.decode()]))
         dims = int(header[0]) if header else 0
         if not 1 <= dims <= 3 or len(header) != 2 * dims + 3:
             raise ValueError(f"malformed snapshot header in {path}: {header}")
@@ -749,10 +750,14 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         body_start = fh.tell()
         if not fh.readline().strip():
             raise ValueError(f"snapshot body has 0 rows, expected {expected}")
-        body = _read_body(path, line, expected) if expected >= _ARRAY_MIN_ROWS else None
+        fh.seek(body_start)
+        size = os.fstat(fh.fileno()).st_size - body_start
+        body = _read_body(fh, size, expected) if expected >= _ARRAY_MIN_ROWS else None
         if body is None:
             fh.seek(body_start)
-            body = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            # Through a text view, which also ends a row at a lone CR.
+            text = io.TextIOWrapper(fh, newline="")
+            body = np.loadtxt(text, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     if body.shape != (expected, 2):
         raise ValueError(
             f"snapshot body has {body.shape[0]} rows of {body.shape[1]} fields, "

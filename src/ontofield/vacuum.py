@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_CSV_ROW = "%d,%d,%.17g,%.17g,%.17g\r\n"
+_MIN_SAMPLES = 100
 # Samples per block.  Each block adds its BLAS products to the sums, so the
 # block edges set them: changing this moves the correlator's last bits.
 _BATCH_ROWS = 256
@@ -174,7 +174,7 @@ class CorrelatorEstimate:
         sites = np.arange(n, dtype=np.min_scalar_type(n))
         mean = self.mean.ravel()
         columns = [np.repeat(sites, n), np.tile(sites, n), mean.real, mean.imag, self.stderr.ravel()]
-        _write_csv(path, ["x_index", "y_index", "re", "im", "stderr"], _CSV_ROW, columns)
+        _write_csv(path, ["x_index", "y_index", "re", "im", "stderr"], columns)
 
 
 class CorrelatorMemoryError(ValueError):
@@ -274,8 +274,8 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     raise :class:`CorrelatorMemoryError` before anything is allocated.
     """
     n_samples = spec.count
-    if n_samples < 100:
-        raise ValueError(f"correlator estimation needs >= 100 samples, got {n_samples}")
+    if n_samples < _MIN_SAMPLES:
+        raise ValueError(f"correlator estimation needs >= {_MIN_SAMPLES} samples, got {n_samples}")
     if len(evolve_times) == 0:
         raise ValueError("evolve_times must hold at least one time")
     problem = _correlator_memory_problem(spec.lattice.grid_points, len(evolve_times))

@@ -97,8 +97,9 @@ def test_array_route_reads_raw_bit_patterns(tmp_path_factory, bits):
     values = np.resize(np.array(bits, dtype=np.uint64).view(np.float64), 2 * _ROWS)
     path = tmp_path_factory.mktemp("raw") / "snap.csv"
     pairs = _snapshot(values, path)
-    with path.open(newline="") as fh:
-        assert lattice._read_body(path, fh.readline(), _ROWS) is not None
+    with path.open("rb") as fh:
+        fh.readline()
+        assert lattice._read_body(fh, path.stat().st_size - fh.tell(), _ROWS) is not None
     assert np.array_equal(_loaded_bits(path), _expected_bits(pairs))
 
 
@@ -230,11 +231,11 @@ def test_chunk_cuts_fall_at_every_offset_of_a_row(tmp_path, monkeypatch):
     _text_snapshot(path, cells)
     row = len(cells[0]) + len(cells[1]) + 3
     expected = _loadtxt_body(path.read_text()).view(np.int64)
-    with path.open(newline="") as fh:
-        header = fh.readline()
     for chunk in range(2 * row, 3 * row):
         monkeypatch.setattr(lattice, "_READ_CHUNK", chunk)
-        body = lattice._read_body(path, header, 40)
+        with path.open("rb") as fh:
+            fh.readline()
+            body = lattice._read_body(fh, path.stat().st_size - fh.tell(), 40)
         assert body is not None and np.array_equal(body.view(np.int64), expected), chunk
 
 
@@ -335,7 +336,8 @@ def _ordinary_cells():
 def test_large_bodies_outside_the_grammar_load_as_np_loadtxt_reads_them(tmp_path, array_route, edit):
     path = tmp_path / "edited.csv"
     _text_snapshot(path, _ordinary_cells())
-    text = edit(path.read_text())
+    # Bytes, not read_text(), which would turn every CRLF into LF before the edit.
+    text = edit(path.read_bytes().decode())
     path.write_text(text, newline="")
     loaded = load_field(path)[0].values.view(np.float64).reshape(-1, 2)
     assert np.array_equal(loaded.view(np.int64), _loadtxt_body(text).view(np.int64))

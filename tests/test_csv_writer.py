@@ -1,4 +1,4 @@
-"""Tests for the one CSV writer: its array route must give the ``%`` template's bytes."""
+"""Tests for the one CSV writer: typed columns, and an array route that gives the ``%`` template's bytes."""
 
 import csv
 import math
@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ontofield
-from ontofield import lattice, vacuum
 from ontofield.lattice import _G17_SLOTS, _CSV_BLOCK_ROWS, _VECTOR_MIN_ROWS, _g17_cells, _write_csv
 
 _SRC = str(Path(ontofield.__file__).resolve().parents[1])
@@ -77,12 +76,22 @@ def test_most_ordinary_values_take_the_array_route():
     assert _assert_cells_match(np.concatenate([values, np.zeros(100), -np.zeros(100)])) < 20
 
 
-def _reference_bytes(path, header, row_format, columns):
-    # One "%" per row, after the csv module's header row: what the writer must match.
+def _constant(value):
+    return "" if value is None else value if isinstance(value, str) else "%.17g" % value
+
+
+def _reference_bytes(path, header, columns):
+    # One "%" per row, its template built here from the column types: what
+    # the writer must match.
+    template = ",".join(
+        ("%d" if c.dtype.kind in "iu" else "%.17g") if isinstance(c, np.ndarray) else _constant(c).replace("%", "%%")
+        for c in columns
+    )
+    arrays = [c.tolist() for c in columns if isinstance(c, np.ndarray)]
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
-            fh.write(row_format % row)
+        fh.write(",".join(_constant(cell) for cell in header) + "\r\n")
+        for row in zip(*arrays):
+            fh.write((template + "\r\n") % row)
     return path.read_bytes()
 
 
@@ -94,16 +103,19 @@ def _awkward_floats(rng, rows):
     return values
 
 
-_TEMPLATES = {
-    "field": lattice._FIELD_ROW,
-    "spectrum": "%d,%.17g\r\n",
-    "correlator": vacuum._CSV_ROW,
-    "kernel_f1": "%.17g,,%.17g,%.17g,%.17g,radial_reduced,1,240\r\n",
-    "kernel_f2": "%.17g,-0.40000000000000002,%.17g,%.17g,%.17g,contour,0.90000000000000002,\r\n",
+# The columns of each artifact: int and float stand for array columns of
+# that kind, anything else is a constant field.
+_TABLES = {
+    "field": [float, float],
+    "spectrum": [int, float],
+    "correlator": [int, int, float, float, float],
+    "kernel_f1": [float, None, float, float, float, "radial_reduced", 1, 240.0],
+    "kernel_f2": [float, -0.4, float, float, float, "contour", 0.9, None],
+    "percent": ["%d", int, "100%", float, "%%"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TEMPLATES))
+@pytest.mark.parametrize("name", sorted(_TABLES))
 @pytest.mark.parametrize(
     "rows",
     [
@@ -116,38 +128,56 @@ _TEMPLATES = {
     ],
 )
 def test_tables_give_the_percent_template_bytes(tmp_path, name, rows):
-    row_format = _TEMPLATES[name]
     rng = np.random.default_rng(rows)
     columns = []
-    for conversion in lattice._CONVERSIONS.findall(row_format):
-        if conversion == "%d":
+    for kind in _TABLES[name]:
+        if kind is int:
             ints = rng.integers(-(10**6), 10**6, size=rows)
             ints[: min(rows, 4)] = [0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max][: min(rows, 4)]
             columns.append(ints)
-        else:
+        elif kind is float:
             columns.append(_awkward_floats(rng, rows))
-    header = _HEADER + ["c"] * (len(columns) - 2)
+        else:
+            columns.append(kind)
+    header = ["a", 2, 0.1, None] + [f"c{i}" for i in range(len(columns) - 4)]
     path = tmp_path / "table.csv"
-    _write_csv(path, header, row_format, columns)
-    assert path.read_bytes() == _reference_bytes(tmp_path / "reference.csv", header, row_format, columns)
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == _reference_bytes(tmp_path / "reference.csv", header, columns)
+
+
+def test_constant_and_header_cells_are_spelled_as_cells(tmp_path):
+    columns = [np.array([0, -5]), None, "s%d", 0.1, 7, np.array([0.5, -0.0])]
+    _write_csv(tmp_path / "t.csv", [3, 0.1, None, "name", float("nan"), -0.0], columns)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"3,0.10000000000000001,,name,nan,-0\r\n"
+        b"0,,s%d,0.10000000000000001,7,0.5\r\n"
+        b"-5,,s%d,0.10000000000000001,7,-0\r\n"
+    )
 
 
 def test_narrow_unsigned_index_columns_are_written_as_integers(tmp_path):
     sites = np.arange(300, dtype=np.uint16)
     columns = [np.repeat(sites, 3), np.tile(sites[:3], 300), np.linspace(-1, 1, 900)]
-    row_format = "%d,%d,%.17g\r\n"
-    _write_csv(tmp_path / "t.csv", ["x", "y", "v"], row_format, columns)
-    reference = _reference_bytes(tmp_path / "r.csv", ["x", "y", "v"], row_format, columns)
+    _write_csv(tmp_path / "t.csv", ["x", "y", "v"], columns)
+    reference = _reference_bytes(tmp_path / "r.csv", ["x", "y", "v"], columns)
     assert (tmp_path / "t.csv").read_bytes() == reference
 
 
-def test_writer_rejects_what_the_template_cannot_format(tmp_path):
-    with pytest.raises(TypeError, match="integers"):
-        _write_csv(tmp_path / "t.csv", _HEADER, "%d,%.17g\r\n", [np.ones(3), np.ones(3)])
-    with pytest.raises(ValueError, match="conversion"):
-        _write_csv(tmp_path / "t.csv", _HEADER, "%.3f,%.17g\r\n", [np.ones(3), np.ones(3)])
-    with pytest.raises(ValueError, match="columns"):
-        _write_csv(tmp_path / "t.csv", _HEADER, "%.17g,%.17g\r\n", [np.ones(3), np.ones(4)])
+def test_writer_rejects_columns_that_are_not_one_table(tmp_path):
+    # Ragged, two-dimensional, all-constant and no columns; no file is started.
+    for columns in [[np.ones(3), np.ones(4)], [np.ones((3, 2)), np.ones(3)], [1.0, "x", None], []]:
+        with pytest.raises(ValueError, match="columns"):
+            _write_csv(tmp_path / "t.csv", _HEADER, columns)
+        assert not (tmp_path / "t.csv").exists()
+
+
+def test_only_lattice_spells_csv_cells():
+    # Every artifact's text is decided by ontofield.lattice's writer.
+    package = Path(ontofield.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "lattice.py":
+            source = path.read_text()
+            assert "%.17g" not in source and "\\r\\n" not in source, path.name
 
 
 _WRITER_DIGEST_SCRIPT = """
@@ -164,8 +194,7 @@ exponent = (np.arange(rows, dtype=np.uint64) * np.uint64(37)) % np.uint64(2047)
 raw = (bits & np.uint64(1 << 63)) | (exponent << np.uint64(52)) | mantissa
 narrow = ((np.uint64(1020) + exponent % np.uint64(10)) << np.uint64(52)) | mantissa
 ints = (bits >> np.uint64(40)).astype(np.int64) - (1 << 23)
-_write_csv(sys.argv[1], ["i", "raw", "narrow"], "%d,%.17g,%.17g\\r\\n",
-           [ints, raw.view(np.float64), narrow.view(np.float64)])
+_write_csv(sys.argv[1], ["i", "raw", "narrow"], [ints, raw.view(np.float64), narrow.view(np.float64)])
 print(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest())
 """
 

@@ -228,8 +228,9 @@ def test_snapshot_bytes_and_bits_survive_awkward_values(tmp_path):
     assert loaded.time == -1.5e-17
     # The body is long enough for the array route, and within its grammar.
     assert 4100 >= _ARRAY_MIN_ROWS
-    with path.open(newline="") as fh:
-        assert _read_body(path, fh.readline(), 4100) is not None
+    with path.open("rb") as fh:
+        fh.readline()
+        assert _read_body(fh, path.stat().st_size - fh.tell(), 4100) is not None
 
 
 @st.composite

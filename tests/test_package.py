@@ -23,6 +23,12 @@ def test_module_exports_are_re_exported_by_the_package(name):
         assert getattr(ontofield, attr) is getattr(module, attr), attr
 
 
+def test_package_exports_are_the_modules_exports_and_the_version():
+    names = [attr for name in MODULES for attr in importlib.import_module(f"ontofield.{name}").__all__]
+    assert len(ontofield.__all__) == len(set(ontofield.__all__))
+    assert set(ontofield.__all__) == set(names) | {"__version__"}
+
+
 # Run in a fresh interpreter: the suite itself imports scipy.  Argument 1 is
 # a directory of README configs named <experiment>.json.
 NO_SCIPY_SCRIPT = """
