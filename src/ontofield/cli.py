@@ -50,7 +50,8 @@ from ontofield.dynamics import (
     wavefront_measure,
 )
 from ontofield.kernels import (
-    _KINDS, _METHODS, _MIN_FIT_POINTS, WINDOWS, KernelSpec, QuadratureError, _spec_problems, decay_fit, kernel_table,
+    _KINDS, _METHODS, _MIN_FIT_POINTS, WINDOWS, KernelSpec, QuadratureError, _spec_problems, decay_fit, group_velocity,
+    kernel_table,
 )
 from ontofield.ladder import (
     TimedOperator,
@@ -169,6 +170,9 @@ _PACKET_KEYS: dict[str, tuple[Callable[[object], str | None], bool, object]] = {
     "width": (_pos_real, True, None),
     "center": (_nullable(_geometry(_real)), False, None),
     "amplitude": (_pos_real, False, 1.0),
+    "dt": (_pos_real, True, None),
+    "steps": (_int_at_least(1), True, None),
+    "record_every": (_int_at_least(1), False, 1),
 }
 
 _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object]]] = {
@@ -203,28 +207,16 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
         "z_stop": (_pos_real, True, None),
         "z_count": (_int_at_least(_MIN_FIT_POINTS), True, None),
     },
-    "front": {
-        **_LATTICE_KEYS,
-        **_PACKET_KEYS,
-        "dt": (_pos_real, True, None),
-        "steps": (_int_at_least(1), True, None),
-        "record_every": (_int_at_least(1), False, 1),
-    },
+    "front": {**_LATTICE_KEYS, **_PACKET_KEYS},
     "evolve": {
         **_LATTICE_KEYS,
         **_PACKET_KEYS,
-        "dt": (_pos_real, True, None),
-        "steps": (_int_at_least(1), True, None),
-        "record_every": (_int_at_least(1), False, 1),
         "method": (_choice("spectral", "convolution_literal"), False, "spectral"),
     },
     "interact": {
         **_LATTICE_KEYS,
         **_PACKET_KEYS,
         "lambda": (_real, True, None),
-        "dt": (_pos_real, True, None),
-        "steps": (_int_at_least(1), True, None),
-        "record_every": (_int_at_least(1), False, 1),
         "field_mode": (_choice("real", "complex"), False, "real"),
     },
     "vacuum": {
@@ -279,6 +271,13 @@ def _check_front(params: dict) -> list[str]:
     errors = _check_geometry_consistency(params)
     if not errors and len(_axes(params["points"])) != 1:
         errors.append("key 'box_length': the front experiment is one-dimensional")
+    if not errors:
+        try:
+            group_velocity(_axes(params["k0"]), params["mass"])
+        except ValueError as exc:
+            errors.append(f"key 'k0': {exc}")
+        except OverflowError:
+            pass  # a mass too large to square; the run reports it
     return errors
 
 
@@ -458,13 +457,10 @@ def _build_lattice(params: dict):
 
 
 def _initial_packet(params: dict, lattice) -> ComplexField:
-    lengths = lattice.box_lengths
-    center = params.get("center")
+    center = params["center"]
     if center is None:
-        center = [0.25 * l for l in lengths] if lattice.dims > 1 else 0.25 * lengths[0]
-    return gaussian_packet(
-        lattice, params["k0"], center, params["width"], params["amplitude"]
-    )
+        center = [0.25 * l for l in lattice.box_lengths]
+    return gaussian_packet(lattice, params["k0"], center, params["width"], params["amplitude"])
 
 
 def _run_front(params: dict, seed: int, out: Path) -> dict:
@@ -649,9 +645,7 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         return _error_record("schema", f"config is not valid JSON: {exc}", EXIT_SCHEMA, None)
 
-    if args.command == "run" and args.seed is not None:
-        if not isinstance(raw, dict):
-            return _error_record("schema", "config root must be a JSON object", EXIT_SCHEMA, None)
+    if args.command == "run" and args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
 
     violations = validate_config(raw)

@@ -67,14 +67,12 @@ class OntState:
 
 @dataclass(frozen=True)
 class BasisChange:
-    """Unitary matrix mapping between the state basis and the energy basis.
+    """Unitary matrix mapping the state basis to the energy basis.
 
-    ``direction`` records which way ``matrix`` maps; the opposite direction
-    is its conjugate transpose.
+    The inverse map is its conjugate transpose.
     """
 
     matrix: np.ndarray
-    direction: str
 
 
 def evolve_step(state: OntState, config: CycleConfig, steps: int = 1) -> OntState:
@@ -104,20 +102,13 @@ def energy_levels(config: CycleConfig) -> np.ndarray:
     return config.omega * np.arange(config.n_states)
 
 
-def basis_change(config: CycleConfig, direction: str = "ont_to_energy") -> BasisChange:
+def basis_change(config: CycleConfig) -> BasisChange:
     """Symmetric DFT matrix diagonalizing the hop operator.
 
     With ``M[n, x] = exp(2j*pi*n*x/N) / sqrt(N)`` the columns of ``M`` are
     eigenvectors of the hop matrix ``U`` and the conjugated evolution
     ``M^dagger U M`` is diagonal with entries ``exp(-1j * E_n * delta_t)``.
-    ``direction`` selects ``"ont_to_energy"`` (that matrix) or
-    ``"energy_to_ont"`` (its conjugate transpose).
     """
-    if direction not in ("ont_to_energy", "energy_to_ont"):
-        raise ValueError(f"unknown direction {direction!r}")
     n = config.n_states
     grid = np.outer(np.arange(n), np.arange(n))
-    matrix = np.exp(2j * np.pi * grid / n) / np.sqrt(n)
-    if direction == "energy_to_ont":
-        matrix = matrix.conj().T
-    return BasisChange(matrix=matrix, direction=direction)
+    return BasisChange(matrix=np.exp(2j * np.pi * grid / n) / np.sqrt(n))

@@ -683,17 +683,21 @@ def leapfrog_interact(
     )
 
 
-def wavefront_measure(run: EvolutionRun, k0: float) -> FrontMeasurement:
+def wavefront_measure(run: EvolutionRun, k0: float | Sequence[float]) -> FrontMeasurement:
     """Track the packet envelope peak and fit its speed.
 
     The peak of ``|b|^2`` is located per snapshot with three-point quadratic
     interpolation (periodic neighbors), unwrapped across the box seam, and
     fitted linearly against time.  ``expected_speed`` is the group velocity
-    at ``k0``.  Tracking quality is the peak-to-mean intensity contrast; a
-    run whose contrast falls below 3 is flagged untrackable.
+    at ``k0``, a number or a one-entry list as :func:`gaussian_packet` takes.
+    Tracking quality is the peak-to-mean intensity contrast; a run whose
+    contrast falls below 3 is flagged untrackable.
     """
     if run.lattice.dims != 1:
         raise ValueError("front tracking supports one-dimensional runs only")
+    k_vec = np.atleast_1d(np.asarray(k0, dtype=float))
+    if k_vec.size != 1:
+        raise ValueError("k0 must match the lattice dimension")
     if len(run.snapshots) < 2:
         raise ValueError("need at least 2 snapshots to fit a speed")
     length = run.lattice.box_lengths[0]
@@ -723,7 +727,7 @@ def wavefront_measure(run: EvolutionRun, k0: float) -> FrontMeasurement:
     times = run.times
     pos = np.array(unwrapped)
     speed = float(np.polyfit(times, pos, 1)[0])
-    expected = float(group_velocity(np.array([k0]), run.lattice.mass)[0])
+    expected = float(group_velocity(k_vec, run.lattice.mass)[0])
     return FrontMeasurement(
         speed=speed,
         expected_speed=expected,

@@ -4,10 +4,10 @@ A single field mode of frequency ``omega`` lives in an ``N``-level
 truncation.  Alongside the usual lowering operator ``a`` (matrix elements
 ``sqrt(n)`` on the first superdiagonal) the module builds the cyclic shift
 ``b`` obtained by stripping the ``sqrt(n)`` weights and closing the ladder
-periodically.  ``b`` is unitary, commutes with itself at unequal times, and
-its eigenvectors tie the mode back to the periodic automaton basis; ``a`` and
-``b`` convert into each other through the number operator, exactly except for
-a single wrap-around column.
+periodically: the backward hop of the mode's automaton (:mod:`ontofield.cyclic`).
+``b`` is unitary, commutes with itself at unequal times, and the automaton's
+energy basis diagonalizes it; ``a`` and ``b`` convert into each other through
+the number operator, exactly except for a single wrap-around column.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ontofield.cyclic import CycleConfig, basis_change, evolution_matrix
 
 __all__ = [
     "CommutatorReport",
@@ -34,9 +36,8 @@ class ModeOperators:
     """Dense operator set for one truncated mode.
 
     ``a`` and ``a_dag`` are the weighted ladder pair, ``q``/``p`` the
-    quadratures built from them, ``h`` the diagonal Hamiltonian
-    ``omega * diag(0 .. n_levels-1)``, and ``b``/``b_dag`` the unweighted
-    cyclic shift pair.
+    quadratures built from them, and ``b``/``b_dag`` the unweighted cyclic
+    shift pair.
     """
 
     n_levels: int
@@ -45,29 +46,21 @@ class ModeOperators:
     a_dag: np.ndarray = field(repr=False)
     q: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-    h: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     b_dag: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class TimedOperator:
-    """Heisenberg-picture ladder operator with its phase bookkeeping.
-
-    ``depth`` counts how many ladder steps the operator takes, so a product
-    like ``b @ b`` is represented with ``depth=2`` and rotates twice as fast.
-    """
+    """Heisenberg-picture ladder operator: one ladder step at frequency ``omega``."""
 
     base: np.ndarray
     omega: float
     kind: str
-    depth: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("lowering", "raising"):
             raise ValueError(f"kind must be 'lowering' or 'raising', got {self.kind!r}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
 
@@ -88,34 +81,34 @@ class CommutatorReport:
     qp_top_entry: complex
 
 
+def _automaton(n: int, omega: float) -> CycleConfig:
+    """The mode's automaton: ``n`` hops per period ``2*pi/omega`` (dividing twice keeps the hop above 0)."""
+    return CycleConfig(n, 2.0 * np.pi / n / omega)
+
+
 def build_mode(n_levels: int, omega: float) -> ModeOperators:
     """Construct the dense operator set for an ``n_levels`` truncation."""
     if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
         raise ValueError(f"n_levels must be an integer >= 2, got {n_levels!r}")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    if not 0.0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     n = int(n_levels)
     a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1).astype(complex)
     a_dag = a.conj().T
     q = (a_dag - a) / (1j * np.sqrt(2.0 * omega))
     p = np.sqrt(omega / 2.0) * (a + a_dag)
-    h = np.diag(omega * np.arange(n, dtype=float)).astype(complex)
-    b = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    b[(cols - 1) % n, cols] = 1.0
-    return ModeOperators(
-        n_levels=n, omega=float(omega), a=a, a_dag=a_dag, q=q, p=p, h=h, b=b, b_dag=b.conj().T
-    )
+    b = evolution_matrix(_automaton(n, omega), steps=-1)
+    return ModeOperators(n_levels=n, omega=float(omega), a=a, a_dag=a_dag, q=q, p=p, b=b, b_dag=b.conj().T)
 
 
 def evolve_operator(op: TimedOperator, t: float) -> np.ndarray:
     """Heisenberg evolution: a pure phase, since the spectrum is equidistant.
 
-    Lowering operators pick up ``exp(-1j * omega * depth * t)``; raising
-    operators the conjugate phase.
+    Lowering operators pick up ``exp(-1j * omega * t)``; raising operators
+    the conjugate phase.
     """
     sign = -1.0 if op.kind == "lowering" else 1.0
-    return op.base * np.exp(sign * 1j * op.omega * op.depth * t)
+    return op.base * np.exp(sign * 1j * op.omega * t)
 
 
 def truncate_from_a(ops: ModeOperators) -> np.ndarray:
@@ -143,13 +136,12 @@ def b_eigensystem(ops: ModeOperators) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(values, vectors)`` with ``values[k] = exp(-2j*pi*k/N)`` (the
     N-th roots of unity) and ``vectors[:, k]`` the unit eigenvector with
-    components ``exp(-2j*pi*k*n/N) / sqrt(N)``.
+    components ``exp(-2j*pi*k*n/N) / sqrt(N)``: the conjugate of the
+    automaton's energy basis, since ``b`` runs the automaton backward.
     """
     n = ops.n_levels
-    k = np.arange(n)
-    values = np.exp(-2j * np.pi * k / n)
-    vectors = np.exp(-2j * np.pi * np.outer(np.arange(n), k) / n) / np.sqrt(n)
-    return values, vectors
+    values = np.exp(-2j * np.pi * np.arange(n) / n)
+    return values, basis_change(_automaton(n, ops.omega)).matrix.conj()
 
 
 def commutator_defect(ops: ModeOperators) -> CommutatorReport:

@@ -4,12 +4,11 @@ Fields live on a periodic box of 1 to 3 dimensions.  In momentum space every
 mode evolves independently by the phase ``exp(-1j * omega(k) * t)`` with
 ``omega(k) = sqrt(k.k + M^2)``, so time evolution is exact up to roundoff and
 the only discretization is the mode content of the box itself.  An optional
-radial cutoff freezes (or zeroes) modes above ``|k| = cutoff``.
+radial cutoff freezes the modes above ``|k| = cutoff``.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import math
@@ -58,16 +57,14 @@ class MomentumLattice:
 
     ``k_axes`` holds the signed wavenumbers per axis in FFT order,
     ``omega`` the dispersion ``sqrt(k.k + mass^2)`` on the full grid, and
-    ``excluded`` marks modes beyond the radial cutoff.  ``cutoff_mode``
-    decides what spectral evolution does with excluded modes: ``"freeze"``
-    leaves them untouched, ``"zero"`` projects them out.
+    ``excluded`` marks modes beyond the radial cutoff, which spectral
+    evolution leaves untouched.
     """
 
     box_lengths: tuple[float, ...]
     grid_points: tuple[int, ...]
     mass: float
     cutoff: float | None
-    cutoff_mode: str
     k_axes: tuple[np.ndarray, ...]
     omega: np.ndarray
     excluded: np.ndarray
@@ -111,7 +108,6 @@ def build_lattice(
     grid_points: int | Sequence[int],
     mass: float,
     cutoff: float | None = None,
-    cutoff_mode: str = "freeze",
 ) -> MomentumLattice:
     """Assemble the mode grid for a periodic box.
 
@@ -138,8 +134,6 @@ def build_lattice(
         raise ValueError(f"mass must be nonnegative and finite, got {mass!r}")
     if cutoff is not None and not 0.0 < cutoff < np.inf:
         raise ValueError(f"cutoff must be positive and finite, or None, got {cutoff!r}")
-    if cutoff_mode not in ("freeze", "zero"):
-        raise ValueError(f"cutoff_mode must be 'freeze' or 'zero', got {cutoff_mode!r}")
 
     k_axes = tuple(
         2.0 * np.pi * np.fft.fftfreq(n, d=l / n) for l, n in zip(lengths, points)
@@ -159,7 +153,6 @@ def build_lattice(
         grid_points=points,
         mass=float(mass),
         cutoff=None if cutoff is None else float(cutoff),
-        cutoff_mode=cutoff_mode,
         k_axes=k_axes,
         omega=omega,
         excluded=excluded,
@@ -210,27 +203,23 @@ def to_position(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
 def evolution_phase(lattice: MomentumLattice, t: float) -> np.ndarray:
     """Per-mode multiplier ``exp(-1j * omega * t)`` with the cutoff applied.
 
-    Frozen modes get multiplier 1, zeroed modes 0, so any evolution built on
-    this array treats the cutoff identically.  A non-finite ``t`` is
-    rejected rather than turned into a field of NaNs.
+    Frozen modes get multiplier 1, so any evolution built on this array
+    treats the cutoff identically.  A non-finite ``t`` is rejected rather
+    than turned into a field of NaNs.
     """
     if not np.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t!r}")
     phase = np.exp(-1j * lattice.omega * t)
     if lattice.cutoff is not None:
-        if lattice.cutoff_mode == "freeze":
-            phase = np.where(lattice.excluded, 1.0 + 0.0j, phase)
-        else:
-            phase = np.where(lattice.excluded, 0.0 + 0.0j, phase)
+        phase = np.where(lattice.excluded, 1.0 + 0.0j, phase)
     return phase
 
 
 def spectral_evolve(field: ComplexField, lattice: MomentumLattice, t: float) -> ComplexField:
     """Advance momentum samples by the exact per-mode phase.
 
-    Modes beyond the cutoff follow ``cutoff_mode``: frozen modes keep their
-    amplitude unchanged, zeroed modes are removed.  The field's clock
-    advances by ``t``.  A NaN or infinite mode is rejected.
+    Modes beyond the cutoff keep their amplitude unchanged.  The field's
+    clock advances by ``t``.  A NaN or infinite mode is rejected.
     """
     _require(field, lattice, "momentum")
     _require_finite(field, "field")
@@ -686,9 +675,9 @@ def _read_body(fh: BinaryIO, size: int, rows: int) -> np.ndarray | None:
 def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
     """Read a snapshot written by :func:`save_field`.
 
-    The file is opened once, in binary mode.  The header line is parsed
-    with the ``csv`` module; a grid size that is
-    not a positive integer raises ``ValueError``.  Every body value comes
+    The file is opened once, in binary mode.  The header line is split at
+    its commas; a malformed header, or a grid size that is not a positive
+    integer, raises ``ValueError``.  Every body value comes
     back bit for bit, ``nan`` and ``inf`` included, by one of two routes
     that give the same bits:
 
@@ -734,8 +723,8 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         line = fh.readline()
         if not line:
             raise ValueError(f"{path} is empty")
-        header = next(csv.reader([line.decode()]))
-        dims = int(header[0]) if header else 0
+        header = line.decode().rstrip("\r\n").split(",")
+        dims = int(header[0])
         if not 1 <= dims <= 3 or len(header) != 2 * dims + 3:
             raise ValueError(f"malformed snapshot header in {path}: {header}")
         sizes = [float(v) for v in header[1 : 1 + dims]]

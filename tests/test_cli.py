@@ -116,6 +116,9 @@ INTERACT_UNSTABLE_STEP = {
     "steps": 10,
 }
 
+# A massless packet at rest has no group velocity to compare the front with.
+FRONT_MASSLESS_AT_REST = {**FRONT_2D, "mass": 0.0, "box_length": 8.0, "points": 16, "k0": 0.0}
+
 # The dense correlator of 64^3 sites needs about 2.7 TB.
 VACUUM_TOO_LARGE = {
     "experiment": "vacuum",
@@ -133,6 +136,7 @@ VACUUM_TOO_LARGE = {
         (FRONT_2D, "one-dimensional"),
         (INTERACT_UNSTABLE_STEP, "stability bound 0.485"),
         (VACUUM_TOO_LARGE, "key 'points': the dense correlator of 262144 sites"),
+        (FRONT_MASSLESS_AT_REST, "key 'k0': group velocity undefined at k=0, M=0"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
@@ -205,6 +209,17 @@ def test_run_refuses_an_invalid_config(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "schema"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("extra", [(), ("--seed", "5")])
+def test_a_config_root_that_is_not_an_object_is_a_schema_failure(tmp_path, capsys, extra):
+    code, out_dir = run_cli(tmp_path, [1, 2], *extra)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "schema", "message": "config root must be a JSON object"},
+        "exit_code": 2,
+    }
     assert not out_dir.exists()
 
 
@@ -298,6 +313,15 @@ def test_front_run_measures_the_packet_speed(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "peak_position"]
     assert len(rows) == 14
+
+
+def test_front_run_takes_k0_as_a_number_or_a_one_entry_list(tmp_path):
+    payload = {"experiment": "front", **_SMALL_CONFIGS["front"]}
+    code, scalar = run_cli(tmp_path, payload, out="scalar")
+    assert code == 0
+    code, listed = run_cli(tmp_path, {**payload, "k0": [1.0]}, out="listed")
+    assert code == 0
+    assert (listed / "front.csv").read_bytes() == (scalar / "front.csv").read_bytes()
 
 
 def test_evolve_run_writes_loadable_snapshots(tmp_path):
@@ -610,7 +634,7 @@ _SMALL_CONFIGS = {
 }
 _KEYS = sorted({key for cfg in _SMALL_CONFIGS.values() for key in cfg} | {"experiment", "seed", "t", "bogus"})
 # Values that are valid for some keys and invalid for others; all keep a run small.
-_VALUES = [-1, 0, 0.5, 1, 2, 3, 8, 100, "x", None, True, [2, 2], [4, 2, 2], "F2", "contour", "complex", "cosine"]
+_VALUES = [-1, 0, 0.5, 1, 2, 3, 8, 100, "x", None, True, [1], [2, 2], [4, 2, 2], "F2", "contour", "complex", "cosine"]
 _DELETE = object()
 
 

@@ -84,18 +84,6 @@ def test_basis_change_is_unitary():
     assert np.max(np.abs(m @ m.conj().T - np.eye(8))) < 1e-14
 
 
-def test_basis_directions_are_mutually_inverse():
-    config = CycleConfig(n_states=6, delta_t=0.5)
-    fwd = basis_change(config, "ont_to_energy").matrix
-    back = basis_change(config, "energy_to_ont").matrix
-    assert np.max(np.abs(fwd @ back - np.eye(6))) < 1e-14
-
-
-def test_basis_change_rejects_unknown_direction():
-    with pytest.raises(ValueError):
-        basis_change(CycleConfig(4, 1.0), "sideways")
-
-
 def test_basis_columns_are_evolution_eigenvectors():
     config = CycleConfig(n_states=5, delta_t=0.7)
     hop = evolution_matrix(config)

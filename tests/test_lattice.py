@@ -149,19 +149,7 @@ def test_cutoff_freeze_keeps_high_modes_static():
     assert np.all(phase[~lat.excluded] != 1.0)
 
 
-def test_cutoff_zero_removes_high_modes():
-    lat = build_lattice(2 * np.pi, 8, 1.0, cutoff=2.5, cutoff_mode="zero")
-    phase = evolution_phase(lat, 0.3)
-    assert np.array_equal(phase[lat.excluded], np.zeros(3, dtype=complex))
-    x = position_axes(lat)[0]
-    field = to_momentum(ComplexField("position", np.exp(1j * 3.0 * x)), lat)
-    evolved = spectral_evolve(field, lat, 0.3)
-    assert np.max(np.abs(evolved.values)) < 1e-14
-
-
 def test_cutoff_mode_validation():
-    with pytest.raises(ValueError):
-        build_lattice(8.0, 8, 1.0, cutoff=1.0, cutoff_mode="taper")
     with pytest.raises(ValueError):
         build_lattice(8.0, 8, 1.0, cutoff=-2.0)
 
@@ -261,7 +249,7 @@ def test_snapshot_round_trip_is_bit_exact_for_any_geometry(tmp_path_factory, cas
 
 
 @st.composite
-def _momentum_fields(draw, cutoff_modes):
+def _momentum_fields(draw):
     dims = draw(st.integers(1, 2))
     points = draw(st.lists(st.sampled_from([2, 4, 6, 8]), min_size=dims, max_size=dims))
     lengths = draw(st.lists(st.floats(0.5, 50.0), min_size=dims, max_size=dims))
@@ -269,7 +257,7 @@ def _momentum_fields(draw, cutoff_modes):
     k_top = np.pi * float(np.linalg.norm(np.array(points) / np.array(lengths)))
     cutoff = draw(st.none() | st.floats(0.05, 1.2).map(lambda frac: frac * k_top))
     mass = draw(st.floats(0.0, 10.0))
-    lattice = build_lattice(lengths, points, mass, cutoff, draw(cutoff_modes))
+    lattice = build_lattice(lengths, points, mass, cutoff)
     pairs = draw(arrays(np.float64, (*points, 2), elements=st.floats(-1e3, 1e3)))
     return ComplexField("momentum", pairs.view(complex)[..., 0]), lattice
 
@@ -278,7 +266,7 @@ _TIMES = st.floats(-20.0, 20.0)
 
 
 @settings(max_examples=25, deadline=None)
-@given(_momentum_fields(st.sampled_from(["freeze", "zero"])), _TIMES, _TIMES)
+@given(_momentum_fields(), _TIMES, _TIMES)
 def test_evolution_composes_for_any_geometry_and_cutoff(case, t1, t2):
     field, lattice = case
     two_hops = spectral_evolve(spectral_evolve(field, lattice, t1), lattice, t2)
@@ -291,20 +279,11 @@ def test_evolution_composes_for_any_geometry_and_cutoff(case, t1, t2):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_momentum_fields(st.just("freeze")), _TIMES)
+@given(_momentum_fields(), _TIMES)
 def test_frozen_cutoff_evolution_preserves_the_norm(case, t):
     field, lattice = case
     evolved = spectral_evolve(field, lattice, t)
     assert np.linalg.norm(evolved.values) == pytest.approx(np.linalg.norm(field.values), rel=1e-13)
-
-
-@settings(max_examples=25, deadline=None)
-@given(_momentum_fields(st.just("zero")), _TIMES)
-def test_zeroed_cutoff_evolution_keeps_the_norm_of_the_kept_modes(case, t):
-    field, lattice = case
-    evolved = spectral_evolve(field, lattice, t)
-    kept = np.linalg.norm(field.values[~lattice.excluded])
-    assert np.linalg.norm(evolved.values) == pytest.approx(kept, rel=1e-13)
 
 
 _HEADER = "1,4,8,1,0.5\r\n"
@@ -324,6 +303,8 @@ _ROW = "1,2\r\n"
         _HEADER + _ROW * 3 + "1,x\r\n",
         _HEADER + "#1,2\r\n" + _ROW * 3,
         "1,4.9,8,1,0.5\r\n" + _ROW * 4,
+        _HEADER.replace("\r\n", "\r") + _ROW.replace("\r\n", "\r") * 4,
+        _HEADER.replace("\r\n", "\r") + _ROW * 4,
     ],
     ids=[
         "empty",
@@ -336,6 +317,8 @@ _ROW = "1,2\r\n"
         "non-numeric",
         "comment-row",
         "non-integral-grid-size",
+        "lone-cr-line-ends",
+        "lone-cr-after-the-header",
     ],
 )
 def test_load_rejects_malformed_snapshots_without_warnings(tmp_path, recwarn, text):

@@ -168,7 +168,7 @@ def test_joint_pass_equals_one_call_per_time_bit_for_bit(seed):
     # between them; 300 samples: a full block of draws and a partial one.
     # The evolved times come first, so a phase multiplied into the shared
     # draws in place would reach the estimates after it.
-    lattice = build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5, "zero")
+    lattice = build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5)
     spec = EnsembleSpec(lattice=lattice, count=300, seed=seed)
     times = (0.7, -1.2, 0.0)
     joint = ensemble_correlators(spec, times)
@@ -280,8 +280,7 @@ def _ensembles(draw):
     dims = draw(st.integers(1, 3))
     points = draw(st.lists(st.sampled_from([2, 4, 6]), min_size=dims, max_size=dims))
     cutoff = draw(st.one_of(st.none(), st.floats(0.5, 3.0)))
-    mode = draw(st.sampled_from(["freeze", "zero"]))
-    lattice = build_lattice([2 * np.pi] * dims, points, 1.0, cutoff, mode)
+    lattice = build_lattice([2 * np.pi] * dims, points, 1.0, cutoff)
     start = draw(st.integers(0, 40))
     stop = draw(st.integers(start + 1, start + 12))
     return EnsembleSpec(lattice=lattice, count=100, seed=draw(_seeds)), start, stop
