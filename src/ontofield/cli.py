@@ -5,7 +5,8 @@ schema, runs it, and writes CSV artifacts plus a ``manifest.json`` capturing
 the resolved config, library version, and wall time.  ``ontofield validate
 config.json`` reports schema violations without computing anything.
 
-Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
+Exit codes: 0 success, 2 schema violation, 3 numerical failure (error type
+``numerical``, or ``memory`` for a run that could not allocate), 4 I/O
 failure.  Output CSVs are deterministic for a given config and seed (floats
 carry 17 significant digits); everything time-dependent lives in the
 manifest's ``timing`` block so repeated runs produce byte-identical data
@@ -42,6 +43,7 @@ from ontofield.dynamics import (
     InstabilityError,
     _bound_from_spacings,
     _schedule,
+    _width_problem,
     evolve_convolution,
     gaussian_packet,
     leapfrog_interact,
@@ -62,7 +64,7 @@ from ontofield.ladder import (
     reconstruct_a,
     truncate_from_a,
 )
-from ontofield.lattice import ComplexField, _write_csv, build_lattice, save_field
+from ontofield.lattice import ComplexField, _mass_problem, _write_csv, build_lattice, save_field
 from ontofield.vacuum import (
     _MIN_SAMPLES,
     CorrelatorEstimate,
@@ -229,7 +231,8 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object
 _EXPERIMENTS = tuple(_SCHEMAS)
 
 
-def _check_geometry_consistency(params: dict) -> list[str]:
+def _check_lattice(params: dict) -> list[str]:
+    """Geometry agreement, and the library's own mass and packet-width checks."""
     lengths = _axes(params["box_length"])
     points = _axes(params["points"])
     errors = []
@@ -241,6 +244,10 @@ def _check_geometry_consistency(params: dict) -> list[str]:
             continue
         if len(_axes(value)) != len(lengths):
             errors.append(f"key {key!r}: dimension differs from 'box_length'")
+    for key, problem in (("mass", _mass_problem), ("width", _width_problem)):
+        message = problem(params[key]) if key in params else None
+        if message is not None:
+            errors.append(f"key {key!r}: {message}")
     return errors
 
 
@@ -268,7 +275,7 @@ def _check_kernel(params: dict) -> list[str]:
 # would cost memory and time of the order of the run itself.
 
 def _check_front(params: dict) -> list[str]:
-    errors = _check_geometry_consistency(params)
+    errors = _check_lattice(params)
     if not errors and len(_axes(params["points"])) != 1:
         errors.append("key 'box_length': the front experiment is one-dimensional")
     if not errors:
@@ -276,13 +283,11 @@ def _check_front(params: dict) -> list[str]:
             group_velocity(_axes(params["k0"]), params["mass"])
         except ValueError as exc:
             errors.append(f"key 'k0': {exc}")
-        except OverflowError:
-            pass  # a mass too large to square; the run reports it
     return errors
 
 
 def _check_interact(params: dict) -> list[str]:
-    errors = _check_geometry_consistency(params)
+    errors = _check_lattice(params)
     if not errors:
         spacings = [length / n for length, n in zip(_axes(params["box_length"]), _axes(params["points"]))]
         bound = _bound_from_spacings(spacings, params["mass"])
@@ -292,7 +297,7 @@ def _check_interact(params: dict) -> list[str]:
 
 
 def _check_vacuum(params: dict) -> list[str]:
-    errors = _check_geometry_consistency(params)
+    errors = _check_lattice(params)
     if not errors:
         estimates = 1 if params["evolve_time"] is None else 2
         problem = _correlator_memory_problem(tuple(_axes(params["points"])), estimates)
@@ -305,7 +310,7 @@ _EXTRA_CHECKS: dict[str, Callable[[dict], list[str]]] = {
     "kernel": _check_kernel,
     "decay": _check_kernel,
     "front": _check_front,
-    "evolve": _check_geometry_consistency,
+    "evolve": _check_lattice,
     "interact": _check_interact,
     "vacuum": _check_vacuum,
 }
@@ -676,6 +681,8 @@ def main(argv: list[str] | None = None) -> int:
         results = _RUNNERS[experiment](params, seed, out)
     except (QuadratureError, InstabilityError, FrontTrackingError, ValueError, ArithmeticError) as exc:
         return _error_record("numerical", str(exc), EXIT_NUMERICAL, out)
+    except MemoryError as exc:
+        return _error_record("memory", str(exc) or "out of memory", EXIT_NUMERICAL, out)
     except OSError as exc:
         return _error_record("io", str(exc), EXIT_IO, out)
     wall = time.perf_counter() - clock

@@ -164,6 +164,16 @@ def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
     return [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
 
 
+def _width_problem(width: float) -> str | None:
+    """Why a packet of this ``width`` cannot be finite, or ``None``."""
+    if not 0.0 < width < np.inf:
+        return f"must be positive and finite, got {width!r}"
+    if not float(width) * float(width) > 0.0:
+        # The envelope's exponent -d^2 / (4 w^2) would be 0/0 at the center.
+        return f"must have a square that does not underflow to 0, got {width!r}"
+    return None
+
+
 def gaussian_packet(
     lattice: MomentumLattice,
     k0: float | Sequence[float],
@@ -178,8 +188,9 @@ def gaussian_packet(
     lattice mode, since the envelope suppresses the seam mismatch.  The
     momentum spread is ``1/(2*width)`` per axis.
     """
-    if not 0.0 < width < np.inf:
-        raise ValueError(f"width must be positive and finite, got {width!r}")
+    problem = _width_problem(width)
+    if problem is not None:
+        raise ValueError(f"width {problem}")
     k_vec = np.atleast_1d(np.asarray(k0, dtype=float))
     c_vec = np.atleast_1d(np.asarray(center, dtype=float))
     if k_vec.size != lattice.dims or c_vec.size != lattice.dims:

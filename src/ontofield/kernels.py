@@ -139,35 +139,53 @@ WINDOWS: dict[str, Callable[[float | np.ndarray], float | np.ndarray]] = {
 }
 
 
-def _window(cutoff: float, window: str, taper_frac: float) -> Callable[[float], float]:
-    profile = WINDOWS[window]
-    k_start = (1.0 - taper_frac) * cutoff
+# Probe cutoffs of the error estimate, as fractions of the cutoff.
+_PROBES = (0.75, 0.875)
 
-    def weight(k: float) -> float:
-        if k <= k_start:
-            return 1.0
-        if k >= cutoff:
-            return 0.0
-        return float(profile((k - k_start) / (cutoff - k_start)))
-
-    return weight
+_Taper = Callable[[float], float] | None
+_Integral = Callable[[_Taper, float, float], tuple]
 
 
-def _windowed(spec: KernelSpec, integral: Callable[[Callable[[float], float], float], tuple]) -> tuple:
+def _tapered(func: Callable[[float], float], taper: _Taper) -> Callable[[float], float]:
+    """``func`` times ``taper``, or ``func`` itself where there is no taper."""
+    if taper is None:
+        return func
+    return lambda k: func(k) * taper(k)
+
+
+def _windowed(spec: KernelSpec, integral: _Integral) -> tuple:
     """Windowed integral at the cutoff and its error estimate.
 
-    ``integral(weight, lam)`` integrates up to ``lam`` under the taper
-    ``weight``.  The estimate adds the shift seen when the cutoff moves to
-    ``0.75 * cutoff`` to the quadrature estimates, so it tracks the
-    sensitivity to the cutoff placement; it is not a bound.
+    ``integral(taper, lo, hi)`` integrates over ``[lo, hi]`` with the
+    integrand times ``taper(k)``, or bare when ``taper`` is None.  Each
+    cutoff ``lam`` is two pieces: ``[0, k_start]``, where the window is 1,
+    bare (skipped at ``taper_frac == 1``), and ``[k_start, lam]`` under the
+    profile, with ``k_start = (1 - taper_frac) * lam``.  The estimate adds to
+    the quadrature estimates the largest shift (plus its own quadrature
+    estimate) seen when the cutoff moves to each fraction in ``_PROBES``, so
+    it tracks the sensitivity to the cutoff placement; it is not a bound.
     """
+    profile = WINDOWS[spec.window]
 
     def at(lam: float) -> tuple:
-        return integral(_window(lam, spec.window, spec.taper_frac), lam)
+        k_start = (1.0 - spec.taper_frac) * lam
+        width = lam - k_start
+
+        def taper(k: float) -> float:
+            return float(profile((k - k_start) / width))
+
+        value, error = integral(taper, k_start, lam)
+        if spec.taper_frac < 1.0:
+            bare, bare_error = integral(None, 0.0, k_start)
+            value, error = bare + value, bare_error + error
+        return value, error
 
     value, error = at(spec.cutoff)
-    probe, probe_error = at(0.75 * spec.cutoff)
-    return value, error + probe_error + abs(value - probe)
+    shift = max(
+        abs(value - probe) + probe_error
+        for probe, probe_error in (at(frac * spec.cutoff) for frac in _PROBES)
+    )
+    return value, error + shift
 
 
 def _check_positive(z: float) -> None:
@@ -210,15 +228,22 @@ def _f1_direct(spec: KernelSpec, z: float) -> tuple[float, float]:
     # growth directly leaves a taper artifact far above the target accuracy.
     # Split off the polynomial part k^2 + M^2/2, whose regularized sine
     # moments are known in closed form, and window only the O(k^-2)
-    # remainder R(k) = k*omega(k) - k^2 - M^2/2.
-    def integral(weight: Callable[[float], float], lam: float) -> tuple[float, float]:
-        def remainder(k: float) -> float:
-            if k == 0.0:
-                return -0.5 * mass * mass
-            return (k * math.sqrt(k * k + mass * mass) - k * k - 0.5 * mass * mass) * weight(k)
+    # remainder R(k) = k*omega(k) - k^2 - M^2/2.  Written as
+    # -M^4 / (2 (omega + k)^2) it has no difference of large terms, so its
+    # rounding stays relative at any k; at k = 0 and M = 0 that form is
+    # 0/0, hence the branch.
+    mass_sq = mass * mass
+    half_m4 = 0.5 * mass_sq * mass_sq
 
+    def remainder(k: float) -> float:
+        if k == 0.0:
+            return -0.5 * mass_sq
+        root = math.sqrt(k * k + mass_sq) + k
+        return -half_m4 / (root * root)
+
+    def integral(taper: _Taper, lo: float, hi: float) -> tuple[float, float]:
         return _quad(
-            remainder, 0.0, lam, weight="sin", wvar=z, limit=400,
+            _tapered(remainder, taper), lo, hi, weight="sin", wvar=z, limit=400,
             epsabs=1e-13, epsrel=1e-12,
         )
 
@@ -241,12 +266,16 @@ def f1_direct(
     The angular part of the D=3 integral is done analytically, leaving
     ``(1/(2*pi^2*z)) * integral_0^cutoff dk k*omega(k)*sin(kz)`` regulated by
     an exact ultraviolet subtraction plus a smooth taper (``window``,
-    ``taper_frac``) on the last part of the range.  Serves as the
-    independent check of :func:`f1_contour`.  The error a
-    :func:`kernel_table` reports (``err``) combines the quadrature estimates
-    with the sensitivity to the cutoff placement.  It is an estimate, not a
-    bound: against the closed form in ``K_2`` the README table misses by up
-    to 1.5 times ``err``.
+    ``taper_frac``) on the last part of the range.  The subtraction leaves
+    the remainder ``k*omega - k^2 - M^2/2``, integrated in its
+    cancellation-free form ``-M^4 / (2*(omega + k)^2)``; the range below the
+    taper is integrated bare and the taper interval under the window
+    profile.  Serves as the independent check of :func:`f1_contour`.  The
+    error a :func:`kernel_table` reports (``err``) combines the quadrature
+    estimates with the largest shift seen when the cutoff moves to 0.75 or
+    0.875 of itself.  It is an estimate, not a bound: against the closed form
+    in ``K_2`` the README table (M = 0.3, 1 or 2) misses by up to 1.64 times
+    ``err``.
     """
     spec = KernelSpec("F1", mass, cutoff, window=window, taper_frac=taper_frac)
     return _evaluate(spec, z)[0]
@@ -263,13 +292,15 @@ def _f2_direct(spec: KernelSpec, z: float) -> tuple[complex, float]:
     sine = {} if z == 0.0 else {"weight": "sin", "wvar": z}
     scale = _TWO_PI_SQ if z == 0.0 else _TWO_PI_SQ * z
 
-    def integral(weight: Callable[[float], float], lam: float) -> tuple[complex, float]:
+    def integral(taper: _Taper, lo: float, hi: float) -> tuple[complex, float]:
         def part(trig: Callable[[float], float], sign: float) -> tuple[float, float]:
             def integrand(k: float) -> float:
                 radial = sign * k * k if z == 0.0 else sign * k
-                return radial * trig(math.sqrt(k * k + mass * mass) * t) * weight(k)
+                return radial * trig(math.sqrt(k * k + mass * mass) * t)
 
-            return _quad(integrand, 0.0, lam, limit=400, epsabs=1e-12, epsrel=1e-11, **sine)
+            return _quad(
+                _tapered(integrand, taper), lo, hi, limit=400, epsabs=1e-12, epsrel=1e-11, **sine
+            )
 
         re, re_err = part(math.cos, 1.0)
         im, im_err = part(math.sin, -1.0)

@@ -103,6 +103,15 @@ def _as_tuple(value: float | int | Sequence) -> tuple:
     return (value,) if np.isscalar(value) else tuple(value)
 
 
+def _mass_problem(mass: float) -> str | None:
+    """Why ``mass`` cannot set the lattice's dispersion, or ``None``."""
+    if not 0.0 <= mass < np.inf:
+        return f"must be nonnegative and finite, got {mass!r}"
+    if not float(mass) * float(mass) < np.inf:
+        return f"must have a square that does not overflow, got {mass!r}"
+    return None
+
+
 def build_lattice(
     box_lengths: float | Sequence[float],
     grid_points: int | Sequence[int],
@@ -130,8 +139,9 @@ def build_lattice(
     for n in points:
         if n < 2 or n % 2 != 0:
             raise ValueError(f"grid sizes must be even and >= 2, got {points}")
-    if not 0.0 <= mass < np.inf:
-        raise ValueError(f"mass must be nonnegative and finite, got {mass!r}")
+    problem = _mass_problem(mass)
+    if problem is not None:
+        raise ValueError(f"mass {problem}")
     if cutoff is not None and not 0.0 < cutoff < np.inf:
         raise ValueError(f"cutoff must be positive and finite, or None, got {cutoff!r}")
 

@@ -4,12 +4,16 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ontofield
 import ontofield.cli as cli
 import ontofield.vacuum as vacuum
 from ontofield.cli import main, validate_config
@@ -137,6 +141,12 @@ VACUUM_TOO_LARGE = {
         (INTERACT_UNSTABLE_STEP, "stability bound 0.485"),
         (VACUUM_TOO_LARGE, "key 'points': the dense correlator of 262144 sites"),
         (FRONT_MASSLESS_AT_REST, "key 'k0': group velocity undefined at k=0, M=0"),
+        ({**FRONT_2D, "box_length": 8.0, "points": 16, "k0": 1.0, "mass": 1e300},
+         "key 'mass': must have a square that does not overflow"),
+        ({**VACUUM_TOO_LARGE, "points": [4, 4, 4], "mass": 1e300},
+         "key 'mass': must have a square that does not overflow"),
+        ({**INTERACT_UNSTABLE_STEP, "dt": 0.1, "width": 1e-300},
+         "key 'width': must have a square that does not underflow to 0"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
@@ -416,13 +426,42 @@ def test_unstable_interaction_exits_with_the_numerical_code(tmp_path, capsys):
 def test_correlator_too_large_for_memory_exits_with_the_numerical_code(tmp_path, capsys, monkeypatch):
     # With the validate check bypassed, the library's own guard still stops
     # the run before it allocates, through the numerical-failure handler.
-    monkeypatch.setitem(cli._EXTRA_CHECKS, "vacuum", cli._check_geometry_consistency)
+    monkeypatch.setitem(cli._EXTRA_CHECKS, "vacuum", cli._check_lattice)
     code, out = run_cli(tmp_path, VACUUM_TOO_LARGE)
     assert code == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "numerical"
     assert "physical memory" in record["error"]["message"]
     assert json.loads((out / "error.json").read_text())["exit_code"] == 3
+
+
+# The child caps its address space once the CLI is imported, so that the
+# failed allocation cannot load the machine whatever its memory.
+_CAPPED_RUN = """
+import resource, sys
+from ontofield.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["run", sys.argv[1], "--output-dir", sys.argv[2]]))
+"""
+
+
+def test_a_run_that_cannot_allocate_exits_with_the_numerical_code(tmp_path):
+    # validate passes a 10**7-state spectrum; its dense hop matrix would be 1.6 PB.
+    resource = pytest.importorskip("resource")
+    config = write_config(tmp_path, {**SPECTRUM, "n_states": 10**7})
+    src = str(Path(ontofield.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, config, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    record = json.loads(proc.stderr)
+    assert record["error"]["type"] == "memory"
+    assert "Unable to allocate" in record["error"]["message"]
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == record
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
 
 
 def test_validate_counts_the_evolved_estimate_against_memory(tmp_path, capsys, monkeypatch):
@@ -645,6 +684,9 @@ _DELETE = object()
 )
 # A valid config the leapfrog blows up on: validate exits 0, run exits 3 at step 1.
 @example(experiment="interact", edits=[("amplitude", 100), ("lambda", 100)])
+# A mass too large to square, and a packet too narrow to be finite.
+@example(experiment="vacuum", edits=[("mass", 1e300)])
+@example(experiment="evolve", edits=[("width", 1e-300)])
 def test_validate_predicts_whether_run_rejects_the_config(tmp_path_factory, experiment, edits):
     # validate exit 0 means run never exits 2; validate exit 2 means run exits 2.
     config = {"experiment": experiment, **_SMALL_CONFIGS[experiment]}

@@ -89,6 +89,16 @@ def test_packet_momentum_content_sits_at_k0():
     assert k_peak == pytest.approx(2.0, abs=2 * np.pi / 32.0)
 
 
+def test_packet_rejects_a_width_whose_square_underflows(recwarn):
+    # exp(-d^2 / (4 w^2)) is 0/0 at the center once w^2 rounds to 0; the
+    # error names the key, and no numpy division warning comes first.
+    lat = build_lattice(32.0, 64, 1.0)
+    with pytest.raises(ValueError, match="^width must have a square that does not underflow"):
+        gaussian_packet(lat, 1.0, 8.0, 1e-300)
+    assert len(recwarn) == 0
+    assert np.all(np.isfinite(gaussian_packet(lat, 1.0, 8.0, 1e-160).values))
+
+
 def test_packet_takes_vector_arguments_in_two_dimensions():
     lat = build_lattice([16.0, 16.0], [32, 32], 1.0)
     packet = gaussian_packet(lat, [1.0, -0.5], [4.0, 8.0], 2.0)

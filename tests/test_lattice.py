@@ -43,6 +43,16 @@ def test_build_rejects_negative_mass():
         build_lattice(8.0, 8, -1.0)
 
 
+@pytest.mark.parametrize("mass", [1e300, np.float64(1e155)])
+def test_build_rejects_a_mass_whose_square_overflows(recwarn, mass):
+    # The dispersion needs M^2; the error names the key, and no numpy
+    # overflow warning comes first.
+    with pytest.raises(ValueError, match="^mass must have a square that does not overflow"):
+        build_lattice(8.0, 8, mass)
+    assert len(recwarn) == 0
+    assert build_lattice(8.0, 8, 1e154).mass == 1e154
+
+
 def test_scalar_arguments_describe_one_dimension():
     lat = build_lattice(8.0, 16, 0.5)
     assert lat.dims == 1
