@@ -50,7 +50,7 @@ GOLDEN = {
         "spectrum.csv": "02bfe983b3165f95143c3c789f18f92ad669e829dfeddbc58e6c31741e7c13e9",
     },
     "kernel": {
-        "kernel.csv": "bd03537a32e5e5a70c9c0a28e5a4573dc458f64e9d289397824e245d18800166",
+        "kernel.csv": "3ca0c7faf62cfd872b11555fc057d33cb6a04908b402096a593bef60b128dae1",
     },
     "decay": {
         "decay.csv": "e3c5b5999570000e233cf4fa7327edaf83a35b946c7d8175e4d97abe82fe2d8b",
@@ -120,7 +120,7 @@ F2_KERNEL_CONFIGS = {
             "method": "radial_reduced", "window": "quintic", "taper_frac": 0.3,
             "t": 0.75, "z_start": 0.5, "z_stop": 3.0, "z_count": 6,
         },
-        "db0bec35d3e98643ebcc3be53d2cf69bb16ab28368ae3f381eb5debbcf5aba98",
+        "acb45faa8f93353880fdc11df1c97201b4782996d3077de371c833b3f6a289f2",
     ),
     "contour": (
         {
@@ -138,7 +138,7 @@ def test_f2_kernel_csv_matches_the_golden_digest(tmp_path, case):
     assert run_digests(tmp_path, json.dumps(config)) == {"kernel.csv": digest}
 
 
-F2_ALIAS_AT_ORIGIN = "5b3efc4ce1f913bba7d89a6947f1718e8ba905acab0080a83a962315c2dd2832"
+F2_ALIAS_AT_ORIGIN = "4a263b4867e29de4bb39069c850e265a64a2abf5ff43cd47e65375f04587699c"
 
 
 def test_f2_alias_table_at_the_origin_matches_the_golden_digest(tmp_path):
