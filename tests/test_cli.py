@@ -147,6 +147,9 @@ VACUUM_TOO_LARGE = {
          "key 'mass': must have a square that does not overflow"),
         ({**INTERACT_UNSTABLE_STEP, "dt": 0.1, "width": 1e-300},
          "key 'width': must have a square that does not underflow to 0"),
+        ({"experiment": "kernel", "kind": "F1", "mass": 1e300, "cutoff": 240.0, "method": "radial_reduced",
+          "z_start": 0.5, "z_stop": 5.0, "z_count": 4},
+         "key 'mass': must have a square that does not overflow"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):

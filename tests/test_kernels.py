@@ -253,6 +253,9 @@ def test_spec_validation_catches_inconsistent_requests():
         KernelSpec(kind="F3", mass=1.0)
     with pytest.raises(ValueError):
         KernelSpec(kind="F1", mass=-1.0)
+    # omega needs M^2 on every route; a square that overflows is a NaN table.
+    with pytest.raises(ValueError, match="^mass: must have a square that does not overflow"):
+        KernelSpec(kind="F1", mass=1e300, cutoff=240.0)
     with pytest.raises(ValueError):
         KernelSpec(kind="F1", mass=1.0, t=0.5, method="contour")
     with pytest.raises(ValueError):
