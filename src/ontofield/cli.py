@@ -91,7 +91,12 @@ _ENV_OUTPUT_DIR = "ONTOFIELD_OUTPUT_DIR"
 # an error string or None; cross-key constraints live in _EXTRA_CHECKS.
 
 def _is_real(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # a JSON integer too large for a double
+        return False
 
 
 def _real(v: object) -> str | None:

@@ -36,8 +36,9 @@ _FMT = "%.17g"
 _CSV_BLOCK_ROWS = 4096
 # Tiles shorter than this keep the ``%`` template.  The array route costs
 # about 0.4 ms per tile even when short, and overtook the template between
-# 256 and 512 rows for the field, correlator and kernel rows.
-_VECTOR_MIN_ROWS = 512
+# 320 and 384 rows for the field rows and by 320 rows for the correlator and
+# kernel rows.
+_VECTOR_MIN_ROWS = 384
 _G17_SLOTS = 29  # the layout of one "%.17g" cell is in _g17_cells
 _POW10_SPAN = 360
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
@@ -322,16 +323,23 @@ def _g17_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     y_int = np.ldexp(p, e).astype(np.int64) + whole.astype(np.int64)
     # For 0 <= 16 - X <= 22, 10**(16 - X) is a double and y is exact, ties included.
     exact = lo == 0.0
-    digits = y_int + ((frac > 0.5) | ((frac == 0.5) & exact & (y_int % 2 == 1)))
+    digits = y_int + ((frac > 0.5) | ((frac == 0.5) & exact & ((y_int & 1) == 1)))
     inexact_ok = (np.abs(frac - 0.5) > 1e-6) & (digits > 10**16)
     usable &= (digits < 10**17) & np.where(exact, y_int >= 10**16, inexact_ok)
     digits[~usable] = 0
     exp10[~usable] = 0
 
+    # Digits split by floor division and a multiply-subtract, which numpy
+    # runs about three times faster than np.divmod.
     text, places = _digit_groups()
-    lead, rest = np.divmod(digits, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    groups = np.stack(np.divmod(upper, 10**4) + np.divmod(lower, 10**4))
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    halves = np.empty((2, n), dtype=np.int64)
+    np.floor_divide(rest, 10**8, out=halves[0])
+    np.subtract(rest, halves[0] * 10**8, out=halves[1])
+    groups = np.empty((4, n), dtype=np.int64)
+    np.floor_divide(halves, 10**4, out=groups[0::2])
+    np.subtract(halves, groups[0::2] * 10**4, out=groups[1::2])
     digit = np.empty((18, n), dtype=np.uint8)
     digit[0] = lead + ord("0")
     digit[1:17] = np.take(text, groups).view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1).reshape(16, n)
@@ -355,15 +363,22 @@ def _g17_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.multiply(neg, np.uint8(ord("-")), out=out[0])
     shown = lead_zeros & (exp10 < np.array([[0], [0], [-1], [-2], [-3]]))
     np.multiply(shown, np.frombuffer(b"0.000", dtype=np.uint8)[:, None], out=out[1:6])
-    science = ~fixed
-    if science.any():
-        size = np.abs(exp10).astype(np.int16)
-        np.multiply(science, np.uint8(ord("e")), out=out[24])
-        np.multiply(science, np.where(exp10 < 0, np.uint8(ord("-")), np.uint8(ord("+"))), out=out[25])
-        for slot, (unit, least) in enumerate(((100, 100), (10, 0), (1, 0)), 26):
-            np.multiply(science & (size >= least), size // unit % 10 + ord("0"), out=out[slot], casting="unsafe")
-    else:
-        out[24:29] = 0
+    # The exponent is spelled only for the cells that show one: |X| >= 5,
+    # so its tens and units digits are always shown.
+    out[24:29] = 0
+    science = np.flatnonzero(~fixed)
+    if len(science):
+        power = exp10[science]
+        size = np.abs(power)
+        hundreds = size // 100
+        tens = size // 10
+        spelled = np.empty((5, len(science)), dtype=np.uint8)
+        spelled[0] = ord("e")
+        spelled[1] = np.where(power < 0, ord("-"), ord("+"))
+        spelled[2] = (hundreds + ord("0")) * (hundreds > 0)
+        spelled[3] = tens - hundreds * 10 + ord("0")
+        spelled[4] = size - tens * 10 + ord("0")
+        out[24:29, science] = spelled
 
     fallback = np.flatnonzero(~(usable | zero))
     for i in fallback.tolist():
@@ -383,21 +398,29 @@ def _int_cells(v: np.ndarray, out: np.ndarray) -> None:
     size = np.abs(v.astype(np.int64)).astype(np.uint64) if v.dtype.kind == "i" else v.astype(np.uint64)
     np.multiply(v < 0, np.uint8(ord("-")), out=out[0])
     for slot in range(len(out) - 1, 0, -1):
-        size, digit = np.divmod(size, np.uint64(10))
+        rest = size // np.uint64(10)
+        size, digit = rest, size - rest * np.uint64(10)
         # A leading zero is dropped: every digit left of it is zero too.
         shown = (digit > 0) | (size > 0) | (slot == len(out) - 1)
         np.multiply(shown, digit + np.uint64(ord("0")), out=out[slot], casting="unsafe")
 
 
-def _format_rows(pieces: list[str], columns: Sequence[np.ndarray]) -> str:
-    """The text of the ``%`` row template ``pieces`` spell, for each row, by array operations.
+def _format_rows(pieces: list[str], columns: Sequence[np.ndarray]) -> bytes:
+    """The bytes of the ``%`` row template ``pieces`` spell, for each row, by array operations.
 
     ``pieces`` alternates literal text and conversions, ``%d`` or
     ``%.17g``, one per array of ``columns``.  The rows are laid out
     slot-major, one matrix row per slot and NUL where a cell is shorter than
-    its slots; one transpose puts the bytes in file order and one
-    ``np.compress`` drops the NULs.
+    its slots.  All ``%.17g`` columns are spelled by one :func:`_g17_cells`
+    call on their concatenation, and each column's block is copied into
+    place.  One transposing ``tobytes`` puts the bytes in file order and
+    ``bytes.translate`` drops the NULs.
     """
+    n = len(columns[0])
+    floats = [columns[index // 2] for index, piece in enumerate(pieces) if piece == _FMT and index % 2]
+    if floats:
+        spelled = np.empty((_G17_SLOTS, n * len(floats)), dtype=np.uint8)
+        _g17_cells(np.concatenate(floats), spelled)
     spans = []
     for index, piece in enumerate(pieces):
         if index % 2 == 0:
@@ -406,8 +429,8 @@ def _format_rows(pieces: list[str], columns: Sequence[np.ndarray]) -> str:
             spans.append(_int_width(columns[index // 2]))
         else:
             spans.append(_G17_SLOTS)
-    slots = np.empty((sum(spans), len(columns[0])), dtype=np.uint8)
-    lo = 0
+    slots = np.empty((sum(spans), n), dtype=np.uint8)
+    lo, done = 0, 0
     for index, (piece, span) in enumerate(zip(pieces, spans)):
         block = slots[lo : lo + span]
         lo += span
@@ -416,9 +439,9 @@ def _format_rows(pieces: list[str], columns: Sequence[np.ndarray]) -> str:
         elif piece == "%d":
             _int_cells(columns[index // 2], block)
         else:
-            _g17_cells(columns[index // 2], block)
-    text = slots.T.ravel()
-    return np.compress(text != 0, text).tobytes().decode()
+            block[...] = spelled[:, done : done + n]
+            done += n
+    return slots.T.tobytes().translate(None, b"\0")
 
 
 def _cell(value: object) -> str:
@@ -437,12 +460,16 @@ def _write_csv(path: str | Path, header: Sequence, columns: Sequence) -> None:
     values; or a constant field, the same on every row, which is written as
     :func:`_cell` spells it, as are the ``header`` cells.  Cells are joined
     by commas and rows end in CRLF, as the ``csv`` module's default dialect
-    writes them.  The rows are written in tiles of ``_CSV_BLOCK_ROWS``, and
-    every tile gives the bytes the row's ``%`` template gives row by row.
+    writes them.  The rows are written in tiles of ``_CSV_BLOCK_ROWS`` to a
+    binary handle, and every tile gives the bytes the row's ``%`` template
+    gives row by row, encoded as UTF-8.
 
     A tile shorter than ``_VECTOR_MIN_ROWS`` is one ``%`` over the template
     repeated, which is faster there.  A longer one is formatted by array
-    operations (:func:`_format_rows`), after Loitsch's certified fast path
+    operations (:func:`_format_rows`): one digit pass spells every ``%.17g``
+    cell of the tile, ``%d`` cells are spelled column by column, and the
+    NUL-padded slots become the tile's bytes by one transposing ``tobytes``
+    and ``bytes.translate``.  The digits follow Loitsch's certified fast path
     (PLDI 2010).  For each finite nonzero ``x`` with decimal exponent ``X``,
     the 17 digits are ``D = round_half_even(y)``, ``y = |x| * 10**(16 - X)``:
 
@@ -483,15 +510,15 @@ def _write_csv(path: str | Path, header: Sequence, columns: Sequence) -> None:
         raise ValueError("CSV columns need at least one array, and every array 1-D and of one length")
     template = "".join(piece if index % 2 else piece.replace("%", "%%") for index, piece in enumerate(pieces))
     rows = len(arrays[0])
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(_cell(cell) for cell in header) + "\r\n")
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(_cell(cell) for cell in header) + "\r\n").encode())
         for lo in range(0, rows, _CSV_BLOCK_ROWS):
             tile = [c[lo : lo + _CSV_BLOCK_ROWS] for c in arrays]
             if len(tile[0]) < _VECTOR_MIN_ROWS:
                 cells = [None] * (len(tile[0]) * len(tile))
                 for index, column in enumerate(tile):
                     cells[index :: len(tile)] = column.tolist()
-                fh.write((template * len(tile[0])) % tuple(cells))
+                fh.write(((template * len(tile[0])) % tuple(cells)).encode())
             else:
                 fh.write(_format_rows(pieces, tile))
 

@@ -64,6 +64,25 @@ def test_validate_reports_schema_violations(tmp_path, capsys, payload, needle):
     assert any(needle in v for v in report["violations"])
 
 
+def test_a_json_integer_beyond_uint64_is_a_real_number(tmp_path, capsys):
+    # np.isfinite raises on a Python int of 2**64 or more; the value fits a double.
+    payload = {**SPECTRUM, "delta_t": 10**20}
+    assert main(["validate", write_config(tmp_path, payload)]) == 0
+    code, out_dir = run_cli(tmp_path, payload)
+    assert code == 0
+    assert (out_dir / "spectrum.csv").exists()
+
+
+def test_a_json_integer_too_large_for_a_double_is_a_schema_failure(tmp_path, capsys):
+    payload = {**SPECTRUM, "delta_t": 10**400}
+    assert main(["validate", write_config(tmp_path, payload)]) == 2
+    assert any("delta_t" in v for v in json.loads(capsys.readouterr().out)["violations"])
+    code, out_dir = run_cli(tmp_path, payload)
+    assert code == 2
+    assert "delta_t" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not out_dir.exists()
+
+
 def test_validate_catches_cross_field_inconsistencies():
     base = {
         "experiment": "kernel",

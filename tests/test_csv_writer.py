@@ -112,6 +112,7 @@ _TABLES = {
     "kernel_f1": [float, None, float, float, float, "radial_reduced", 1, 240.0],
     "kernel_f2": [float, -0.4, float, float, float, "contour", 0.9, None],
     "percent": ["%d", int, "100%", float, "%%"],
+    "indices": [int, "site", int],
 }
 
 
@@ -143,6 +144,30 @@ def test_tables_give_the_percent_template_bytes(tmp_path, name, rows):
     path = tmp_path / "table.csv"
     _write_csv(path, header, columns)
     assert path.read_bytes() == _reference_bytes(tmp_path / "reference.csv", header, columns)
+
+
+@pytest.mark.parametrize("exponents", ["none", "every"])
+def test_a_tile_whose_cells_all_or_none_show_an_exponent_gives_the_percent_template_bytes(tmp_path, exponents):
+    # _awkward_floats puts an exponent into every tile; here one array-route
+    # tile has none at all, or one in every cell.
+    rng = np.random.default_rng(11)
+    rows = _VECTOR_MIN_ROWS
+    columns = []
+    for _ in range(2):
+        if exponents == "none":
+            values = rng.uniform(1.0, 9.0, size=rows) * 10.0 ** rng.integers(-4, 17, size=rows)
+            values[:3] = [0.0, -0.0, 0.0001]
+        else:
+            powers = rng.choice(np.r_[-300:-4, 17:300], size=rows)
+            values = rng.uniform(1.0, 9.0, size=rows) * 10.0**powers
+            values[:3] = [5e-324, 1e17, 0.0000999]
+        columns.append(values * rng.choice([-1.0, 1.0], size=rows))
+    path = tmp_path / "tile.csv"
+    _write_csv(path, _HEADER, columns)
+    reference = _reference_bytes(tmp_path / "reference.csv", _HEADER, columns)
+    assert path.read_bytes() == reference
+    cells = [cell for line in reference.split(b"\r\n")[1:-1] for cell in line.split(b",")]
+    assert [b"e" in cell for cell in cells] == [exponents == "every"] * (2 * rows)
 
 
 def test_constant_and_header_cells_are_spelled_as_cells(tmp_path):
