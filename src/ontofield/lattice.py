@@ -418,8 +418,8 @@ def _format_rows(pieces: list[str], columns: Sequence[np.ndarray]) -> bytes:
     """
     n = len(columns[0])
     floats = [columns[index // 2] for index, piece in enumerate(pieces) if piece == _FMT and index % 2]
+    spelled = np.empty((_G17_SLOTS, n * len(floats)), dtype=np.uint8)
     if floats:
-        spelled = np.empty((_G17_SLOTS, n * len(floats)), dtype=np.uint8)
         _g17_cells(np.concatenate(floats), spelled)
     spans = []
     for index, piece in enumerate(pieces):
