@@ -64,7 +64,7 @@ def test_validate_reports_schema_violations(tmp_path, capsys, payload, needle):
     assert any(needle in v for v in report["violations"])
 
 
-def test_a_json_integer_beyond_uint64_is_a_real_number(tmp_path, capsys):
+def test_a_json_integer_beyond_uint64_is_a_real_number(tmp_path):
     # np.isfinite raises on a Python int of 2**64 or more; the value fits a double.
     payload = {**SPECTRUM, "delta_t": 10**20}
     assert main(["validate", write_config(tmp_path, payload)]) == 0
