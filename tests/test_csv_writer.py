@@ -117,16 +117,25 @@ _TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
+# Row counts on both sides of the route crossover, alone and as the tail of
+# full tiles.  The fixed counts sit around a crossover of 512 rows, so the
+# array route keeps a test on short tiles above the current one.
 @pytest.mark.parametrize(
     "rows",
-    [
-        1,
-        _VECTOR_MIN_ROWS - 1,
-        _VECTOR_MIN_ROWS,
-        _CSV_BLOCK_ROWS + 1,
-        _CSV_BLOCK_ROWS + _VECTOR_MIN_ROWS,
-        2 * _CSV_BLOCK_ROWS + _VECTOR_MIN_ROWS - 1,
-    ],
+    sorted(
+        {
+            1,
+            _VECTOR_MIN_ROWS - 1,
+            _VECTOR_MIN_ROWS,
+            511,
+            512,
+            _CSV_BLOCK_ROWS + 1,
+            _CSV_BLOCK_ROWS + _VECTOR_MIN_ROWS,
+            _CSV_BLOCK_ROWS + 512,
+            2 * _CSV_BLOCK_ROWS + _VECTOR_MIN_ROWS - 1,
+            2 * _CSV_BLOCK_ROWS + 511,
+        }
+    ),
 )
 def test_tables_give_the_percent_template_bytes(tmp_path, name, rows):
     rng = np.random.default_rng(rows)
