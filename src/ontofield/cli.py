@@ -36,14 +36,17 @@ from typing import Callable
 
 import numpy as np
 
+import ontofield
 from ontofield import __version__
+from ontofield._rules import Problems, Rule, integer_at_least, is_integer, one_of, positive_finite
 from ontofield.cyclic import CycleConfig, basis_change, energy_levels, evolution_matrix
 from ontofield.dynamics import (
     FrontTrackingError,
     InstabilityError,
-    _bound_from_spacings,
+    _front_problems,
+    _leapfrog_problems,
+    _packet_problems,
     _schedule,
-    _width_problem,
     evolve_convolution,
     gaussian_packet,
     leapfrog_interact,
@@ -52,8 +55,7 @@ from ontofield.dynamics import (
     wavefront_measure,
 )
 from ontofield.kernels import (
-    _KINDS, _METHODS, _MIN_FIT_POINTS, WINDOWS, KernelSpec, QuadratureError, _spec_problems, decay_fit, group_velocity,
-    kernel_table,
+    _MIN_FIT_POINTS, KernelSpec, QuadratureError, _radius_problem, _spec_problems, decay_fit, kernel_table,
 )
 from ontofield.ladder import (
     TimedOperator,
@@ -64,12 +66,11 @@ from ontofield.ladder import (
     reconstruct_a,
     truncate_from_a,
 )
-from ontofield.lattice import ComplexField, _mass_problem, _write_csv, build_lattice, save_field
+from ontofield.lattice import ComplexField, _lattice_problems, _write_csv, build_lattice, save_field
 from ontofield.vacuum import (
-    _MIN_SAMPLES,
     CorrelatorEstimate,
     EnsembleSpec,
-    _correlator_memory_problem,
+    _memory_problems,
     _strips,
     ensemble_correlators,
 )
@@ -87,55 +88,30 @@ _ENV_OUTPUT_DIR = "ONTOFIELD_OUTPUT_DIR"
 
 # --- schema ------------------------------------------------------------------
 #
-# Each experiment maps key -> (checker, required, default).  Checkers return
-# an error string or None; cross-key constraints live in _EXTRA_CHECKS.
-
-def _is_real(v: object) -> bool:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # a JSON integer too large for a double
-        return False
-
+# A JSON check returns an error string or None: it says what JSON value a key
+# takes.  The values the library accepts are the library's to say (_RULES,
+# _PREDICATES).
 
 def _real(v: object) -> str | None:
-    return None if _is_real(v) else "expected a finite real number"
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            if math.isfinite(v):
+                return None
+        except OverflowError:  # a JSON integer too large for a double
+            pass
+    return "expected a finite real number"
 
 
-def _pos_real(v: object) -> str | None:
-    return None if _is_real(v) and v > 0 else "expected a positive real number"
+def _integer(v: object) -> str | None:
+    return None if is_integer(v) else "expected an integer"
 
 
-def _nonneg_real(v: object) -> str | None:
-    return None if _is_real(v) and v >= 0 else "expected a nonnegative real number"
+def _string(v: object) -> str | None:
+    return None if isinstance(v, str) else "expected a string"
 
 
-def _int_at_least(lo: int) -> Callable[[object], str | None]:
-    def check(v: object) -> str | None:
-        if isinstance(v, int) and not isinstance(v, bool) and v >= lo:
-            return None
-        return f"expected an integer >= {lo}"
-
-    return check
-
-
-def _choice(*options: str) -> Callable[[object], str | None]:
-    def check(v: object) -> str | None:
-        return None if v in options else f"expected one of {options}"
-
-    return check
-
-
-def _nullable(inner: Callable[[object], str | None]) -> Callable[[object], str | None]:
-    def check(v: object) -> str | None:
-        return None if v is None else inner(v)
-
-    return check
-
-
-def _taper(v: object) -> str | None:
-    return None if _is_real(v) and 0.0 < v <= 1.0 else "expected a real in (0, 1]"
+def _nullable(inner: Rule) -> Rule:
+    return lambda v: None if v is None else inner(v)
 
 
 def _axes(value: object) -> list:
@@ -143,117 +119,90 @@ def _axes(value: object) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _geometry(check_entry: Callable[[object], str | None]) -> Callable[[object], str | None]:
+def _geometry(check_entry: Rule) -> Rule:
     def check(v: object) -> str | None:
         entries = _axes(v)
         if not 1 <= len(entries) <= 3:
             return "expected a scalar or a list of 1 to 3 entries"
-        for entry in entries:
-            err = check_entry(entry)
-            if err is not None:
-                return err
-        return None
+        return next(filter(None, map(check_entry, entries)), None)  # the first entry's error
 
     return check
 
 
-def _even_points(v: object) -> str | None:
-    if isinstance(v, int) and not isinstance(v, bool) and v >= 2 and v % 2 == 0:
-        return None
-    return "expected an even integer >= 2"
-
-
-_WINDOW_CHOICE = _choice(*sorted(WINDOWS))
-
-_LATTICE_KEYS: dict[str, tuple[Callable[[object], str | None], bool, object]] = {
-    "mass": (_nonneg_real, True, None),
-    "box_length": (_geometry(_pos_real), True, None),
-    "points": (_geometry(_even_points), True, None),
-    "cutoff": (_nullable(_pos_real), True, None),
+# The JSON value each key takes; a key means the same in every experiment.
+_JSON: dict[str, Rule] = {
+    **dict.fromkeys(
+        ("mass", "width", "amplitude", "dt", "lambda", "omega", "delta_t", "t", "taper_frac", "z_start", "z_stop"), _real
+    ),
+    **dict.fromkeys(("steps", "record_every", "n_levels", "time_pairs", "n_states", "z_count", "samples"), _integer),
+    **dict.fromkeys(("kind", "method", "window", "field_mode"), _string),
+    **dict.fromkeys(("box_length", "k0"), _geometry(_real)),
+    "points": _geometry(_integer),
+    "center": _nullable(_geometry(_real)),
+    **dict.fromkeys(("cutoff", "evolve_time"), _nullable(_real)),
 }
 
-_PACKET_KEYS: dict[str, tuple[Callable[[object], str | None], bool, object]] = {
-    "k0": (_geometry(_real), True, None),
-    "width": (_pos_real, True, None),
-    "center": (_nullable(_geometry(_real)), False, None),
-    "amplitude": (_pos_real, False, 1.0),
-    "dt": (_pos_real, True, None),
-    "steps": (_int_at_least(1), True, None),
-    "record_every": (_int_at_least(1), False, 1),
+_REQUIRED = object()  # the default of a key the config must state
+_LATTICE_KEYS = dict.fromkeys(("mass", "box_length", "points", "cutoff"), _REQUIRED)
+_PACKET_KEYS = {
+    **dict.fromkeys(("k0", "width", "dt", "steps"), _REQUIRED), "center": None, "amplitude": 1.0, "record_every": 1,
+}
+_KERNEL_KEYS = {
+    **dict.fromkeys(("mass", "cutoff", "z_start", "z_stop", "z_count"), _REQUIRED), "window": "cosine", "taper_frac": 0.1,
 }
 
-_SCHEMAS: dict[str, dict[str, tuple[Callable[[object], str | None], bool, object]]] = {
-    "identities": {
-        "n_levels": (_int_at_least(2), True, None),
-        "omega": (_pos_real, True, None),
-        "time_pairs": (_int_at_least(1), False, 10),
-    },
-    "spectrum": {
-        "n_states": (_int_at_least(1), True, None),
-        "delta_t": (_pos_real, True, None),
-    },
-    "kernel": {
-        "kind": (_choice(*_KINDS), True, None),
-        "mass": (_nonneg_real, True, None),
-        "cutoff": (_nullable(_pos_real), True, None),
-        "method": (_choice(*_METHODS), True, None),
-        "t": (_real, False, 0.0),
-        "window": (_WINDOW_CHOICE, False, "cosine"),
-        "taper_frac": (_taper, False, 0.1),
-        "z_start": (_pos_real, True, None),
-        "z_stop": (_pos_real, True, None),
-        "z_count": (_int_at_least(1), True, None),
-    },
-    "decay": {
-        "mass": (_nonneg_real, True, None),
-        "cutoff": (_nullable(_pos_real), True, None),
-        "method": (_choice(*_METHODS), False, "contour"),
-        "window": (_WINDOW_CHOICE, False, "cosine"),
-        "taper_frac": (_taper, False, 0.1),
-        "z_start": (_pos_real, True, None),
-        "z_stop": (_pos_real, True, None),
-        "z_count": (_int_at_least(_MIN_FIT_POINTS), True, None),
-    },
+_SCHEMAS: dict[str, dict[str, object]] = {
+    "identities": {"n_levels": _REQUIRED, "omega": _REQUIRED, "time_pairs": 10},
+    "spectrum": {"n_states": _REQUIRED, "delta_t": _REQUIRED},
+    "kernel": {"kind": _REQUIRED, "method": _REQUIRED, "t": 0.0, **_KERNEL_KEYS},
+    "decay": {"method": "contour", **_KERNEL_KEYS},
     "front": {**_LATTICE_KEYS, **_PACKET_KEYS},
-    "evolve": {
-        **_LATTICE_KEYS,
-        **_PACKET_KEYS,
-        "method": (_choice("spectral", "convolution_literal"), False, "spectral"),
-    },
-    "interact": {
-        **_LATTICE_KEYS,
-        **_PACKET_KEYS,
-        "lambda": (_real, True, None),
-        "field_mode": (_choice("real", "complex"), False, "real"),
-    },
-    "vacuum": {
-        **_LATTICE_KEYS,
-        "samples": (_int_at_least(_MIN_SAMPLES), True, None),
-        "evolve_time": (_nullable(_real), False, None),
-    },
+    "evolve": {**_LATTICE_KEYS, **_PACKET_KEYS, "method": "spectral"},
+    "interact": {**_LATTICE_KEYS, **_PACKET_KEYS, "lambda": _REQUIRED, "field_mode": "real"},
+    "vacuum": {**_LATTICE_KEYS, "samples": _REQUIRED, "evolve_time": None},
 }
 
 _EXPERIMENTS = tuple(_SCHEMAS)
 
+# Library argument -> the config key that sets it, where the two differ.
+_CONFIG_KEY = {"box_lengths": "box_length", "grid_points": "points", "coupling": "lambda", "count": "samples"}
 
-def _check_lattice(params: dict) -> list[str]:
-    """Geometry agreement, and the library's own mass and packet-width checks."""
-    lengths = _axes(params["box_length"])
-    points = _axes(params["points"])
-    errors = []
-    if len(lengths) != len(points):
-        errors.append("key 'points': dimension differs from 'box_length'")
-    for key in ("k0", "center"):
-        value = params.get(key)
-        if value is None:
-            continue
-        if len(_axes(value)) != len(lengths):
-            errors.append(f"key {key!r}: dimension differs from 'box_length'")
-    for key, problem in (("mass", _mass_problem), ("width", _width_problem)):
-        message = problem(params[key]) if key in params else None
-        if message is not None:
-            errors.append(f"key {key!r}: {message}")
-    return errors
+
+def _keyed(*tables: dict[str, Rule]) -> dict[str, Rule]:
+    """Rule tables merged and keyed by config key; a later table's rule wins."""
+    return {_CONFIG_KEY.get(arg, arg): rule for table in tables for arg, rule in table.items()}
+
+
+# The CLI's own rules: a z grid above 0, a positive amplitude, the counts and the evolve method.
+_Z_GRID = {"z_start": positive_finite, "z_stop": positive_finite}
+_PACKET_RULES = _keyed(ontofield.lattice._RULES, ontofield.dynamics._RULES, {"amplitude": positive_finite})
+
+_RULES: dict[str, dict[str, Rule]] = {
+    "identities": _keyed(ontofield.ladder._RULES, {"time_pairs": integer_at_least(1)}),
+    "spectrum": _keyed(ontofield.cyclic._RULES),
+    "kernel": _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(1)}),
+    "decay": _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(_MIN_FIT_POINTS)}),
+    "front": _PACKET_RULES,
+    "evolve": _keyed(_PACKET_RULES, {"method": one_of("spectral", "convolution_literal")}),
+    "interact": _PACKET_RULES,
+    "vacuum": _keyed(ontofield.lattice._RULES, ontofield.vacuum._RULES),
+}
+
+
+def _lattice_args(params: dict) -> tuple:
+    return params["box_length"], params["points"], params["mass"], params["cutoff"]
+
+
+def _center(params: dict):
+    """The packet's center: the config's, or a quarter of each box length."""
+    if params["center"] is None:
+        return [0.25 * l for l in _axes(params["box_length"])]
+    return params["center"]
+
+
+def _evolve_times(params: dict) -> tuple:
+    """The vacuum run's estimate times: the static one, and the evolved one if asked for."""
+    return (0.0,) if params["evolve_time"] is None else (0.0, params["evolve_time"])
 
 
 def _kernel_fields(params: dict) -> dict:
@@ -262,79 +211,51 @@ def _kernel_fields(params: dict) -> dict:
     return {"kind": "F1", "t": 0.0, **{name: params[name] for name in names if name in params}}
 
 
-def _check_kernel(params: dict) -> list[str]:
-    """The library's objections to the kernel request, plus the z-grid rules."""
+def _check_kernel(params: dict) -> Problems:
+    """The z grid's own rule, and the library's objections to the kernel and to the grid's first radius."""
     fields = _kernel_fields(params)
-    errors = []
-    if params["z_stop"] <= params["z_start"]:
-        errors.append("key 'z_stop': must exceed z_start")
-    errors.extend(f"key {key!r}: {message}" for key, message in _spec_problems(**fields))
-    # Contour routes need every grid point spacelike.  A valid F1 request has
-    # t = 0, where this always holds.
-    if fields["method"] == "contour" and not params["z_start"] > abs(fields["t"]):
-        errors.append("key 'z_start': contour route needs the spacelike regime z > |t|")
-    return errors
+    found = [("z_stop", "must exceed z_start")] if params["z_stop"] <= params["z_start"] else []
+    radius = _radius_problem(fields["kind"], fields["method"], fields["t"], params["z_start"])
+    return found + _spec_problems(**fields) + ([("z_start", radius)] if radius else [])
 
 
-# The checks below read the geometry from the config: building the lattice
-# would cost memory and time of the order of the run itself.
-
-def _check_front(params: dict) -> list[str]:
-    errors = _check_lattice(params)
-    if not errors and len(_axes(params["points"])) != 1:
-        errors.append("key 'box_length': the front experiment is one-dimensional")
-    if not errors:
-        try:
-            group_velocity(_axes(params["k0"]), params["mass"])
-        except ValueError as exc:
-            errors.append(f"key 'k0': {exc}")
-    return errors
+def _setup_problems(params: dict) -> Problems:
+    """The library's objections to a packet run's lattice and initial packet."""
+    dims = len(_axes(params["box_length"]))
+    packet = _packet_problems(dims, params["k0"], _center(params), params["width"], params["amplitude"])
+    return _lattice_problems(*_lattice_args(params)) + packet
 
 
-def _check_interact(params: dict) -> list[str]:
-    errors = _check_lattice(params)
-    if not errors:
-        spacings = [length / n for length, n in zip(_axes(params["box_length"]), _axes(params["points"]))]
-        bound = _bound_from_spacings(spacings, params["mass"])
-        if not params["dt"] < bound:
-            errors.append(f"key 'dt': must be below the leapfrog stability bound {bound!r}")
-    return errors
-
-
-def _check_vacuum(params: dict) -> list[str]:
-    errors = _check_lattice(params)
-    if not errors:
-        estimates = 1 if params["evolve_time"] is None else 2
-        problem = _correlator_memory_problem(tuple(_axes(params["points"])), estimates)
-        if problem is not None:
-            errors.append(f"key 'points': {problem}")
-    return errors
-
-
-_EXTRA_CHECKS: dict[str, Callable[[dict], list[str]]] = {
+# The predicates read the geometry from the config: building the lattice
+# would cost memory and time of the order of the run itself.  A run's later
+# predicates are asked only once its lattice is sound.
+_PREDICATES: dict[str, Callable[[dict], Problems]] = {
     "kernel": _check_kernel,
     "decay": _check_kernel,
-    "front": _check_front,
-    "evolve": _check_lattice,
-    "interact": _check_interact,
-    "vacuum": _check_vacuum,
+    "front": lambda p: _setup_problems(p) or _front_problems(len(_axes(p["points"])), p["k0"], p["mass"]),
+    "evolve": _setup_problems,
+    "interact": lambda p: _setup_problems(p)
+    or _leapfrog_problems(p["box_length"], p["points"], p["mass"], p["lambda"], p["dt"], p["field_mode"]),
+    "vacuum": lambda p: _lattice_problems(*_lattice_args(p)) or _memory_problems(p["points"], len(_evolve_times(p))),
 }
 
 
 def validate_config(raw: object) -> list[str]:
-    """Full list of schema violations; empty means the config is runnable."""
+    """Full list of schema violations; empty means the config is runnable.
+
+    A value that passes its key's JSON check goes to the rule of the library
+    argument the key sets.  Once every key has passed, _PREDICATES reports
+    the library's objections that read several keys.
+    """
     if not isinstance(raw, dict):
         return ["config root must be a JSON object"]
-    violations: list[str] = []
     experiment = raw.get("experiment")
     if experiment not in _EXPERIMENTS:
-        violations.append(
-            f"key 'experiment': expected one of {_EXPERIMENTS}, got {experiment!r}"
-        )
-        return violations
-    schema = _SCHEMAS[experiment]
+        return [f"key 'experiment': expected one of {_EXPERIMENTS}, got {experiment!r}"]
+    violations: list[str] = []
+    schema, rules = _SCHEMAS[experiment], _RULES[experiment]
     seed = raw.get("seed", 0)
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         violations.append("key 'seed': expected a nonnegative integer")
     out_dir = raw.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -343,25 +264,29 @@ def validate_config(raw: object) -> list[str]:
     for key in raw:
         if key not in known:
             violations.append(f"key {key!r}: not recognized for experiment {experiment!r}")
-    for key, (checker, required, _default) in schema.items():
+    for key, default in schema.items():
         if key not in raw:
-            if required:
+            if default is _REQUIRED:
                 violations.append(f"key {key!r}: required for experiment {experiment!r} but missing")
             continue
-        error = checker(raw[key])
+        value = raw[key]
+        error = _JSON[key](value)
         if error is not None:
-            violations.append(f"key {key!r}: {error}, got {raw[key]!r}")
-    if not violations and experiment in _EXTRA_CHECKS:
+            violations.append(f"key {key!r}: {error}, got {value!r}")
+        elif value is not None and key in rules:
+            message = rules[key](value)
+            if message is not None:
+                violations.append(f"key {key!r}: {message}")
+    if not violations and experiment in _PREDICATES:
         params = _apply_defaults(experiment, raw)
-        violations.extend(_EXTRA_CHECKS[experiment](params))
+        violations.extend(
+            f"key {_CONFIG_KEY.get(arg, arg)!r}: {message}" for arg, message in _PREDICATES[experiment](params)
+        )
     return violations
 
 
 def _apply_defaults(experiment: str, raw: dict) -> dict:
-    params = {}
-    for key, (_checker, _required, default) in _SCHEMAS[experiment].items():
-        params[key] = raw.get(key, default)
-    return params
+    return {key: raw.get(key, default) for key, default in _SCHEMAS[experiment].items()}
 
 
 # --- experiment runners ------------------------------------------------------
@@ -410,7 +335,7 @@ def _run_spectrum(params: dict, seed: int, out: Path) -> dict:
     n = config.n_states
     hop = evolution_matrix(config)
     periodicity = float(np.max(np.abs(np.linalg.matrix_power(hop, n) - np.eye(n))))
-    basis = basis_change(config).matrix
+    basis = basis_change(config)
     diagonalized = basis.conj().T @ hop @ basis
     off = diagonalized - np.diag(np.diag(diagonalized))
     leakage = float(np.max(np.abs(off)))
@@ -461,16 +386,11 @@ def _run_decay(params: dict, seed: int, out: Path) -> dict:
 
 
 def _build_lattice(params: dict):
-    return build_lattice(
-        params["box_length"], params["points"], params["mass"], params["cutoff"]
-    )
+    return build_lattice(*_lattice_args(params))
 
 
 def _initial_packet(params: dict, lattice) -> ComplexField:
-    center = params["center"]
-    if center is None:
-        center = [0.25 * l for l in lattice.box_lengths]
-    return gaussian_packet(lattice, params["k0"], center, params["width"], params["amplitude"])
+    return gaussian_packet(lattice, params["k0"], _center(params), params["width"], params["amplitude"])
 
 
 def _run_front(params: dict, seed: int, out: Path) -> dict:
@@ -495,10 +415,7 @@ def _run_evolve(params: dict, seed: int, out: Path) -> dict:
     if params["method"] == "spectral":
         snapshots = spectral_run(packet, lattice, dt, steps, every).snapshots
     else:
-        snapshots = [packet] + [
-            evolve_convolution(packet, lattice, n * dt, path="literal")
-            for n in _schedule(dt, steps, every)
-        ]
+        snapshots = [packet] + [evolve_convolution(packet, lattice, n * dt) for n in _schedule(dt, steps, every)]
     norms = [float(np.linalg.norm(s.values)) for s in snapshots]
     for i, snap in enumerate(snapshots):
         save_field(snap, lattice, out / f"snapshot_{i:04d}.csv")
@@ -573,14 +490,12 @@ def _pull_summary(est: CorrelatorEstimate) -> dict:
 def _run_vacuum(params: dict, seed: int, out: Path) -> dict:
     lattice = _build_lattice(params)
     spec = EnsembleSpec(lattice=lattice, count=params["samples"], seed=seed)
-    evolve_time = params["evolve_time"]
-    times = (0.0,) if evolve_time is None else (0.0, evolve_time)
-    estimates = ensemble_correlators(spec, times)
+    estimates = ensemble_correlators(spec, _evolve_times(params))
     estimates[0].write_csv(out / "correlator.csv")
     results = {"samples": spec.count, "static": _pull_summary(estimates[0])}
-    if evolve_time is not None:
+    if params["evolve_time"] is not None:
         estimates[1].write_csv(out / "correlator_evolved.csv")
-        results["evolved"] = {"t": evolve_time, **_pull_summary(estimates[1])}
+        results["evolved"] = {"t": params["evolve_time"], **_pull_summary(estimates[1])}
     return results
 
 

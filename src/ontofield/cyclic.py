@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ontofield._rules import integer_at_least, positive_finite, problems, refuse
+
 __all__ = [
-    "BasisChange",
     "CycleConfig",
     "OntState",
     "basis_change",
@@ -25,6 +26,9 @@ __all__ = [
     "evolution_matrix",
     "evolve_step",
 ]
+
+
+_RULES = {"n_states": integer_at_least(1), "delta_t": positive_finite}
 
 
 @dataclass(frozen=True)
@@ -40,10 +44,7 @@ class CycleConfig:
     delta_t: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_states, (int, np.integer)) or self.n_states < 1:
-            raise ValueError(f"n_states must be a positive integer, got {self.n_states!r}")
-        if not self.delta_t > 0.0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
+        refuse(problems(_RULES, n_states=self.n_states, delta_t=self.delta_t))
 
     @property
     def omega(self) -> float:
@@ -63,16 +64,6 @@ class OntState:
     def __post_init__(self) -> None:
         if not isinstance(self.index, (int, np.integer)) or self.index < 0:
             raise ValueError(f"index must be a nonnegative integer, got {self.index!r}")
-
-
-@dataclass(frozen=True)
-class BasisChange:
-    """Unitary matrix mapping the state basis to the energy basis.
-
-    The inverse map is its conjugate transpose.
-    """
-
-    matrix: np.ndarray
 
 
 def evolve_step(state: OntState, config: CycleConfig, steps: int = 1) -> OntState:
@@ -102,13 +93,15 @@ def energy_levels(config: CycleConfig) -> np.ndarray:
     return config.omega * np.arange(config.n_states)
 
 
-def basis_change(config: CycleConfig) -> BasisChange:
+def basis_change(config: CycleConfig) -> np.ndarray:
     """Symmetric DFT matrix diagonalizing the hop operator.
 
-    With ``M[n, x] = exp(2j*pi*n*x/N) / sqrt(N)`` the columns of ``M`` are
-    eigenvectors of the hop matrix ``U`` and the conjugated evolution
-    ``M^dagger U M`` is diagonal with entries ``exp(-1j * E_n * delta_t)``.
+    The matrix is unitary: it maps the state basis to the energy basis, and
+    its conjugate transpose maps back.  With ``M[n, x] = exp(2j*pi*n*x/N) /
+    sqrt(N)`` the columns of ``M`` are eigenvectors of the hop matrix ``U``
+    and the conjugated evolution ``M^dagger U M`` is diagonal with entries
+    ``exp(-1j * E_n * delta_t)``.
     """
     n = config.n_states
     grid = np.outer(np.arange(n), np.arange(n))
-    return BasisChange(matrix=np.exp(2j * np.pi * grid / n) / np.sqrt(n))
+    return np.exp(2j * np.pi * grid / n) / np.sqrt(n)

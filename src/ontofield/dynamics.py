@@ -19,10 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ontofield.kernels import group_velocity
+from ontofield._rules import Problems, finite, integer_at_least, one_of, positive_finite, problems, refuse
+from ontofield.kernels import _velocity_problems, group_velocity
 from ontofield.lattice import (
     ComplexField,
     MomentumLattice,
+    _as_tuple,
     _require,
     _require_finite,
     build_lattice,
@@ -146,22 +148,14 @@ def stability_bound(lattice: MomentumLattice) -> float:
     ``omega_max`` is the top frequency of the discrete operator actually
     integrated, ``sqrt(sum_a 4/dx_a^2 + M^2)``.
     """
-    return _bound_from_spacings(lattice.spacings, lattice.mass)
+    return _bound(lattice.box_lengths, lattice.grid_points, lattice.mass)
 
 
-def _bound_from_spacings(spacings: Sequence[float], mass: float) -> float:
-    """:func:`stability_bound` from the grid spacings and mass alone, no lattice."""
-    top = np.sqrt(sum(4.0 / dx**2 for dx in spacings) + mass**2)
+def _bound(box_lengths, grid_points, mass: float) -> float:
+    """:func:`stability_bound` from the lattice's arguments alone, with its spacings' bits."""
+    spacings = [float(l) / n for l, n in zip(_as_tuple(box_lengths), _as_tuple(grid_points))]
+    top = np.sqrt(sum(4.0 / dx**2 for dx in spacings) + float(mass) ** 2)
     return float(2.0 / top)
-
-
-def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
-    """Steps a run records after step 0: every ``record_every``-th and the last."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if steps < 1 or record_every < 1:
-        raise ValueError("steps and record_every must be positive")
-    return [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
 
 
 def _width_problem(width: float) -> str | None:
@@ -172,6 +166,50 @@ def _width_problem(width: float) -> str | None:
         # The envelope's exponent -d^2 / (4 w^2) would be 0/0 at the center.
         return f"must have a square that does not underflow to 0, got {width!r}"
     return None
+
+
+_RULES = {
+    **dict.fromkeys(("k0", "center", "amplitude", "coupling"), finite),
+    "width": _width_problem,
+    "dt": positive_finite,
+    **dict.fromkeys(("steps", "record_every"), integer_at_least(1)),
+    "field_mode": one_of("real", "complex"),
+}
+
+
+def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
+    """Steps a run records after step 0: every ``record_every``-th and the last."""
+    refuse(problems(_RULES, dt=dt, steps=steps, record_every=record_every))
+    return [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
+
+
+def _dims_problems(dims: int, **vectors) -> Problems:
+    """The ``(argument, message)`` pairs of the ``vectors`` without one entry per lattice dimension."""
+    return [(name, f"must have one entry per lattice dimension, got {value!r} for {dims}")
+            for name, value in vectors.items() if np.size(value) != dims]
+
+
+def _packet_problems(dims: int, k0, center, width: float, amplitude: float) -> Problems:
+    """Every ``(argument, message)`` reason :func:`gaussian_packet` refuses its arguments on a ``dims``-dimensional lattice."""
+    found = problems(_RULES, k0=k0, center=center, width=width, amplitude=amplitude)
+    return found + _dims_problems(dims, k0=k0, center=center)
+
+
+def _leapfrog_problems(box_lengths, grid_points, mass: float, coupling: float, dt: float, field_mode: str) -> Problems:
+    """Every ``(argument, message)`` reason :func:`leapfrog_interact` refuses its parameters; the lattice enters by its arguments."""
+    found = problems(_RULES, coupling=coupling, dt=dt, field_mode=field_mode)
+    if not found:
+        bound = _bound(box_lengths, grid_points, mass)
+        if not dt < bound:
+            found.append(("dt", f"must be below the leapfrog stability bound {bound!r}"))
+    return found
+
+
+def _front_problems(dims: int, k0, mass: float) -> Problems:
+    """Every ``(argument, message)`` reason :func:`wavefront_measure` refuses a run and ``k0``."""
+    if dims != 1:
+        return [("box_lengths", "the front experiment is one-dimensional")]
+    return _dims_problems(1, k0=k0) or [("k0", message) for _, message in _velocity_problems(k0, mass)]
 
 
 def gaussian_packet(
@@ -188,15 +226,9 @@ def gaussian_packet(
     lattice mode, since the envelope suppresses the seam mismatch.  The
     momentum spread is ``1/(2*width)`` per axis.
     """
-    problem = _width_problem(width)
-    if problem is not None:
-        raise ValueError(f"width {problem}")
+    refuse(_packet_problems(lattice.dims, k0, center, width, amplitude))
     k_vec = np.atleast_1d(np.asarray(k0, dtype=float))
     c_vec = np.atleast_1d(np.asarray(center, dtype=float))
-    if k_vec.size != lattice.dims or c_vec.size != lattice.dims:
-        raise ValueError("k0 and center must match the lattice dimension")
-    if not np.all(np.isfinite([*k_vec, *c_vec, amplitude])):
-        raise ValueError("k0, center and amplitude must be finite")
     axes = position_axes(lattice)
     envelope_exponent = np.zeros(lattice.grid_points)
     phase = np.zeros(lattice.grid_points)
@@ -211,27 +243,16 @@ def gaussian_packet(
     return ComplexField(space="position", values=values, time=0.0)
 
 
-def evolve_convolution(
-    b0: ComplexField,
-    lattice: MomentumLattice,
-    t: float,
-    *,
-    path: str = "transform",
-) -> ComplexField:
-    """Free evolution as convolution with the lattice finite-time kernel.
+def evolve_convolution(b0: ComplexField, lattice: MomentumLattice, t: float) -> ComplexField:
+    """Free evolution as a literal convolution with the lattice finite-time kernel.
 
-    The kernel is the mode sum ``(1/V_sites) sum_k exp(1j k.d - 1j omega t)``.
-    ``path="transform"`` evaluates the convolution as transform, phase
-    multiply, inverse transform; ``path="literal"`` builds the kernel and
-    sums the real-space displacements explicitly, which is quadratic in the
-    site count and meant for small grids as the independent check.
+    The kernel is the mode sum ``(1/V_sites) sum_k exp(1j k.d - 1j omega t)``,
+    built once and summed over the real-space displacements explicitly.  The
+    cost is quadratic in the site count: this is the small-grid check on the
+    transform route ``to_position(spectral_evolve(to_momentum(b0)))``.
     """
     _require(b0, lattice, "position")
     _require_finite(b0, "b0")
-    if path == "transform":
-        return to_position(spectral_evolve(to_momentum(b0, lattice), lattice, t), lattice)
-    if path != "literal":
-        raise ValueError(f"unknown path {path!r}; choose 'transform' or 'literal'")
     kernel = np.fft.ifftn(evolution_phase(lattice, t))
     out = np.zeros_like(b0.values)
     for shift in np.ndindex(lattice.grid_points):
@@ -247,8 +268,7 @@ def time_derivative_check(b: ComplexField, lattice: MomentumLattice, dt: float) 
     ``omega``, zero on excluded modes).  The defect per mode is
     ``|omega - sin(omega dt)/dt|``, second order in ``dt``.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    refuse(problems(_RULES, dt=dt))
     _require(b, lattice, "position")
     _require_finite(b, "b")
     modes = to_momentum(b, lattice)
@@ -610,18 +630,12 @@ def leapfrog_interact(
     ``(dt/2) acc`` is formed once per step and serves as that step's closing
     half-kick and the next one's opening half-kick.
     """
-    if field_mode not in ("real", "complex"):
-        raise ValueError(f"field_mode must be 'real' or 'complex', got {field_mode!r}")
     recorded = set(_schedule(dt, steps, record_every))
-    if not np.isfinite(coupling):
-        raise ValueError(f"coupling must be finite, got {coupling!r}")
+    refuse(_leapfrog_problems(lattice.box_lengths, lattice.grid_points, lattice.mass, coupling, dt, field_mode))
     _require(b0, lattice, "position")
     _require(bdot0, lattice, "position")
     _require_finite(b0, "b0")
     _require_finite(bdot0, "bdot0")
-    bound = stability_bound(lattice)
-    if not dt < bound:
-        raise ValueError(f"dt={dt!r} violates the leapfrog stability bound {bound!r}")
 
     if field_mode == "real":
         scale = max(float(np.max(np.abs(b0.values))), float(np.max(np.abs(bdot0.values))), 1e-30)
@@ -704,11 +718,7 @@ def wavefront_measure(run: EvolutionRun, k0: float | Sequence[float]) -> FrontMe
     Tracking quality is the peak-to-mean intensity contrast; a run whose
     contrast falls below 3 is flagged untrackable.
     """
-    if run.lattice.dims != 1:
-        raise ValueError("front tracking supports one-dimensional runs only")
-    k_vec = np.atleast_1d(np.asarray(k0, dtype=float))
-    if k_vec.size != 1:
-        raise ValueError("k0 must match the lattice dimension")
+    refuse(_front_problems(run.lattice.dims, k0, run.lattice.mass))
     if len(run.snapshots) < 2:
         raise ValueError("need at least 2 snapshots to fit a speed")
     length = run.lattice.box_lengths[0]
@@ -738,7 +748,7 @@ def wavefront_measure(run: EvolutionRun, k0: float | Sequence[float]) -> FrontMe
     times = run.times
     pos = np.array(unwrapped)
     speed = float(np.polyfit(times, pos, 1)[0])
-    expected = float(group_velocity(k_vec, run.lattice.mass)[0])
+    expected = float(group_velocity(np.atleast_1d(k0), run.lattice.mass)[0])
     return FrontMeasurement(
         speed=speed,
         expected_speed=expected,

@@ -33,7 +33,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ontofield.lattice import _mass_problem, _write_csv
+from ontofield._rules import Problems, finite, one_of, problems, refuse
+from ontofield.lattice import _RULES as _LATTICE_RULES, _mass_problem, _write_csv
 
 __all__ = [
     "DecayFit",
@@ -189,15 +190,9 @@ def _windowed(spec: KernelSpec, integral: Callable[[_Taper, float, float], tuple
     return value, error + shift
 
 
-def _check_positive(z: float) -> None:
-    if not z > 0.0:
-        raise ValueError(f"z must be positive, got {z!r}")
-
-
 # --- F1 --------------------------------------------------------------------
 
 def _f1_contour(spec: KernelSpec, z: float) -> tuple[float, float]:
-    _check_positive(z)
     mass = spec.mass
 
     # p = M + s/z turns the contour integrand into exp(-s) times a slowly
@@ -222,7 +217,6 @@ def f1_contour(z: float, mass: float) -> float:
 
 
 def _f1_direct(spec: KernelSpec, z: float) -> tuple[float, float]:
-    _check_positive(z)
     mass = spec.mass
 
     # The radial integrand k*omega(k)*sin(kz) grows like k^2; windowing that
@@ -285,8 +279,6 @@ def f1_direct(
 # --- F2 --------------------------------------------------------------------
 
 def _f2_direct(spec: KernelSpec, z: float) -> tuple[complex, float]:
-    if not z >= 0.0:
-        raise ValueError(f"z must be nonnegative, got {z!r}")
     mass, t = spec.mass, spec.t
     # At z = 0 the factor sin(kz)/z degenerates to k: the radial weight
     # becomes k^2 and the sine-weighted rule gives way to plain subdivision.
@@ -337,10 +329,7 @@ def f2_direct(
 
 
 def _f2_contour(spec: KernelSpec, z: float) -> tuple[complex, float]:
-    _check_positive(z)
     mass, t = spec.mass, spec.t
-    if not abs(t) < z:
-        raise ValueError(f"contour route needs the spacelike regime |t| < z, got z={z!r}, t={t!r}")
 
     # Wrapping the radial contour around the branch cut at k = i*M leaves a
     # purely imaginary integral over p = M + s, s >= 0, of
@@ -382,11 +371,25 @@ def f2_contour(z: float, t: float, mass: float) -> complex:
     return _evaluate(KernelSpec("F2", mass, t=t, method="contour"), z)[0]
 
 
+def _radius_problem(kind: str, method: str, t: float, z: float) -> str | None:
+    """Why the kernel cannot be evaluated at radius ``z``, or ``None``: F1 needs ``z > 0``,
+    the F2 contour route the spacelike regime ``z > |t|``, and the windowed F2 route ``z >= 0``."""
+    z = float(z)  # a numpy grid point would show as np.float64(...) in the message
+    if kind == "F1":
+        return None if z > 0.0 else f"must be positive, got {z!r}"
+    if method == "contour":
+        return None if z > abs(t) else f"must exceed |t| = {abs(t)!r}, the contour route's spacelike regime, got {z!r}"
+    return None if z >= 0.0 else f"must be nonnegative, got {z!r}"
+
+
 def _evaluate(spec: KernelSpec, z: float) -> tuple[complex, float]:
     """Value and error estimate of the requested kernel at radius ``z``.
 
     The one place where ``(kind, method)`` selects a route.
     """
+    problem = _radius_problem(spec.kind, spec.method, spec.t, z)
+    if problem is not None:
+        raise ValueError(f"z {problem}")
     if spec.method == "contour":
         return _f1_contour(spec, z) if spec.kind == "F1" else _f2_contour(spec, z)
     if spec.kind == "F1":
@@ -396,6 +399,14 @@ def _evaluate(spec: KernelSpec, z: float) -> tuple[complex, float]:
 
 # --- derived diagnostics ---------------------------------------------------
 
+def _velocity_problems(k, mass: float) -> Problems:
+    """Every ``(argument, message)`` reason :func:`group_velocity` refuses ``k`` and ``mass``."""
+    found = problems(_RULES, k=k, mass=mass)
+    if not found and mass == 0.0 and not np.any(np.asarray(k, dtype=float)):
+        found.append(("k", "group velocity undefined at k=0, M=0"))
+    return found
+
+
 def group_velocity(k, mass: float):
     """Propagation velocity ``k / sqrt(k.k + M^2)`` of a packet centered at k.
 
@@ -403,11 +414,9 @@ def group_velocity(k, mass: float):
     shape.  The magnitude is below 1 for any positive mass and reaches 1
     only in the massless case.
     """
+    refuse(_velocity_problems(k, mass))
     k_arr = np.asarray(k, dtype=float)
-    omega = np.sqrt(np.sum(k_arr**2) + mass**2)
-    if not omega > 0.0:
-        raise ValueError("group velocity undefined at k=0, M=0")
-    return k_arr / omega
+    return k_arr / np.sqrt(np.sum(k_arr**2) + mass**2)
 
 
 class DecayFit(NamedTuple):
@@ -418,7 +427,7 @@ class DecayFit(NamedTuple):
     residual: float
 
 
-def decay_fit(table: "KernelTable", fit_range: tuple[float, float] | None = None) -> DecayFit:
+def decay_fit(table: "KernelTable") -> DecayFit:
     """Least-squares estimate of the exponential decay rate of |F1|.
 
     Fits ``log(|F1| * z**(5/2))`` against ``z``; the slope estimates
@@ -431,10 +440,6 @@ def decay_fit(table: "KernelTable", fit_range: tuple[float, float] | None = None
     """
     z = np.asarray(table.z, dtype=float)
     mag = np.abs(np.asarray(table.values))
-    if fit_range is not None:
-        lo, hi = fit_range
-        mask = (z >= lo) & (z <= hi)
-        z, mag = z[mask], mag[mask]
     if z.size < _MIN_FIT_POINTS:
         raise ValueError(f"decay fit needs at least {_MIN_FIT_POINTS} points, got {z.size}")
     if np.any(mag == 0.0):
@@ -482,8 +487,6 @@ def spacelike_suppression_scan(
         raise ValueError("scan needs at least two abscissae")
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    if not z[0] > t:
-        raise ValueError(f"scan range must sit strictly above t={t!r}, got z_min={z[0]!r}")
     table = kernel_table(KernelSpec("F2", mass, t=t, method="contour"), z)
     magnitudes = np.abs(table.values)
     errors = table.errors
@@ -510,27 +513,32 @@ def spacelike_suppression_scan(
 
 # --- tables ----------------------------------------------------------------
 
+_RULES = {
+    "kind": one_of(*_KINDS),
+    "mass": _mass_problem,
+    "cutoff": _LATTICE_RULES["cutoff"],
+    "t": finite,
+    "k": finite,
+    "method": one_of(*_METHODS),
+    "window": one_of(*WINDOWS),
+    "taper_frac": lambda frac: None if 0.0 < frac <= 1.0 else f"must be in (0, 1], got {frac!r}",
+}
+
+
 def _spec_problems(
     kind: str, mass: float, cutoff: float | None, t: float, method: str, window: str, taper_frac: float
-) -> list[tuple[str, str]]:
+) -> Problems:
     """Every ``(field, message)`` reason the kernel request cannot be evaluated."""
-    problems = []
-    if kind not in _KINDS:
-        problems.append(("kind", f"must be {' or '.join(map(repr, _KINDS))}, got {kind!r}"))
-    elif kind == "F1" and t != 0.0:
-        problems.append(("t", "the static kernel takes no time argument"))
-    mass_problem = _mass_problem(mass)
-    if mass_problem is not None:
-        problems.append(("mass", mass_problem))
-    if method not in _METHODS:
-        problems.append(("method", f"unknown method {method!r}; choose from {_METHODS}"))
-    elif method != "contour" and (cutoff is None or not cutoff > 0.0):
-        problems.append(("cutoff", "the windowed radial route needs a positive finite cutoff"))
-    if window not in WINDOWS:
-        problems.append(("window", f"unknown window {window!r}; choose from {sorted(WINDOWS)}"))
-    if not 0.0 < taper_frac <= 1.0:
-        problems.append(("taper_frac", f"must be in (0, 1], got {taper_frac!r}"))
-    return problems
+    found = problems(
+        _RULES, kind=kind, mass=mass, cutoff=cutoff, t=t, method=method, window=window, taper_frac=taper_frac
+    )
+    if found:
+        return found
+    if kind == "F1" and t != 0.0:
+        found.append(("t", "the static kernel takes no time argument"))
+    if method != "contour" and cutoff is None:
+        found.append(("cutoff", "the windowed radial route needs a positive finite cutoff"))
+    return found
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ontofield._rules import finite, integer_at_least, one_of, positive_finite, problems, refuse
 from ontofield.cyclic import CycleConfig, basis_change, evolution_matrix
 
 __all__ = [
@@ -29,6 +30,16 @@ __all__ = [
     "reconstruct_a",
     "truncate_from_a",
 ]
+
+
+_RULES = {
+    "n_levels": integer_at_least(2),
+    # omega sets the automaton's period 2*pi/omega (_automaton), which must be finite too.
+    "omega": lambda omega: positive_finite(omega)
+    or (None if 2.0 * np.pi / omega < np.inf else f"must leave a finite period 2*pi/omega, got {omega!r}"),
+    "kind": one_of("lowering", "raising"),
+    "t": finite,
+}
 
 
 @dataclass(frozen=True)
@@ -59,10 +70,7 @@ class TimedOperator:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("lowering", "raising"):
-            raise ValueError(f"kind must be 'lowering' or 'raising', got {self.kind!r}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+        refuse(problems(_RULES, omega=self.omega, kind=self.kind))
 
 
 @dataclass(frozen=True)
@@ -88,10 +96,7 @@ def _automaton(n: int, omega: float) -> CycleConfig:
 
 def build_mode(n_levels: int, omega: float) -> ModeOperators:
     """Construct the dense operator set for an ``n_levels`` truncation."""
-    if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
-        raise ValueError(f"n_levels must be an integer >= 2, got {n_levels!r}")
-    if not 0.0 < omega < np.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    refuse(problems(_RULES, n_levels=n_levels, omega=omega))
     n = int(n_levels)
     a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1).astype(complex)
     a_dag = a.conj().T
@@ -105,8 +110,9 @@ def evolve_operator(op: TimedOperator, t: float) -> np.ndarray:
     """Heisenberg evolution: a pure phase, since the spectrum is equidistant.
 
     Lowering operators pick up ``exp(-1j * omega * t)``; raising operators
-    the conjugate phase.
+    the conjugate phase.  A non-finite ``t`` is refused.
     """
+    refuse(problems(_RULES, t=t))
     sign = -1.0 if op.kind == "lowering" else 1.0
     return op.base * np.exp(sign * 1j * op.omega * t)
 
@@ -141,7 +147,7 @@ def b_eigensystem(ops: ModeOperators) -> tuple[np.ndarray, np.ndarray]:
     """
     n = ops.n_levels
     values = np.exp(-2j * np.pi * np.arange(n) / n)
-    return values, basis_change(_automaton(n, ops.omega)).matrix.conj()
+    return values, basis_change(_automaton(n, ops.omega)).conj()
 
 
 def commutator_defect(ops: ModeOperators) -> CommutatorReport:

@@ -19,6 +19,8 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from ontofield._rules import Problems, Rule, is_integer, positive_finite, problems, refuse
+
 __all__ = [
     "ComplexField",
     "MomentumLattice",
@@ -113,6 +115,33 @@ def _mass_problem(mass: float) -> str | None:
     return None
 
 
+def _lengths_problem(box_lengths: float | Sequence[float]) -> str | None:
+    lengths = _as_tuple(box_lengths)
+    return None if all(0.0 < l < np.inf for l in lengths) else f"must be positive and finite, got {lengths}"
+
+
+def _points_problem(grid_points: int | Sequence[int]) -> str | None:
+    points = _as_tuple(grid_points)
+    valid = 1 <= len(points) <= 3 and all(is_integer(n) and n >= 2 and n % 2 == 0 for n in points)
+    return None if valid else f"must be 1 to 3 even integers >= 2, got {points}"
+
+
+_RULES: dict[str, Rule] = {
+    "box_lengths": _lengths_problem,
+    "grid_points": _points_problem,
+    "mass": _mass_problem,
+    "cutoff": lambda cutoff: None if cutoff is None else positive_finite(cutoff),
+}
+
+
+def _lattice_problems(box_lengths, grid_points, mass: float, cutoff: float | None = None) -> Problems:
+    """Every ``(argument, message)`` reason :func:`build_lattice` refuses its arguments; builds no mode grid."""
+    found = problems(_RULES, box_lengths=box_lengths, grid_points=grid_points, mass=mass, cutoff=cutoff)
+    if not found and len(_as_tuple(box_lengths)) != len(_as_tuple(grid_points)):
+        found.append(("grid_points", f"must have one entry per box length, got {_as_tuple(grid_points)}"))
+    return found
+
+
 def build_lattice(
     box_lengths: float | Sequence[float],
     grid_points: int | Sequence[int],
@@ -122,29 +151,13 @@ def build_lattice(
     """Assemble the mode grid for a periodic box.
 
     Scalars are accepted for one-dimensional boxes.  Grid sizes must be even
-    so the mode set is the symmetric window ``m in [-n/2, n/2)`` per axis,
-    with ``k = 2*pi*m / L``.
+    integers so the mode set is the symmetric window ``m in [-n/2, n/2)`` per
+    axis, with ``k = 2*pi*m / L``.
     """
+    refuse(_lattice_problems(box_lengths, grid_points, mass, cutoff))
     lengths = tuple(float(l) for l in _as_tuple(box_lengths))
     points = tuple(int(n) for n in _as_tuple(grid_points))
-    if len(lengths) != len(points):
-        raise ValueError(
-            f"box_lengths and grid_points disagree on dimension: {lengths} vs {points}"
-        )
     dims = len(points)
-    if not 1 <= dims <= 3:
-        raise ValueError(f"dimension must be 1, 2, or 3, got {dims}")
-    for l in lengths:
-        if not 0.0 < l < np.inf:
-            raise ValueError(f"box lengths must be positive and finite, got {lengths}")
-    for n in points:
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"grid sizes must be even and >= 2, got {points}")
-    problem = _mass_problem(mass)
-    if problem is not None:
-        raise ValueError(f"mass {problem}")
-    if cutoff is not None and not 0.0 < cutoff < np.inf:
-        raise ValueError(f"cutoff must be positive and finite, or None, got {cutoff!r}")
 
     k_axes = tuple(
         2.0 * np.pi * np.fft.fftfreq(n, d=l / n) for l, n in zip(lengths, points)

@@ -30,11 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ontofield._rules import Problems, is_integer, problems, refuse
+
 # The block path no longer calls spectral_evolve or to_position, but both stay
 # attributes of this module: bench/spans.py wraps them here by name.
 from ontofield.lattice import (  # noqa: F401
     ComplexField,
     MomentumLattice,
+    _as_tuple,
     _write_csv,
     evolution_phase,
     spectral_evolve,
@@ -52,6 +55,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _MIN_SAMPLES = 100
+_RULES = {
+    "count": lambda count: None if is_integer(count) and count >= _MIN_SAMPLES
+    else f"must be >= {_MIN_SAMPLES} samples for a correlator estimate, got {count!r}",
+}
 # Samples per block.  Each block adds its BLAS products to the sums, so the
 # block edges set them: changing this moves the correlator's last bits.
 _BATCH_ROWS = 256
@@ -186,21 +193,22 @@ def _correlator_bytes(n_sites: int, estimates: int) -> int:
     return _PAIR_BYTES * estimates * n_sites**2 + _BLOCK_SITE_BYTES * _BATCH_ROWS * n_sites
 
 
-def _correlator_memory_problem(grid_points: tuple[int, ...], estimates: int) -> str | None:
-    """Why ``estimates`` dense correlators on ``grid_points`` cannot fit, or ``None``.
+def _memory_problems(grid_points, estimates: int) -> Problems:
+    """Why ``estimates`` dense correlators on ``grid_points`` cannot fit, as ``(argument, message)`` pairs.
 
     The estimate (:func:`_correlator_bytes`) is compared with the machine's
     physical memory, which a run cannot exceed whatever else is running.
+    Reads the grid's sizes alone: no lattice is built.
     """
-    n_sites = math.prod(grid_points)
+    n_sites = math.prod(_as_tuple(grid_points))
     needed = _correlator_bytes(n_sites, estimates)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed <= physical:
-        return None
-    return (
+        return []
+    return [("grid_points", (
         f"the dense correlator of {n_sites} sites, {estimates} at once, needs about "
         f"{needed} bytes, more than the {physical} bytes of physical memory"
-    )
+    ))]
 
 
 def _strips(n_sites: int):
@@ -274,13 +282,10 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     raise :class:`CorrelatorMemoryError` before anything is allocated.
     """
     n_samples = spec.count
-    if n_samples < _MIN_SAMPLES:
-        raise ValueError(f"correlator estimation needs >= {_MIN_SAMPLES} samples, got {n_samples}")
+    refuse(problems(_RULES, count=n_samples))
     if len(evolve_times) == 0:
         raise ValueError("evolve_times must hold at least one time")
-    problem = _correlator_memory_problem(spec.lattice.grid_points, len(evolve_times))
-    if problem is not None:
-        raise CorrelatorMemoryError(problem)
+    refuse(_memory_problems(spec.lattice.grid_points, len(evolve_times)), CorrelatorMemoryError)
     n_sites = math.prod(spec.lattice.grid_points)
     phases = [evolution_phase(spec.lattice, t) if t != 0.0 else None for t in evolve_times]
     sums = [(np.zeros((n_sites, n_sites), dtype=complex), np.zeros((n_sites, n_sites))) for _ in phases]

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +18,12 @@ import ontofield
 import ontofield.cli as cli
 import ontofield.vacuum as vacuum
 from ontofield.cli import main, validate_config
-from ontofield.dynamics import stability_bound
-from ontofield.kernels import f1_contour
+from ontofield.cyclic import CycleConfig
+from ontofield.dynamics import gaussian_packet, leapfrog_interact, spectral_run, stability_bound, wavefront_measure
+from ontofield.kernels import KernelSpec, f1_contour, kernel_table
+from ontofield.ladder import build_mode
 from ontofield.lattice import build_lattice, load_field
-from ontofield.vacuum import CorrelatorEstimate
+from ontofield.vacuum import CorrelatorEstimate, EnsembleSpec, ensemble_correlators
 
 SPECTRUM = {"experiment": "spectrum", "n_states": 6, "delta_t": 0.5}
 
@@ -224,6 +227,79 @@ def test_validate_catches_geometry_dimension_mismatch():
     violations = validate_config(config)
     assert any("points" in v for v in violations)
     assert any("k0" in v for v in violations)
+
+
+def _packet_on(lattice, k0=1.0, center=4.0, width=2.0):
+    return gaussian_packet(lattice, k0, center, width)
+
+
+def _front_run(box_length, points, k0, mass):
+    lattice = build_lattice(box_length, points, mass)
+    return spectral_run(_packet_on(lattice, k0, [2.0] * len(lattice.grid_points)), lattice, 0.5, 2)
+
+
+_LATTICE_16 = (16.0, 16, 1.0)
+_BOUND_16 = stability_bound(build_lattice(*_LATTICE_16))
+_KERNEL = {"kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "radial_reduced", "window": "septic", "taper_frac": 0.5}
+
+
+# One value just outside each library rule: the experiment, its edits, the
+# config key validate must name, and a library call on the same values.
+@pytest.mark.parametrize(
+    "experiment, edits, key, call",
+    [
+        ("vacuum", {"box_length": -1.0}, "box_length", lambda: build_lattice(-1.0, 4, 1.0)),
+        ("vacuum", {"points": 5}, "points", lambda: build_lattice(1.0, 5, 1.0)),
+        ("vacuum", {"mass": -0.5}, "mass", lambda: build_lattice(1.0, 4, -0.5)),
+        ("vacuum", {"mass": 2e154}, "mass", lambda: build_lattice(1.0, 4, 2e154)),
+        ("vacuum", {"cutoff": 0.0}, "cutoff", lambda: build_lattice(1.0, 4, 1.0, 0.0)),
+        ("vacuum", {"box_length": [1.0, 1.0]}, "points", lambda: build_lattice([1.0, 1.0], 4, 1.0)),
+        ("vacuum", {"samples": 99}, "samples", lambda: ensemble_correlators(
+            EnsembleSpec(build_lattice(1.0, 4, 1.0), 99, 0), (0.0,))),
+        ("vacuum", VACUUM_TOO_LARGE, "points", lambda: ensemble_correlators(
+            EnsembleSpec(build_lattice([8.0] * 3, [64] * 3, 1.0), 100, 0), (0.0,))),
+        ("evolve", {"width": 0.0}, "width", lambda: _packet_on(build_lattice(*_LATTICE_16), width=0.0)),
+        ("evolve", {"width": 1e-300}, "width", lambda: _packet_on(build_lattice(*_LATTICE_16), width=1e-300)),
+        ("evolve", {"k0": [1.0, 0.0]}, "k0", lambda: _packet_on(build_lattice(*_LATTICE_16), k0=[1.0, 0.0])),
+        ("evolve", {"dt": 0.0}, "dt", lambda: spectral_run(_packet_on(build_lattice(*_LATTICE_16)),
+                                                           build_lattice(*_LATTICE_16), 0.0, 2)),
+        ("evolve", {"steps": 0}, "steps", lambda: spectral_run(_packet_on(build_lattice(*_LATTICE_16)),
+                                                               build_lattice(*_LATTICE_16), 0.5, 0)),
+        ("evolve", {"record_every": 0}, "record_every", lambda: spectral_run(
+            _packet_on(build_lattice(*_LATTICE_16)), build_lattice(*_LATTICE_16), 0.5, 2, 0)),
+        ("interact", {"dt": _BOUND_16}, "dt", lambda: leapfrog_interact(
+            _packet_on(build_lattice(*_LATTICE_16)), _packet_on(build_lattice(*_LATTICE_16)),
+            build_lattice(*_LATTICE_16), 0.1, _BOUND_16, 20)),
+        ("interact", {"field_mode": "imaginary"}, "field_mode", lambda: leapfrog_interact(
+            _packet_on(build_lattice(*_LATTICE_16)), _packet_on(build_lattice(*_LATTICE_16)),
+            build_lattice(*_LATTICE_16), 0.1, 0.2, 20, field_mode="imaginary")),
+        ("front", {"box_length": [64.0, 64.0], "points": [128, 128], "k0": [1.0, 0.0], "center": [16.0, 16.0]},
+         "box_length", lambda: wavefront_measure(_front_run([8.0, 8.0], [8, 8], [1.0, 0.0], 1.0), [1.0, 0.0])),
+        ("front", {"mass": 0.0, "k0": 0.0}, "k0", lambda: wavefront_measure(_front_run(8.0, 16, 0.0, 0.0), 0.0)),
+        ("identities", {"n_levels": 1}, "n_levels", lambda: build_mode(1, 2.0)),
+        ("identities", {"omega": 0.0}, "omega", lambda: build_mode(4, 0.0)),
+        ("spectrum", {"n_states": 0}, "n_states", lambda: CycleConfig(0, 0.5)),
+        ("spectrum", {"delta_t": 0.0}, "delta_t", lambda: CycleConfig(4, 0.0)),
+        ("kernel", {"kind": "F3"}, "kind", lambda: KernelSpec(**{**_KERNEL, "kind": "F3"})),
+        ("kernel", {"method": "brute_force"}, "method", lambda: KernelSpec(**{**_KERNEL, "method": "brute_force"})),
+        ("kernel", {"window": "hann"}, "window", lambda: KernelSpec(**{**_KERNEL, "window": "hann"})),
+        ("kernel", {"taper_frac": 1.5}, "taper_frac", lambda: KernelSpec(**{**_KERNEL, "taper_frac": 1.5})),
+        ("kernel", {"t": 0.5}, "t", lambda: KernelSpec(**_KERNEL, t=0.5)),
+        ("kernel", {"cutoff": None}, "cutoff", lambda: KernelSpec(**{**_KERNEL, "cutoff": None})),
+        ("kernel", {"kind": "F2", "method": "contour", "t": 0.5}, "z_start", lambda: kernel_table(
+            KernelSpec(**{**_KERNEL, "kind": "F2", "method": "contour"}, t=0.5), [0.5, 5.0])),
+        ("decay", {"mass": -0.5}, "mass", lambda: KernelSpec("F1", -0.5, method="contour")),
+    ],
+)
+def test_validate_names_the_key_with_the_library_message(experiment, edits, key, call):
+    # One source: validate reports the library's own message, and the library
+    # entry point refuses the same values with it.
+    config = {"experiment": experiment, **_SMALL_CONFIGS[experiment], **edits}
+    prefix = f"key {key!r}: "
+    violations = validate_config(config)
+    assert len(violations) == 1 and violations[0].startswith(prefix), violations
+    with pytest.raises(ValueError, match=re.escape(violations[0].removeprefix(prefix))):
+        call()
 
 
 def test_missing_config_file_is_an_io_failure(tmp_path):
@@ -448,7 +524,7 @@ def test_unstable_interaction_exits_with_the_numerical_code(tmp_path, capsys):
 def test_correlator_too_large_for_memory_exits_with_the_numerical_code(tmp_path, capsys, monkeypatch):
     # With the validate check bypassed, the library's own guard still stops
     # the run before it allocates, through the numerical-failure handler.
-    monkeypatch.setitem(cli._EXTRA_CHECKS, "vacuum", cli._check_lattice)
+    monkeypatch.setitem(cli._PREDICATES, "vacuum", lambda params: [])
     code, out = run_cli(tmp_path, VACUUM_TOO_LARGE)
     assert code == 3
     record = json.loads(capsys.readouterr().err)

@@ -21,7 +21,13 @@ def test_config_derived_quantities():
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(n_states=0, delta_t=1.0), dict(n_states=4, delta_t=-1.0), dict(n_states=4, delta_t=0.0)],
+    [
+        dict(n_states=0, delta_t=1.0),
+        dict(n_states=4, delta_t=-1.0),
+        dict(n_states=4, delta_t=0.0),
+        # A zero omega, and an energy ladder of zeros.
+        dict(n_states=4, delta_t=float("inf")),
+    ],
 )
 def test_config_rejects_bad_parameters(bad):
     with pytest.raises(ValueError):
@@ -80,14 +86,14 @@ def test_energy_levels_are_integer_multiples_of_omega():
 
 def test_basis_change_is_unitary():
     config = CycleConfig(n_states=8, delta_t=1.0)
-    m = basis_change(config).matrix
+    m = basis_change(config)
     assert np.max(np.abs(m @ m.conj().T - np.eye(8))) < 1e-14
 
 
 def test_basis_columns_are_evolution_eigenvectors():
     config = CycleConfig(n_states=5, delta_t=0.7)
     hop = evolution_matrix(config)
-    m = basis_change(config).matrix
+    m = basis_change(config)
     phases = np.exp(-1j * energy_levels(config) * config.delta_t)
     assert np.max(np.abs(hop @ m - m * phases)) < 1e-14
 
@@ -95,7 +101,7 @@ def test_basis_columns_are_evolution_eigenvectors():
 def test_diagonalization_gives_the_energy_phases():
     config = CycleConfig(n_states=12, delta_t=0.4)
     hop = evolution_matrix(config)
-    m = basis_change(config).matrix
+    m = basis_change(config)
     diag = m.conj().T @ hop @ m
     off = diag - np.diag(np.diag(diag))
     assert np.max(np.abs(off)) < 1e-13
@@ -105,6 +111,6 @@ def test_diagonalization_gives_the_energy_phases():
 
 def test_four_state_eigenphases_are_the_fourth_roots_of_unity():
     config = CycleConfig(n_states=4, delta_t=1.0)
-    m = basis_change(config).matrix
+    m = basis_change(config)
     diag = np.diag(m.conj().T @ evolution_matrix(config) @ m)
     assert np.allclose(diag, [1.0, -1.0j, -1.0, 1.0j], atol=1e-14)

@@ -36,6 +36,7 @@ from ontofield.lattice import (
     save_field,
     spectral_evolve,
     to_momentum,
+    to_position,
 )
 
 
@@ -127,11 +128,16 @@ def test_spectral_run_preserves_the_norm():
     )
 
 
+def transform_route(field, lat, t):
+    """Free evolution as transform, phase multiply and inverse transform."""
+    return to_position(spectral_evolve(to_momentum(field, lat), lat, t), lat)
+
+
 def test_convolution_transform_path_matches_spectral_evolution():
     lat = build_lattice(16.0, 32, 1.0)
     packet = gaussian_packet(lat, 1.0, 4.0, 2.0)
     run = spectral_run(packet, lat, 0.7, 1)
-    conv = evolve_convolution(packet, lat, 0.7)
+    conv = transform_route(packet, lat, 0.7)
     assert np.max(np.abs(conv.values - run.final.values)) < 1e-13
 
 
@@ -139,24 +145,17 @@ def test_literal_convolution_matches_the_transform_path():
     # Same kernel applied as an explicit sum over lattice shifts.
     lat = build_lattice(16.0, 32, 1.0)
     packet = gaussian_packet(lat, 1.0, 4.0, 2.0)
-    fast = evolve_convolution(packet, lat, 0.9, path="transform")
-    slow = evolve_convolution(packet, lat, 0.9, path="literal")
+    fast = transform_route(packet, lat, 0.9)
+    slow = evolve_convolution(packet, lat, 0.9)
     assert np.max(np.abs(fast.values - slow.values)) < 1e-12
 
 
 def test_literal_convolution_matches_in_two_dimensions():
     lat = build_lattice([8.0, 8.0], [8, 8], 1.0)
     packet = gaussian_packet(lat, [1.0, 0.0], [2.0, 4.0], 1.5)
-    fast = evolve_convolution(packet, lat, 0.5, path="transform")
-    slow = evolve_convolution(packet, lat, 0.5, path="literal")
+    fast = transform_route(packet, lat, 0.5)
+    slow = evolve_convolution(packet, lat, 0.5)
     assert np.max(np.abs(fast.values - slow.values)) < 1e-12
-
-
-def test_convolution_is_free_theory_only():
-    lat = build_lattice(16.0, 32, 1.0)
-    packet = gaussian_packet(lat, 1.0, 4.0, 2.0)
-    with pytest.raises(ValueError):
-        evolve_convolution(packet, lat, 1.0, path="magic")
 
 
 def test_run_rejects_non_increasing_snapshot_times():
@@ -224,7 +223,7 @@ NON_FINITE_INPUTS = {
     "spectral_run": lambda lat: spectral_run(flawed_field(lat, np.nan), lat, 0.1, 2),
     "evolve_convolution": lambda lat: evolve_convolution(flawed_field(lat, np.inf), lat, 0.1),
     "evolve_convolution_literal": lambda lat: evolve_convolution(
-        flawed_field(lat, complex(0.0, np.nan)), lat, 0.1, path="literal"
+        flawed_field(lat, complex(0.0, np.nan)), lat, 0.1
     ),
     "time_derivative_check": lambda lat: time_derivative_check(flawed_field(lat, np.nan), lat, 0.1),
     "spectral_evolve": lambda lat: spectral_evolve(

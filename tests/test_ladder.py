@@ -129,6 +129,11 @@ def test_timed_operator_validation():
     ops = build_mode(4, 1.0)
     with pytest.raises(ValueError):
         TimedOperator(ops.b, 1.0, "weird")
+    with pytest.raises(ValueError, match="^omega must be positive and finite"):
+        TimedOperator(ops.b, float("inf"), "lowering")
+    # A NaN time would make every entry NaN.
+    with pytest.raises(ValueError, match="^t must be finite"):
+        evolve_operator(TimedOperator(ops.b, 1.0, "lowering"), float("nan"))
 
 
 def test_evolved_operator_carries_the_mode_phase():

@@ -31,6 +31,9 @@ from ontofield.lattice import (
         ([1.0, 1.0, 1.0, 1.0], [4, 4, 4, 4]),
         ([1.0, 2.0], 8),
         (-3.0, 8),
+        # int() would truncate to 34 points, or raise OverflowError.
+        (1.0, 34.5),
+        (1.0, float("inf")),
     ],
 )
 def test_build_rejects_bad_geometry(lengths, points):
