@@ -7,7 +7,7 @@ return ``(argument, message)`` pairs, which its entry points raise through
 
 from __future__ import annotations
 
-import cmath
+import math
 from typing import Callable
 
 import numpy as np
@@ -15,18 +15,41 @@ import numpy as np
 Rule = Callable[[object], "str | None"]
 Problems = list[tuple[str, str]]
 
+_REALS = (int, float, np.integer, np.floating)
+
+
+def as_tuple(value: object) -> tuple:
+    """A scalar-or-list argument's entries: a 0-d value (a number, numpy scalar or 0-d array) is one entry."""
+    if isinstance(value, (int, float)):  # 0-d, told apart without np.ndim's conversion
+        return (value,)
+    return tuple(value) if isinstance(value, (list, tuple)) or np.ndim(value) else (value,)
+
 
 def is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value: object) -> bool:
+    """Whether ``value`` is a real number, not a bool, finite as a double; numpy scalars and 0-d arrays count."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    try:
+        return isinstance(value, _REALS) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        return False
+
+
 def positive_finite(value) -> str | None:
-    return None if 0.0 < value < np.inf else f"must be positive and finite, got {value!r}"
+    return None if is_real(value) and value > 0.0 else f"must be positive and finite, got {value!r}"
+
+
+def nonnegative_finite(value) -> str | None:
+    return None if is_real(value) and value >= 0.0 else f"must be nonnegative and finite, got {value!r}"
 
 
 def finite(value) -> str | None:
-    entries = (value,) if np.isscalar(value) else np.ravel(value)  # cmath, as numpy is slow on a few numbers
-    return None if all(map(cmath.isfinite, entries)) else f"must be finite, got {value!r}"
+    """A finite real number, or a list or 1-D array of them."""
+    return None if all(map(is_real, as_tuple(value))) else f"must be finite, got {value!r}"
 
 
 def integer_at_least(lo: int) -> Rule:

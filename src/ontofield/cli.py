@@ -38,7 +38,7 @@ import numpy as np
 
 import ontofield
 from ontofield import __version__
-from ontofield._rules import Problems, Rule, integer_at_least, is_integer, one_of, positive_finite
+from ontofield._rules import Problems, Rule, as_tuple, integer_at_least, is_integer, is_real, one_of, positive_finite
 from ontofield.cyclic import CycleConfig, basis_change, energy_levels, evolution_matrix
 from ontofield.dynamics import (
     FrontTrackingError,
@@ -92,36 +92,22 @@ _ENV_OUTPUT_DIR = "ONTOFIELD_OUTPUT_DIR"
 # takes.  The values the library accepts are the library's to say (_RULES,
 # _PREDICATES).
 
-def _real(v: object) -> str | None:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        try:
-            if math.isfinite(v):
-                return None
-        except OverflowError:  # a JSON integer too large for a double
-            pass
-    return "expected a finite real number"
+def _expect(test: Callable[[object], bool], what: str) -> Rule:
+    return lambda v: None if test(v) else f"expected {what}"
 
 
-def _integer(v: object) -> str | None:
-    return None if is_integer(v) else "expected an integer"
-
-
-def _string(v: object) -> str | None:
-    return None if isinstance(v, str) else "expected a string"
+_real = _expect(is_real, "a finite real number")
+_integer = _expect(is_integer, "an integer")
+_string = _expect(lambda v: isinstance(v, str), "a string")
 
 
 def _nullable(inner: Rule) -> Rule:
     return lambda v: None if v is None else inner(v)
 
 
-def _axes(value: object) -> list:
-    """A geometry key's entries, one per axis (a scalar is one axis)."""
-    return value if isinstance(value, list) else [value]
-
-
 def _geometry(check_entry: Rule) -> Rule:
     def check(v: object) -> str | None:
-        entries = _axes(v)
+        entries = as_tuple(v)
         if not 1 <= len(entries) <= 3:
             return "expected a scalar or a list of 1 to 3 entries"
         return next(filter(None, map(check_entry, entries)), None)  # the first entry's error
@@ -173,12 +159,15 @@ def _keyed(*tables: dict[str, Rule]) -> dict[str, Rule]:
     return {_CONFIG_KEY.get(arg, arg): rule for table in tables for arg, rule in table.items()}
 
 
-# The CLI's own rules: a z grid above 0, a positive amplitude, the counts and the evolve method.
+# The CLI's own rules: a z grid above 0, a positive amplitude, the counts,
+# the span 4*pi/omega the identities time pairs are drawn below, and the evolve method.
 _Z_GRID = {"z_start": positive_finite, "z_stop": positive_finite}
 _PACKET_RULES = _keyed(ontofield.lattice._RULES, ontofield.dynamics._RULES, {"amplitude": positive_finite})
+_SPAN = {"omega": lambda omega: ontofield.ladder._RULES["omega"](omega)
+         or (None if is_real(4.0 * np.pi / omega) else f"must leave a finite time-pair span 4*pi/omega, got {omega!r}")}
 
 _RULES: dict[str, dict[str, Rule]] = {
-    "identities": _keyed(ontofield.ladder._RULES, {"time_pairs": integer_at_least(1)}),
+    "identities": _keyed(ontofield.ladder._RULES, _SPAN, {"time_pairs": integer_at_least(1)}),
     "spectrum": _keyed(ontofield.cyclic._RULES),
     "kernel": _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(1)}),
     "decay": _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(_MIN_FIT_POINTS)}),
@@ -196,7 +185,7 @@ def _lattice_args(params: dict) -> tuple:
 def _center(params: dict):
     """The packet's center: the config's, or a quarter of each box length."""
     if params["center"] is None:
-        return [0.25 * l for l in _axes(params["box_length"])]
+        return [0.25 * l for l in as_tuple(params["box_length"])]
     return params["center"]
 
 
@@ -221,7 +210,7 @@ def _check_kernel(params: dict) -> Problems:
 
 def _setup_problems(params: dict) -> Problems:
     """The library's objections to a packet run's lattice and initial packet."""
-    dims = len(_axes(params["box_length"]))
+    dims = len(as_tuple(params["box_length"]))
     packet = _packet_problems(dims, params["k0"], _center(params), params["width"], params["amplitude"])
     return _lattice_problems(*_lattice_args(params)) + packet
 
@@ -232,7 +221,7 @@ def _setup_problems(params: dict) -> Problems:
 _PREDICATES: dict[str, Callable[[dict], Problems]] = {
     "kernel": _check_kernel,
     "decay": _check_kernel,
-    "front": lambda p: _setup_problems(p) or _front_problems(len(_axes(p["points"])), p["k0"], p["mass"]),
+    "front": lambda p: _setup_problems(p) or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"]),
     "evolve": _setup_problems,
     "interact": lambda p: _setup_problems(p)
     or _leapfrog_problems(p["box_length"], p["points"], p["mass"], p["lambda"], p["dt"], p["field_mode"]),

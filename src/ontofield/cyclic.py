@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-_RULES = {"n_states": integer_at_least(1), "delta_t": positive_finite}
+_RULES = {"n_states": integer_at_least(1), "delta_t": positive_finite, "index": integer_at_least(0)}
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class OntState:
     index: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, (int, np.integer)) or self.index < 0:
-            raise ValueError(f"index must be a nonnegative integer, got {self.index!r}")
+        refuse(problems(_RULES, index=self.index))
 
 
 def evolve_step(state: OntState, config: CycleConfig, steps: int = 1) -> OntState:

@@ -19,12 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ontofield._rules import Problems, finite, integer_at_least, one_of, positive_finite, problems, refuse
+from ontofield._rules import Problems, as_tuple, finite, integer_at_least, one_of, positive_finite, problems, refuse
 from ontofield.kernels import _velocity_problems, group_velocity
 from ontofield.lattice import (
     ComplexField,
     MomentumLattice,
-    _as_tuple,
     _require,
     _require_finite,
     build_lattice,
@@ -148,32 +147,24 @@ def stability_bound(lattice: MomentumLattice) -> float:
     ``omega_max`` is the top frequency of the discrete operator actually
     integrated, ``sqrt(sum_a 4/dx_a^2 + M^2)``.
     """
-    return _bound(lattice.box_lengths, lattice.grid_points, lattice.mass)
+    return _bound(lattice.spacings, lattice.mass)
 
 
-def _bound(box_lengths, grid_points, mass: float) -> float:
-    """:func:`stability_bound` from the lattice's arguments alone, with its spacings' bits."""
-    spacings = [float(l) / n for l, n in zip(_as_tuple(box_lengths), _as_tuple(grid_points))]
+def _bound(spacings, mass: float) -> float:
+    """:func:`stability_bound` from the lattice's spacings and mass."""
     top = np.sqrt(sum(4.0 / dx**2 for dx in spacings) + float(mass) ** 2)
     return float(2.0 / top)
 
 
-def _width_problem(width: float) -> str | None:
-    """Why a packet of this ``width`` cannot be finite, or ``None``."""
-    if not 0.0 < width < np.inf:
-        return f"must be positive and finite, got {width!r}"
-    if not float(width) * float(width) > 0.0:
-        # The envelope's exponent -d^2 / (4 w^2) would be 0/0 at the center.
-        return f"must have a square that does not underflow to 0, got {width!r}"
-    return None
-
-
 _RULES = {
     **dict.fromkeys(("k0", "center", "amplitude", "coupling"), finite),
-    "width": _width_problem,
+    # The envelope's exponent -d^2 / (4 w^2) would be 0/0 at the center of a width whose square is 0.
+    "width": lambda width: positive_finite(width)
+    or (None if float(width) * float(width) > 0.0 else f"must have a square that does not underflow to 0, got {width!r}"),
     "dt": positive_finite,
     **dict.fromkeys(("steps", "record_every"), integer_at_least(1)),
     "field_mode": one_of("real", "complex"),
+    "levels": integer_at_least(2),
 }
 
 
@@ -186,7 +177,7 @@ def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
 def _dims_problems(dims: int, **vectors) -> Problems:
     """The ``(argument, message)`` pairs of the ``vectors`` without one entry per lattice dimension."""
     return [(name, f"must have one entry per lattice dimension, got {value!r} for {dims}")
-            for name, value in vectors.items() if np.size(value) != dims]
+            for name, value in vectors.items() if len(as_tuple(value)) != dims]
 
 
 def _packet_problems(dims: int, k0, center, width: float, amplitude: float) -> Problems:
@@ -198,8 +189,12 @@ def _packet_problems(dims: int, k0, center, width: float, amplitude: float) -> P
 def _leapfrog_problems(box_lengths, grid_points, mass: float, coupling: float, dt: float, field_mode: str) -> Problems:
     """Every ``(argument, message)`` reason :func:`leapfrog_interact` refuses its parameters; the lattice enters by its arguments."""
     found = problems(_RULES, coupling=coupling, dt=dt, field_mode=field_mode)
+    # The lattice's spacings, with their bits; 4 / dx**2 needs a positive finite square.
+    spacings = [float(l) / n for l, n in zip(as_tuple(box_lengths), as_tuple(grid_points))]
+    if any(positive_finite(dx * dx) for dx in spacings):
+        found.append(("box_lengths", f"must give spacings with positive finite squares, got spacings {spacings}"))
     if not found:
-        bound = _bound(box_lengths, grid_points, mass)
+        bound = _bound(spacings, mass)
         if not dt < bound:
             found.append(("dt", f"must be below the leapfrog stability bound {bound!r}"))
     return found
@@ -572,8 +567,7 @@ def refinement_study(
     Returns the finest level's report with coarse/fine max-residual ratios
     attached; second-order convergence gives ratios near 4.
     """
-    if levels < 2:
-        raise ValueError("refinement study needs at least 2 levels")
+    refuse(problems(_RULES, levels=levels))
     maxima: list[float] = []
     report: ResidualReport | None = None
     for level in range(levels):
@@ -738,7 +732,7 @@ def wavefront_measure(run: EvolutionRun, k0: float | Sequence[float]) -> FrontMe
         offset = 0.5 * (left - right) / denom
         positions.append((j + offset) * dx)
         mean = float(np.mean(intensity))
-        if mean <= 0.0:
+        if mean <= 0.0:  # a peak of subnormal intensity, whose mean underflows to 0
             raise FrontTrackingError("intensity vanished")
         min_contrast = min(min_contrast, here / mean)
     unwrapped = [positions[0]]

@@ -33,8 +33,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ontofield._rules import Problems, finite, one_of, problems, refuse
-from ontofield.lattice import _RULES as _LATTICE_RULES, _mass_problem, _write_csv
+from ontofield._rules import Problems, finite, is_real, nonnegative_finite, one_of, problems, refuse
+from ontofield.lattice import _RULES as _LATTICE_RULES, _write_csv
 
 __all__ = [
     "DecayFit",
@@ -387,9 +387,8 @@ def _evaluate(spec: KernelSpec, z: float) -> tuple[complex, float]:
 
     The one place where ``(kind, method)`` selects a route.
     """
-    problem = _radius_problem(spec.kind, spec.method, spec.t, z)
-    if problem is not None:
-        raise ValueError(f"z {problem}")
+    radius = _radius_problem(spec.kind, spec.method, spec.t, z)
+    refuse([("z", radius)] if radius else [])
     if spec.method == "contour":
         return _f1_contour(spec, z) if spec.kind == "F1" else _f2_contour(spec, z)
     if spec.kind == "F1":
@@ -485,8 +484,7 @@ def spacelike_suppression_scan(
     z = np.asarray(sorted(float(v) for v in z_values), dtype=float)
     if z.size < 2:
         raise ValueError("scan needs at least two abscissae")
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
+    refuse(problems(_SCAN_RULES, t=t))
     table = kernel_table(KernelSpec("F2", mass, t=t, method="contour"), z)
     magnitudes = np.abs(table.values)
     errors = table.errors
@@ -515,14 +513,15 @@ def spacelike_suppression_scan(
 
 _RULES = {
     "kind": one_of(*_KINDS),
-    "mass": _mass_problem,
+    "mass": _LATTICE_RULES["mass"],
     "cutoff": _LATTICE_RULES["cutoff"],
     "t": finite,
     "k": finite,
     "method": one_of(*_METHODS),
     "window": one_of(*WINDOWS),
-    "taper_frac": lambda frac: None if 0.0 < frac <= 1.0 else f"must be in (0, 1], got {frac!r}",
+    "taper_frac": lambda frac: None if is_real(frac) and 0.0 < frac <= 1.0 else f"must be in (0, 1], got {frac!r}",
 }
+_SCAN_RULES = {"t": nonnegative_finite}  # the suppression scan's t; a kernel's may be negative
 
 
 def _spec_problems(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ontofield._rules import finite, integer_at_least, one_of, positive_finite, problems, refuse
+from ontofield._rules import finite, integer_at_least, is_real, one_of, positive_finite, problems, refuse
 from ontofield.cyclic import CycleConfig, basis_change, evolution_matrix
 
 __all__ = [
@@ -36,7 +36,7 @@ _RULES = {
     "n_levels": integer_at_least(2),
     # omega sets the automaton's period 2*pi/omega (_automaton), which must be finite too.
     "omega": lambda omega: positive_finite(omega)
-    or (None if 2.0 * np.pi / omega < np.inf else f"must leave a finite period 2*pi/omega, got {omega!r}"),
+    or (None if is_real(2.0 * np.pi / omega) else f"must leave a finite period 2*pi/omega, got {omega!r}"),
     "kind": one_of("lowering", "raising"),
     "t": finite,
 }

@@ -19,7 +19,9 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from ontofield._rules import Problems, Rule, is_integer, positive_finite, problems, refuse
+from ontofield._rules import (
+    Problems, as_tuple, finite, is_integer, is_real, nonnegative_finite, one_of, positive_finite, problems, refuse,
+)
 
 __all__ = [
     "ComplexField",
@@ -98,47 +100,37 @@ class ComplexField:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.space not in ("position", "momentum"):
-            raise ValueError(f"space must be 'position' or 'momentum', got {self.space!r}")
-
-
-def _as_tuple(value: float | int | Sequence) -> tuple:
-    return (value,) if np.isscalar(value) else tuple(value)
-
-
-def _mass_problem(mass: float) -> str | None:
-    """Why ``mass`` cannot set the lattice's dispersion, or ``None``."""
-    if not 0.0 <= mass < np.inf:
-        return f"must be nonnegative and finite, got {mass!r}"
-    if not float(mass) * float(mass) < np.inf:
-        return f"must have a square that does not overflow, got {mass!r}"
-    return None
+        refuse(problems(_RULES, space=self.space))
 
 
 def _lengths_problem(box_lengths: float | Sequence[float]) -> str | None:
-    lengths = _as_tuple(box_lengths)
-    return None if all(0.0 < l < np.inf for l in lengths) else f"must be positive and finite, got {lengths}"
+    lengths = as_tuple(box_lengths)
+    return f"must be positive and finite, got {lengths}" if any(map(positive_finite, lengths)) else None
 
 
 def _points_problem(grid_points: int | Sequence[int]) -> str | None:
-    points = _as_tuple(grid_points)
+    points = as_tuple(grid_points)
     valid = 1 <= len(points) <= 3 and all(is_integer(n) and n >= 2 and n % 2 == 0 for n in points)
     return None if valid else f"must be 1 to 3 even integers >= 2, got {points}"
 
 
-_RULES: dict[str, Rule] = {
+_RULES = {
     "box_lengths": _lengths_problem,
     "grid_points": _points_problem,
-    "mass": _mass_problem,
+    # The dispersion sqrt(k.k + mass^2) squares the mass.
+    "mass": lambda mass: nonnegative_finite(mass)
+    or (None if is_real(float(mass) * float(mass)) else f"must have a square that does not overflow, got {mass!r}"),
     "cutoff": lambda cutoff: None if cutoff is None else positive_finite(cutoff),
+    "space": one_of("position", "momentum"),
+    "t": finite,
 }
 
 
 def _lattice_problems(box_lengths, grid_points, mass: float, cutoff: float | None = None) -> Problems:
     """Every ``(argument, message)`` reason :func:`build_lattice` refuses its arguments; builds no mode grid."""
     found = problems(_RULES, box_lengths=box_lengths, grid_points=grid_points, mass=mass, cutoff=cutoff)
-    if not found and len(_as_tuple(box_lengths)) != len(_as_tuple(grid_points)):
-        found.append(("grid_points", f"must have one entry per box length, got {_as_tuple(grid_points)}"))
+    if not found and len(as_tuple(box_lengths)) != len(as_tuple(grid_points)):
+        found.append(("grid_points", f"must have one entry per box length, got {as_tuple(grid_points)}"))
     return found
 
 
@@ -155,8 +147,8 @@ def build_lattice(
     axis, with ``k = 2*pi*m / L``.
     """
     refuse(_lattice_problems(box_lengths, grid_points, mass, cutoff))
-    lengths = tuple(float(l) for l in _as_tuple(box_lengths))
-    points = tuple(int(n) for n in _as_tuple(grid_points))
+    lengths = tuple(float(l) for l in as_tuple(box_lengths))
+    points = tuple(int(n) for n in as_tuple(grid_points))
     dims = len(points)
 
     k_axes = tuple(
@@ -231,8 +223,7 @@ def evolution_phase(lattice: MomentumLattice, t: float) -> np.ndarray:
     treats the cutoff identically.  A non-finite ``t`` is rejected rather
     than turned into a field of NaNs.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t!r}")
+    refuse(problems(_RULES, t=t))
     phase = np.exp(-1j * lattice.omega * t)
     if lattice.cutoff is not None:
         phase = np.where(lattice.excluded, 1.0 + 0.0j, phase)
@@ -726,10 +717,10 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
     """Read a snapshot written by :func:`save_field`.
 
     The file is opened once, in binary mode.  The header line is split at
-    its commas; a malformed header, or a grid size that is not a positive
-    integer, raises ``ValueError``.  Every body value comes
-    back bit for bit, ``nan`` and ``inf`` included, by one of two routes
-    that give the same bits:
+    its commas; a malformed header, or a geometry :func:`build_lattice`
+    refuses, raises ``ValueError`` before the body is read.  Every body
+    value comes back bit for bit, ``nan`` and ``inf`` included, by one of
+    two routes that give the same bits:
 
     - A body of fewer than ``_ARRAY_MIN_ROWS`` rows goes to ``np.loadtxt``,
       whose float parser is correctly rounded.  A missing, extra or
@@ -777,13 +768,12 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         dims = int(header[0])
         if not 1 <= dims <= 3 or len(header) != 2 * dims + 3:
             raise ValueError(f"malformed snapshot header in {path}: {header}")
-        sizes = [float(v) for v in header[1 : 1 + dims]]
-        if not all(n.is_integer() and n >= 1 for n in sizes):
-            raise ValueError(f"snapshot grid sizes must be positive integers, got {header[1 : 1 + dims]}")
-        points = tuple(int(n) for n in sizes)
+        # A size written 4.0 is the integer 4; 4.5 stays a float, which the grid_points rule refuses.
+        points = tuple(int(n) if n.is_integer() else n for n in map(float, header[1 : 1 + dims]))
         lengths = tuple(float(v) for v in header[1 + dims : 1 + 2 * dims])
         mass = float(header[1 + 2 * dims])
         time = float(header[2 + 2 * dims])
+        refuse(_lattice_problems(lengths, points, mass))
         expected = int(np.prod(points))
         # np.loadtxt only warns on a body without data; reject that here.
         body_start = fh.tell()

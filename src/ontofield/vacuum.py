@@ -30,14 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ontofield._rules import Problems, is_integer, problems, refuse
+from ontofield._rules import Problems, as_tuple, integer_at_least, is_integer, problems, refuse
 
 # The block path no longer calls spectral_evolve or to_position, but both stay
 # attributes of this module: bench/spans.py wraps them here by name.
 from ontofield.lattice import (  # noqa: F401
     ComplexField,
     MomentumLattice,
-    _as_tuple,
     _write_csv,
     evolution_phase,
     spectral_evolve,
@@ -58,7 +57,11 @@ _MIN_SAMPLES = 100
 _RULES = {
     "count": lambda count: None if is_integer(count) and count >= _MIN_SAMPLES
     else f"must be >= {_MIN_SAMPLES} samples for a correlator estimate, got {count!r}",
+    "seed": lambda seed: None if is_integer(seed) else f"must be an integer, got {seed!r}",
+    "sample_index": integer_at_least(0),
+    "evolve_times": lambda times: None if len(times) else "must hold at least one time",
 }
+_SPEC_RULES = {**_RULES, "count": integer_at_least(1)}  # a spec's count; an estimate needs _MIN_SAMPLES
 # Samples per block.  Each block adds its BLAS products to the sums, so the
 # block edges set them: changing this moves the correlator's last bits.
 _BATCH_ROWS = 256
@@ -93,10 +96,7 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
-            raise ValueError(f"count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        refuse(problems(_SPEC_RULES, count=self.count, seed=self.seed))
 
 
 def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
@@ -109,7 +109,7 @@ def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     """
     bits = np.random.Philox(key=0)  # rekeyed below; key=0 skips OS entropy
     rng = np.random.Generator(bits)
-    key = np.array([spec.seed & _MASK64, 0], dtype=np.uint64)
+    key = np.array([int(spec.seed) & _MASK64, 0], dtype=np.uint64)
     zeros = np.zeros(4, dtype=np.uint64)
     state = {
         "bit_generator": "Philox",
@@ -149,8 +149,7 @@ def sample_vacuum(spec: EnsembleSpec, sample_index: int = 0) -> ComplexField:
     ``(seed, sample_index)``; within the stream, modes are filled in fixed
     C order, so the draw is deterministic and schedule-independent.
     """
-    if sample_index < 0:
-        raise ValueError(f"sample_index must be nonnegative, got {sample_index!r}")
+    refuse(problems(_RULES, sample_index=sample_index))
     values = _draw_phases(spec, sample_index, sample_index + 1)[0]
     return ComplexField(space="momentum", values=values, time=0.0)
 
@@ -200,7 +199,7 @@ def _memory_problems(grid_points, estimates: int) -> Problems:
     physical memory, which a run cannot exceed whatever else is running.
     Reads the grid's sizes alone: no lattice is built.
     """
-    n_sites = math.prod(_as_tuple(grid_points))
+    n_sites = math.prod(as_tuple(grid_points))
     needed = _correlator_bytes(n_sites, estimates)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed <= physical:
@@ -282,9 +281,7 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     raise :class:`CorrelatorMemoryError` before anything is allocated.
     """
     n_samples = spec.count
-    refuse(problems(_RULES, count=n_samples))
-    if len(evolve_times) == 0:
-        raise ValueError("evolve_times must hold at least one time")
+    refuse(problems(_RULES, count=n_samples, evolve_times=evolve_times))
     refuse(_memory_problems(spec.lattice.grid_points, len(evolve_times)), CorrelatorMemoryError)
     n_sites = math.prod(spec.lattice.grid_points)
     phases = [evolution_phase(spec.lattice, t) if t != 0.0 else None for t in evolve_times]

@@ -172,6 +172,17 @@ VACUUM_TOO_LARGE = {
         ({"experiment": "kernel", "kind": "F1", "mass": 1e300, "cutoff": 240.0, "method": "radial_reduced",
           "z_start": 0.5, "z_stop": 5.0, "z_count": 4},
          "key 'mass': must have a square that does not overflow"),
+        # Spacings whose squares overflow or underflow: 4 / dx**2 in the stability bound has no value.
+        ({**INTERACT_UNSTABLE_STEP, "points": 16, "box_length": 1e300},
+         "key 'box_length': must give spacings with positive finite squares"),
+        ({**INTERACT_UNSTABLE_STEP, "points": 16, "box_length": 1e-300},
+         "key 'box_length': must give spacings with positive finite squares"),
+        # The time pairs are drawn below 4*pi/omega, which overflows here.
+        ({"experiment": "identities", "n_levels": 4, "omega": 5e-308},
+         "key 'omega': must leave a finite time-pair span 4*pi/omega"),
+        ({**FRONT_2D, "points": [2, 2, 2, 2]}, "key 'points': expected a scalar or a list of 1 to 3 entries"),
+        ({**SPECTRUM, "seed": -1}, "key 'seed': expected a nonnegative integer"),
+        ({**SPECTRUM, "output_dir": 5}, "key 'output_dir': expected a string path"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
@@ -785,6 +796,9 @@ _DELETE = object()
 # A mass too large to square, and a packet too narrow to be finite.
 @example(experiment="vacuum", edits=[("mass", 1e300)])
 @example(experiment="evolve", edits=[("width", 1e-300)])
+# Spacings whose squares overflow and underflow.
+@example(experiment="interact", edits=[("box_length", 1e300)])
+@example(experiment="interact", edits=[("box_length", 1e-300)])
 def test_validate_predicts_whether_run_rejects_the_config(tmp_path_factory, experiment, edits):
     # validate exit 0 means run never exits 2; validate exit 2 means run exits 2.
     config = {"experiment": experiment, **_SMALL_CONFIGS[experiment]}

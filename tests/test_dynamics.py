@@ -622,6 +622,16 @@ def test_front_tracking_requires_usable_intensity():
         wavefront_measure(run, 1.0)
 
 
+def test_front_tracking_refuses_an_intensity_whose_mean_underflows():
+    # One site of subnormal intensity passes the peak test, but the mean of the profile underflows to 0.
+    lat = build_lattice(16.0, 16, 1.0)
+    values = np.zeros(16, dtype=complex)
+    values[5] = 3e-162
+    snapshots = tuple(ComplexField("position", values, time=t) for t in (0.0, 1.0))
+    with pytest.raises(FrontTrackingError, match="intensity vanished"):
+        wavefront_measure(EvolutionRun(lat, 1, snapshots), 1.0)
+
+
 def test_front_tracking_is_one_dimensional_only():
     lat = build_lattice([16.0, 16.0], [32, 32], 1.0)
     packet = gaussian_packet(lat, [1.0, 0.0], [4.0, 4.0], 2.0)
