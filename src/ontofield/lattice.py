@@ -80,7 +80,7 @@ class MomentumLattice:
 
     @property
     def spacings(self) -> tuple[float, ...]:
-        return tuple(l / n for l, n in zip(self.box_lengths, self.grid_points))
+        return _spacings(self.box_lengths, self.grid_points)
 
     @property
     def cell_volume(self) -> float:
@@ -110,8 +110,12 @@ def _lengths_problem(box_lengths: float | Sequence[float]) -> str | None:
 
 def _points_problem(grid_points: int | Sequence[int]) -> str | None:
     points = as_tuple(grid_points)
-    valid = 1 <= len(points) <= 3 and all(is_integer(n) and n >= 2 and n % 2 == 0 for n in points)
-    return None if valid else f"must be 1 to 3 even integers >= 2, got {points}"
+    if not (1 <= len(points) <= 3 and all(is_integer(n) and n >= 2 and n % 2 == 0 for n in points)):
+        return f"must be 1 to 3 even integers >= 2, got {points}"
+    # numpy indexes an array by intp, so no array holds more sites.
+    if math.prod(int(n) for n in points) > np.iinfo(np.intp).max:
+        return f"must have at most {np.iinfo(np.intp).max} sites, got {points}"
+    return None
 
 
 _RULES = {
@@ -126,12 +130,31 @@ _RULES = {
 }
 
 
+def _spacings(box_lengths, grid_points) -> tuple[float, ...]:
+    """The spacings ``L / n`` per axis, of box lengths and grid sizes that passed their rules."""
+    return tuple(float(l) / int(n) for l, n in zip(as_tuple(box_lengths), as_tuple(grid_points)))
+
+
 def _lattice_problems(box_lengths, grid_points, mass: float, cutoff: float | None = None) -> Problems:
-    """Every ``(argument, message)`` reason :func:`build_lattice` refuses its arguments; builds no mode grid."""
+    """Every ``(argument, message)`` reason :func:`build_lattice` refuses its arguments; builds no mode grid.
+
+    The box must give spacings whose squares are positive and finite (the
+    stencils divide by them) and a finite top frequency ``sqrt(sum_a (pi /
+    dx_a)**2 + M**2)``, which a subnormal ``dx**2`` does not ensure.
+    """
     found = problems(_RULES, box_lengths=box_lengths, grid_points=grid_points, mass=mass, cutoff=cutoff)
-    if not found and len(as_tuple(box_lengths)) != len(as_tuple(grid_points)):
-        found.append(("grid_points", f"must have one entry per box length, got {as_tuple(grid_points)}"))
-    return found
+    if found:
+        return found
+    lengths, points = as_tuple(box_lengths), as_tuple(grid_points)
+    if len(lengths) != len(points):
+        return [("grid_points", f"must have one entry per box length, got {points}")]
+    spacings = _spacings(lengths, points)
+    if any(positive_finite(dx * dx) for dx in spacings):
+        return [("box_lengths", f"must give spacings with positive finite squares, got spacings {list(spacings)}")]
+    omega_max = math.sqrt(sum((math.pi / dx) * (math.pi / dx) for dx in spacings) + float(mass) * float(mass))
+    if not is_real(omega_max):
+        return [("box_lengths", f"must give a finite top frequency, got {omega_max}")]
+    return []
 
 
 def build_lattice(
@@ -182,11 +205,12 @@ def position_axes(lattice: MomentumLattice) -> tuple[np.ndarray, ...]:
     )
 
 
-def _require(field: ComplexField, lattice: MomentumLattice, space: str) -> None:
-    """Reject anything but a ``space``-space field on ``lattice``'s grid."""
+def _require(field: ComplexField, lattice: MomentumLattice, space: str, stack: bool = False) -> None:
+    """Reject anything but a ``space``-space field on ``lattice``'s grid, or with ``stack`` a stack of them on its trailing axes."""
     if field.space != space:
         raise ValueError(f"expected a {space}-space field, got {field.space!r}")
-    if field.values.shape != lattice.grid_points:
+    shape = field.values.shape
+    if (shape[-lattice.dims:] if stack else shape) != lattice.grid_points:
         raise ValueError(
             f"field shape {field.values.shape} does not match lattice grid "
             f"{lattice.grid_points}"
@@ -210,9 +234,13 @@ def to_momentum(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
 
 
 def to_position(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
-    """Unitary (symmetric-norm) DFT from momentum to position samples."""
-    _require(field, lattice, "momentum")
-    values = np.fft.ifftn(field.values, norm="ortho")
+    """Unitary (symmetric-norm) DFT from momentum to position samples.
+
+    The values may be a stack of fields, the grid on their trailing axes:
+    each is transformed as it would be alone.
+    """
+    _require(field, lattice, "momentum", stack=True)
+    values = np.fft.ifftn(field.values, axes=tuple(range(-lattice.dims, 0)), norm="ortho")
     return ComplexField(space="position", values=values, time=field.time)
 
 
@@ -234,9 +262,10 @@ def spectral_evolve(field: ComplexField, lattice: MomentumLattice, t: float) -> 
     """Advance momentum samples by the exact per-mode phase.
 
     Modes beyond the cutoff keep their amplitude unchanged.  The field's
-    clock advances by ``t``.  A NaN or infinite mode is rejected.
+    clock advances by ``t``.  A NaN or infinite mode is rejected.  The
+    values may be a stack of fields, as :func:`to_position` takes.
     """
-    _require(field, lattice, "momentum")
+    _require(field, lattice, "momentum", stack=True)
     _require_finite(field, "field")
     phase = evolution_phase(lattice, t)
     return ComplexField(space="momentum", values=field.values * phase, time=field.time + t)

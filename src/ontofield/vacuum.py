@@ -13,11 +13,13 @@ Draws are made in blocks of sample indices, but each row is still the stream
 keyed by ``(seed, index)``: one Philox generator is rewound to that key for
 every index, so a block holds exactly the arrays that per-sample draws give.
 Evolution by ``t`` is an exact per-mode rotation of the same configuration,
-so one draw of a block feeds the estimates at every requested time: each time
-rotates the block's modes out of place, transforms them, and adds the result
-to its own sums.  The sums are Hermitian (the mean) and symmetric (the second
-moment), so only their upper triangle is accumulated, in row strips of
-``_STRIP_SITES`` sites, and mirrored once after the last block.
+so one draw of a block feeds the estimates at every requested time: for each
+time the block, a stack of momentum fields, goes through the lattice's own
+``spectral_evolve`` (out of place) and ``to_position``, the path of a single
+field, and the result is added to that time's sums.  The sums are Hermitian
+(the mean) and symmetric (the second moment), so only their upper triangle is
+accumulated, in row strips of ``_STRIP_SITES`` sites, and mirrored once after
+the last block.
 """
 
 from __future__ import annotations
@@ -30,18 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ontofield._rules import Problems, as_tuple, integer_at_least, is_integer, problems, refuse
-
-# The block path no longer calls spectral_evolve or to_position, but both stay
-# attributes of this module: bench/spans.py wraps them here by name.
-from ontofield.lattice import (  # noqa: F401
-    ComplexField,
-    MomentumLattice,
-    _write_csv,
-    evolution_phase,
-    spectral_evolve,
-    to_position,
-)
+from ontofield._rules import Problems, as_tuple, finite, integer_at_least, is_integer, problems, refuse
+from ontofield.lattice import ComplexField, MomentumLattice, _write_csv, spectral_evolve, to_position
 
 __all__ = [
     "CorrelatorEstimate",
@@ -59,7 +51,7 @@ _RULES = {
     else f"must be >= {_MIN_SAMPLES} samples for a correlator estimate, got {count!r}",
     "seed": lambda seed: None if is_integer(seed) else f"must be an integer, got {seed!r}",
     "sample_index": integer_at_least(0),
-    "evolve_times": lambda times: None if len(times) else "must hold at least one time",
+    "evolve_times": lambda times: finite(times) if len(times) else "must hold at least one time",
 }
 _SPEC_RULES = {**_RULES, "count": integer_at_least(1)}  # a spec's count; an estimate needs _MIN_SAMPLES
 # Samples per block.  Each block adds its BLAS products to the sums, so the
@@ -127,19 +119,6 @@ def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     # uniform(0, 2 pi) is 0.0 + 2 pi * u, so one scaling gives its bits.
     theta *= 2.0 * np.pi
     return np.exp(1j * theta)
-
-
-def _position_block(modes: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """A block of drawn ``modes``, shape ``(rows, *grid)``, in position space.
-
-    Each row is multiplied by ``phase`` (an :func:`evolution_phase` array,
-    or ``None`` for no evolution) and transformed with the unitary inverse
-    DFT, as :func:`spectral_evolve` and :func:`to_position` do one field.
-    ``modes`` is left as it was, so the same draw can serve several times.
-    """
-    if phase is not None:
-        modes = modes * phase
-    return np.fft.ifftn(modes, axes=tuple(range(1, modes.ndim)), norm="ortho")
 
 
 def sample_vacuum(spec: EnsembleSpec, sample_index: int = 0) -> ComplexField:
@@ -271,8 +250,8 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     evolution by ``evolve_times[j]`` (``0.0`` for none) before transforming
     to position space; its distribution must not depend on that time, which
     must be finite.  Each block of samples is drawn once and serves every
-    time: it is evolved and transformed as one array, row for row the same
-    as :func:`spectral_evolve` and :func:`to_position` on each
+    time: :func:`spectral_evolve` and :func:`to_position` take it as one
+    stack of momentum fields, and give row for row what they give on each
     :func:`sample_vacuum`.  Each block is added by BLAS products, in
     ascending sample order, so results are bitwise reproducible for a fixed
     numpy/BLAS build, whatever its thread count, and bitwise the same
@@ -283,20 +262,21 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     n_samples = spec.count
     refuse(problems(_RULES, count=n_samples, evolve_times=evolve_times))
     refuse(_memory_problems(spec.lattice.grid_points, len(evolve_times)), CorrelatorMemoryError)
-    n_sites = math.prod(spec.lattice.grid_points)
-    phases = [evolution_phase(spec.lattice, t) if t != 0.0 else None for t in evolve_times]
-    sums = [(np.zeros((n_sites, n_sites), dtype=complex), np.zeros((n_sites, n_sites))) for _ in phases]
+    lattice = spec.lattice
+    n_sites = math.prod(lattice.grid_points)
+    sums = [(np.zeros((n_sites, n_sites), dtype=complex), np.zeros((n_sites, n_sites))) for _ in evolve_times]
     for start in range(0, n_samples, _BATCH_ROWS):
         stop = min(start + _BATCH_ROWS, n_samples)
-        modes = _draw_phases(spec, start, stop)
-        for phase, (sum_w, sum_sq) in zip(phases, sums):
-            block = _position_block(modes, phase).reshape(stop - start, n_sites)
+        modes = ComplexField(space="momentum", values=_draw_phases(spec, start, stop))
+        for t, (sum_w, sum_sq) in zip(evolve_times, sums):
+            position = to_position(spectral_evolve(modes, lattice, t) if t != 0.0 else modes, lattice)
+            block = position.values.reshape(stop - start, n_sites)
             _add_upper(sum_w, block.conj().T, block)
             abs_sq = np.abs(block) ** 2
             _add_upper(sum_sq, abs_sq.T, abs_sq)
             # Each time's block goes before the next time's is built, and
             # the draw before the next draw: the guard counts one of each.
-            del block, abs_sq
+            del position, block, abs_sq
         del modes
     estimates = []
     for sum_w, sum_sq in sums:

@@ -183,6 +183,21 @@ VACUUM_TOO_LARGE = {
         ({**FRONT_2D, "points": [2, 2, 2, 2]}, "key 'points': expected a scalar or a list of 1 to 3 entries"),
         ({**SPECTRUM, "seed": -1}, "key 'seed': expected a nonnegative integer"),
         ({**SPECTRUM, "output_dir": 5}, "key 'output_dir': expected a string path"),
+        # Every lattice needs a mode grid of finite numbers: spacings with
+        # positive finite squares and a finite top frequency (2e-153 has
+        # a subnormal dx**2 but an infinite (pi n / L)**2).
+        ({**FRONT_2D, "experiment": "evolve", "box_length": 1e-300, "points": 16, "k0": 1.0},
+         "key 'box_length': must give spacings with positive finite squares"),
+        ({**FRONT_2D, "experiment": "evolve", "box_length": 2e-153, "points": 16, "k0": 1.0},
+         "key 'box_length': must give a finite top frequency"),
+        ({**FRONT_2D, "experiment": "evolve", "box_length": 1e300, "points": 16, "k0": 1.0},
+         "key 'box_length': must give spacings with positive finite squares"),
+        ({**FRONT_2D, "box_length": 1e300, "points": 16, "k0": 1.0},
+         "key 'box_length': must give spacings with positive finite squares"),
+        ({**VACUUM_TOO_LARGE, "box_length": 1e300, "points": 16},
+         "key 'box_length': must give spacings with positive finite squares"),
+        # More sites than numpy can index.
+        ({**INTERACT_UNSTABLE_STEP, "points": 10**400}, "key 'points': must have at most 9223372036854775807 sites"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
@@ -300,6 +315,10 @@ _KERNEL = {"kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "radial_reduced
         ("kernel", {"kind": "F2", "method": "contour", "t": 0.5}, "z_start", lambda: kernel_table(
             KernelSpec(**{**_KERNEL, "kind": "F2", "method": "contour"}, t=0.5), [0.5, 5.0])),
         ("decay", {"mass": -0.5}, "mass", lambda: KernelSpec("F1", -0.5, method="contour")),
+        ("evolve", {"box_length": 1e-300}, "box_length", lambda: build_lattice(1e-300, 16, 1.0)),
+        ("evolve", {"box_length": 2e-153}, "box_length", lambda: build_lattice(2e-153, 16, 1.0)),
+        ("vacuum", {"box_length": 1e300}, "box_length", lambda: build_lattice(1e300, 4, 1.0)),
+        ("interact", {"points": 10**400}, "points", lambda: build_lattice(16.0, 10**400, 1.0)),
     ],
 )
 def test_validate_names_the_key_with_the_library_message(experiment, edits, key, call):
@@ -315,6 +334,15 @@ def test_validate_names_the_key_with_the_library_message(experiment, edits, key,
 
 def test_missing_config_file_is_an_io_failure(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 4
+
+
+def test_an_output_dir_that_is_a_file_is_an_io_failure(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", write_config(tmp_path, SPECTRUM), "--output-dir", str(taken)]) == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "io" and "cannot prepare output directory" in record["error"]["message"]
+    assert "Traceback" not in record["error"]["message"] and taken.read_text() == ""
 
 
 def test_malformed_json_is_a_schema_failure(tmp_path):

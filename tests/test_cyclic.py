@@ -39,6 +39,11 @@ def test_state_index_must_be_nonnegative():
         OntState(-1)
 
 
+def test_a_step_refuses_a_state_outside_the_register():
+    with pytest.raises(ValueError, match="outside register of size 4"):
+        evolve_step(OntState(5), CycleConfig(4, 1.0))
+
+
 def test_single_step_cycles_through_all_states():
     config = CycleConfig(n_states=5, delta_t=1.0)
     state = OntState(0)

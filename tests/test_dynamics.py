@@ -182,20 +182,29 @@ FIELD_ENTRY_POINTS = {
     ),
     "evolve_convolution": ("position", lambda f, lat, path: evolve_convolution(f, lat, 0.1)),
     "time_derivative_check": ("position", lambda f, lat, path: time_derivative_check(f, lat, 0.1)),
+    "to_momentum": ("position", lambda f, lat, path: to_momentum(f, lat)),
+    "to_position": ("momentum", lambda f, lat, path: to_position(f, lat)),
 }
+# The two that take a stack of fields on the grid's trailing axes.
+STACK_ENTRY_POINTS = {"spectral_evolve", "to_position"}
 
 
-@pytest.mark.parametrize("flaw", ["space", "shape"])
+@pytest.mark.parametrize("flaw", ["space", "shape", "stack"])
 @pytest.mark.parametrize("entry", sorted(FIELD_ENTRY_POINTS))
 def test_field_entry_points_reject_the_wrong_space_and_shape(tmp_path, entry, flaw):
     space, call = FIELD_ENTRY_POINTS[entry]
     lat = build_lattice(8.0, 8, 1.0)
+    path = tmp_path / "field.csv"
+    if flaw == "stack" and entry in STACK_ENTRY_POINTS:
+        assert call(ComplexField(space, np.ones((2, 8), dtype=complex)), lat, path).values.shape == (2, 8)
+        return
     if flaw == "space":
         other = "momentum" if space == "position" else "position"
         field, message = ComplexField(other, np.zeros(8, dtype=complex)), f"expected a {space}-space"
-    else:
+    elif flaw == "shape":
         field, message = ComplexField(space, np.zeros(4, dtype=complex)), "does not match lattice grid"
-    path = tmp_path / "field.csv"
+    else:
+        field, message = ComplexField(space, np.zeros((2, 8), dtype=complex)), "does not match lattice grid"
     with pytest.raises(ValueError, match=message):
         call(field, lat, path)
     assert not path.exists()
@@ -565,6 +574,17 @@ def test_runaway_coupling_aborts_with_context():
     assert err.step > 0
     assert not np.isfinite(err.energy) or abs(err.energy) > 10 * abs(err.initial_energy)
     assert err.quantity == "energy" and "energy" in str(err)
+
+
+def test_overflow_between_records_aborts_with_a_nan_energy():
+    # The only record is the last step, and the field overflows well before
+    # it: the finiteness check names the step with a NaN energy.
+    lat = build_lattice(16.0, 16, 1.0)
+    b0 = gaussian_packet(lat, 0.0, 8.0, 2.0, amplitude=10.0)
+    with pytest.raises(InstabilityError) as info:
+        leapfrog_interact(b0, zero_field(lat), lat, -1000.0, 0.1, 200, record_every=200)
+    err = info.value
+    assert err.step == 200 and np.isnan(err.energy) and np.isfinite(err.initial_energy)
 
 
 def test_complex_mode_instability_names_the_norm():

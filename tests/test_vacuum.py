@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 
 import ontofield
 import ontofield.vacuum as vacuum
-from ontofield.lattice import build_lattice, evolution_phase, spectral_evolve, to_position
+from ontofield.lattice import ComplexField, build_lattice, spectral_evolve, to_position
 from ontofield.vacuum import (
     CorrelatorEstimate,
     CorrelatorMemoryError,
     EnsembleSpec,
     _draw_phases,
-    _position_block,
     ensemble_correlator,
     ensemble_correlators,
     sample_vacuum,
@@ -118,16 +117,23 @@ def test_batch_size_does_not_change_the_estimate(monkeypatch):
     assert np.allclose(whole.stderr, chunked.stderr, atol=1e-12)
 
 
+def _position_stack(spec, start, stop, t):
+    # Samples start <= i < stop as one stack through the one-field evolve and transform.
+    modes = ComplexField("momentum", _draw_phases(spec, start, stop))
+    if t != 0.0:
+        modes = spectral_evolve(modes, spec.lattice, t)
+    return to_position(modes, spec.lattice).values
+
+
 def _einsum_correlator(spec, evolve_time):
     # Reference for ensemble_correlator's BLAS products: the same blocks and
     # estimate formulas, with each block's sums formed by einsum.
     n_sites = int(np.prod(spec.lattice.grid_points))
-    phase = evolution_phase(spec.lattice, evolve_time) if evolve_time != 0.0 else None
     sum_w = np.zeros((n_sites, n_sites), dtype=complex)
     sum_sq = np.zeros((n_sites, n_sites))
     for start in range(0, spec.count, vacuum._BATCH_ROWS):
         stop = min(start + vacuum._BATCH_ROWS, spec.count)
-        block = _position_block(_draw_phases(spec, start, stop), phase).reshape(stop - start, n_sites)
+        block = _position_stack(spec, start, stop, evolve_time).reshape(stop - start, n_sites)
         sum_w += np.einsum("sx,sy->xy", block.conj(), block)
         abs_sq = np.abs(block) ** 2
         sum_sq += np.einsum("sx,sy->xy", abs_sq, abs_sq)
@@ -214,8 +220,10 @@ def test_correlator_csv_layout(tmp_path):
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
-def test_correlator_rejects_a_non_finite_evolve_time(t):
-    with pytest.raises(ValueError, match="finite"):
+def test_correlator_rejects_a_non_finite_evolve_time(monkeypatch, t):
+    # Refused with the other arguments, before any sample is drawn.
+    monkeypatch.setattr(vacuum, "_draw_phases", None)
+    with pytest.raises(ValueError, match="^evolve_times must be finite"):
         ensemble_correlator(small_spec(), evolve_time=t)
 
 
@@ -225,9 +233,9 @@ def test_correlator_too_large_for_memory_raises_before_allocating(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the ensemble started before the memory check")
 
-    monkeypatch.setattr(vacuum, "evolution_phase", must_not_run)
+    monkeypatch.setattr(vacuum, "spectral_evolve", must_not_run)
     monkeypatch.setattr(vacuum, "_draw_phases", must_not_run)
-    monkeypatch.setattr(vacuum, "_position_block", must_not_run)
+    monkeypatch.setattr(vacuum, "to_position", must_not_run)
     spec = EnsembleSpec(lattice=build_lattice([8.0] * 3, [64] * 3, 1.0), count=100, seed=0)
     block_bytes = vacuum._BLOCK_SITE_BYTES * vacuum._BATCH_ROWS * 262144
     with pytest.raises(CorrelatorMemoryError, match="physical memory") as info:
@@ -314,11 +322,11 @@ def test_block_draws_equal_per_sample_draws(case):
 @settings(max_examples=25, deadline=None)
 @given(_ensembles(), st.sampled_from([0.0, 0.37, -2.5]))
 def test_batched_transform_equals_per_sample_transform(case, t):
-    # The block path of ensemble_correlator, row by row against the public
-    # one-field functions.
+    # The block path of ensemble_correlator, a stack of samples through one
+    # call each, row by row against the same functions on each sample.
     spec, start, stop = case
     lattice = spec.lattice
-    block = _position_block(_draw_phases(spec, start, stop), evolution_phase(lattice, t) if t != 0.0 else None)
+    block = _position_stack(spec, start, stop, t)
     assert block.shape == (stop - start, *lattice.grid_points)
     for row, index in enumerate(range(start, stop)):
         field = sample_vacuum(spec, index)
