@@ -420,12 +420,8 @@ def _run_interact(params: dict, seed: int, out: Path) -> dict:
     lattice = _build_lattice(params)
     packet = _initial_packet(params, lattice)
     if params["field_mode"] == "real":
-        packet = ComplexField(
-            space="position", values=packet.values.real.astype(complex), time=packet.time
-        )
-    zero = ComplexField(
-        space="position", values=np.zeros(lattice.grid_points, dtype=complex), time=packet.time
-    )
+        packet = ComplexField(space="position", values=packet.values.real, time=packet.time)
+    zero = ComplexField(space="position", values=np.zeros(lattice.grid_points), time=packet.time)
     run = leapfrog_interact(
         packet,
         zero,

@@ -80,14 +80,14 @@ class EvolutionRun:
     """Recorded trajectory of one time-evolution experiment.
 
     ``snapshots`` are position-space fields whose ``time`` stamps must
-    strictly increase; ``velocities`` and ``energy`` are filled by the
-    leapfrog integrator (real-field mode) and ``None`` otherwise.
+    strictly increase.  The leapfrog integrator fills ``velocity``, its last
+    one, and in real-field mode ``energy``; each is ``None`` otherwise.
     """
 
     lattice: MomentumLattice
     steps: int
     snapshots: tuple[ComplexField, ...]
-    velocities: tuple[np.ndarray, ...] | None = None
+    velocity: np.ndarray | None = None
     energy: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -188,8 +188,8 @@ def _packet_problems(dims: int, k0, center, width: float, amplitude: float) -> P
 
 
 def _leapfrog_problems(box_lengths, grid_points, mass: float, coupling: float, dt: float, field_mode: str) -> Problems:
-    """Every ``(argument, message)`` reason :func:`leapfrog_interact` refuses its parameters; the lattice enters by its arguments."""
-    found = problems(_RULES, coupling=coupling, dt=dt, field_mode=field_mode)
+    """Every ``(argument, message)`` reason :func:`leapfrog_interact` refuses its parameters, ``dt`` past its own rule; the lattice enters by its arguments."""
+    found = problems(_RULES, coupling=coupling, field_mode=field_mode)
     if not found:
         bound = _bound(_spacings(box_lengths, grid_points), mass)
         if not dt < bound:
@@ -611,7 +611,8 @@ def leapfrog_interact(
     energy functional, so it is experimental and records no energy; its
     instability monitor is the norm ``sum (|v|^2 + |b|^2) dV`` instead.  Runs
     whose monitor grows past 10x its initial value abort with an
-    ``InstabilityError`` that names it.
+    ``InstabilityError`` that names it.  Of the velocities, the run keeps
+    only the last, in either mode.
 
     The step runs in place on C-contiguous arrays of the field's dtype: the
     force and the energy are bound once (:func:`_force`, :func:`_energy`), and
@@ -633,11 +634,11 @@ def leapfrog_interact(
         imag_leak = max(float(np.max(np.abs(b0.values.imag))), float(np.max(np.abs(bdot0.values.imag))))
         if imag_leak > 1e-12 * scale:
             raise ValueError("real-field mode requires real initial data")
-        b = b0.values.real.astype(float).copy()
-        v = bdot0.values.real.astype(float).copy()
+        b = b0.values.real.astype(float, order="C")
+        v = bdot0.values.real.astype(float, order="C")
     else:
-        b = b0.values.astype(complex).copy()
-        v = bdot0.values.astype(complex).copy()
+        b = b0.values.astype(complex, order="C")
+        v = bdot0.values.astype(complex, order="C")
 
     mass_sq = lattice.mass**2
     spacings = lattice.spacings
@@ -661,7 +662,6 @@ def leapfrog_interact(
     force()
     t0 = b0.time
     snapshots = [ComplexField(space="position", values=b.astype(complex), time=t0)]
-    velocities = [np.array(v, copy=True)]
     monitored = [monitor()]
 
     # Overflow on the way to an instability abort is expected; the finiteness
@@ -685,7 +685,6 @@ def leapfrog_interact(
                 snapshots.append(
                     ComplexField(space="position", values=b.astype(complex), time=t0 + n * dt)
                 )
-                velocities.append(np.array(v, copy=True))
                 monitored.append(monitor())
                 if abs(monitored[-1]) > 10.0 * max(abs(monitored[0]), 1e-30):
                     raise InstabilityError(n, monitored[-1], monitored[0], quantity)
@@ -694,7 +693,7 @@ def leapfrog_interact(
         lattice=lattice,
         steps=steps,
         snapshots=tuple(snapshots),
-        velocities=tuple(velocities),
+        velocity=v,
         energy=np.array(monitored) if field_mode == "real" else None,
     )
 

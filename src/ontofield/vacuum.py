@@ -53,7 +53,6 @@ _RULES = {
     "sample_index": integer_at_least(0),
     "evolve_times": lambda times: finite(times) if len(times) else "must hold at least one time",
 }
-_SPEC_RULES = {**_RULES, "count": integer_at_least(1)}  # a spec's count; an estimate needs _MIN_SAMPLES
 # Samples per block.  Each block adds its BLAS products to the sums, so the
 # block edges set them: changing this moves the correlator's last bits.
 _BATCH_ROWS = 256
@@ -80,7 +79,8 @@ class EnsembleSpec:
 
     Samples are keyed by ``(seed, sample index)`` through a counter-based
     generator, so sample ``i`` is the same array no matter how many samples
-    are drawn, in what order, or on how many workers.
+    are drawn, in what order, or on how many workers.  ``count`` must be at
+    least 100, the fewest samples a correlator estimate is made from.
     """
 
     lattice: MomentumLattice
@@ -88,7 +88,7 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        refuse(problems(_SPEC_RULES, count=self.count, seed=self.seed))
+        refuse(problems(_RULES, count=self.count, seed=self.seed))
 
 
 def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
@@ -255,12 +255,12 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     :func:`sample_vacuum`.  Each block is added by BLAS products, in
     ascending sample order, so results are bitwise reproducible for a fixed
     numpy/BLAS build, whatever its thread count, and bitwise the same
-    whichever other times share the call.  ``spec.count`` must be at least
-    100.  Estimates whose correlators cannot fit in physical memory together
-    raise :class:`CorrelatorMemoryError` before anything is allocated.
+    whichever other times share the call.  Estimates whose correlators cannot
+    fit in physical memory together raise :class:`CorrelatorMemoryError`
+    before anything is allocated.
     """
     n_samples = spec.count
-    refuse(problems(_RULES, count=n_samples, evolve_times=evolve_times))
+    refuse(problems(_RULES, evolve_times=evolve_times))
     refuse(_memory_problems(spec.lattice.grid_points, len(evolve_times)), CorrelatorMemoryError)
     lattice = spec.lattice
     n_sites = math.prod(lattice.grid_points)

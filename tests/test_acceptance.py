@@ -225,7 +225,7 @@ def test_criterion_10_leapfrog_conservation():
     fwd = leapfrog_interact(packet(0.05), zero, lat, 0.1, dt, 1000, record_every=1000)
     back = leapfrog_interact(
         ComplexField("position", fwd.final.values, time=0.0),
-        ComplexField("position", -fwd.velocities[-1].astype(complex), time=0.0),
+        ComplexField("position", -fwd.velocity.astype(complex), time=0.0),
         lat,
         0.1,
         dt,

@@ -461,11 +461,15 @@ print(_energy(state, vel, out, (0.5, 0.5, 0.5), 1.0, 3.0, 0.1, 0.125, *work)().h
 """
 
 
-def _force_digest(env):
+def _with_src(env):
+    """``env`` with this checkout's ``src`` first on ``PYTHONPATH``, for a subprocess."""
     src = str(Path(ontofield.__file__).resolve().parents[1])
-    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
+def _force_digest(env):
     proc = subprocess.run(
-        [sys.executable, "-c", _FORCE_DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _FORCE_DIGEST_SCRIPT], env=_with_src(env), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -513,7 +517,6 @@ def test_leapfrog_free_run_conserves_energy_to_roundoff():
     drift = np.max(np.abs(run.energy - run.energy[0])) / abs(run.energy[0])
     assert drift < 1e-12
     assert len(run.energy) == len(run.snapshots)
-    assert len(run.velocities) == len(run.snapshots)
 
 
 def test_leapfrog_converges_to_the_discrete_free_solution():
@@ -558,12 +561,64 @@ def test_leapfrog_is_time_reversible():
     lat = build_lattice(32.0, 64, 1.0)
     b0 = real_packet(lat)
     fwd = leapfrog_interact(b0, zero_field(lat), lat, 0.1, 0.2, 200, record_every=200)
-    flipped = ComplexField("position", -fwd.velocities[-1].astype(complex), time=0.0)
+    flipped = ComplexField("position", -fwd.velocity.astype(complex), time=0.0)
     restart = ComplexField("position", fwd.final.values, time=0.0)
     back = leapfrog_interact(restart, flipped, lat, 0.1, 0.2, 200, record_every=200)
     assert np.max(np.abs(back.final.values - b0.values)) < 1e-12
 
 
+def test_leapfrog_keeps_the_last_velocity_in_either_mode():
+    lat = build_lattice(32.0, 64, 1.0)
+    for mode, dtype in (("real", float), ("complex", complex)):
+        run = leapfrog_interact(real_packet(lat), zero_field(lat), lat, 0.1, 0.2, 20, field_mode=mode, record_every=5)
+        assert run.velocity.dtype == dtype and run.velocity.shape == lat.grid_points
+        assert np.any(run.velocity != 0.0)
+    assert spectral_run(real_packet(lat), lat, 0.2, 2).velocity is None
+
+
+_RECORD_PEAK_SCRIPT = """
+import sys
+import numpy as np
+from ontofield.dynamics import leapfrog_interact
+from ontofield.lattice import ComplexField, build_lattice
+
+def status_bytes(field):
+    # VmHWM is this address space's peak; ru_maxrss would start at the parent's.
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(field + ":"))
+    return int(line.split()[1]) * 1024
+
+def inputs(points):
+    lattice = build_lattice([32.0] * 3, [points] * 3, 1.0)
+    noise = np.random.default_rng(5).standard_normal(lattice.grid_points)
+    return ComplexField("position", 0.05 * noise + 0j), ComplexField("position", 0j * noise), lattice
+
+# A small run first, so one-time imports and tables are not counted.
+leapfrog_interact(*inputs(8), 0.1, 0.2, 2)
+b0, bdot0, lattice = inputs(32)
+before = status_bytes("VmRSS")
+leapfrog_interact(b0, bdot0, lattice, 0.1, 0.2, 200, record_every=int(sys.argv[1]))
+print(status_bytes("VmHWM") - before)
+"""
+
+
+def _record_peak(record_every: int) -> int:
+    proc = subprocess.run(
+        [sys.executable, "-c", _RECORD_PEAK_SCRIPT, str(record_every)],
+        env=_with_src(dict(os.environ)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_each_leapfrog_record_holds_one_snapshot_and_no_velocity():
+    if not Path("/proc/self/status").exists():
+        pytest.skip("the peak resident size is read from /proc/self/status")
+    # 200 steps on 32^3 sites, recorded at 3 and at 21 steps (step 0 included).
+    per_record = (_record_peak(10) - _record_peak(100)) / (18 * 32**3)
+    # A record's complex snapshot takes 16 bytes per site (measured 16.1 to
+    # 16.4); a copy of the real velocity with each record would add 8.
+    assert per_record < 20.0
 def test_runaway_coupling_aborts_with_context():
     lat = build_lattice(32.0, 64, 1.0)
     big = gaussian_packet(lat, 0.0, 8.0, 3.0, amplitude=5.0)

@@ -23,9 +23,11 @@ different numpy, scipy or BLAS build, or the same build at another SIMD
 dispatch level, may legitimately change the last bits of some floats and
 needs the digests re-recorded after checking the acceptance suite still
 passes.  With ``NPY_DISABLE_CPU_FEATURES`` set to every feature numpy
-dispatches on, eight of these cases fail: the README ``decay``, ``evolve``,
-``front``, ``identities``, ``interact`` and ``vacuum`` configs, the
-multi-block snapshot and ``evolve_literal``.
+dispatches on (``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` on that CPU), 12 of
+these 20 cases fail: the README ``decay``, ``evolve``, ``front``,
+``identities``, ``interact`` and ``vacuum`` configs, the multi-block
+snapshot, the F2 alias table at the origin, ``evolve_literal``,
+``sites_512``, ``sites_600`` and ``real_3d``.
 """
 
 import hashlib

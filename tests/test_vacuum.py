@@ -44,8 +44,10 @@ def test_ensemble_spec_validation():
     lat = build_lattice(2 * np.pi, 8, 1.0)
     with pytest.raises(ValueError):
         EnsembleSpec(lattice=lat, count=0, seed=0)
+    with pytest.raises(ValueError, match="count must be >= 100 samples"):
+        EnsembleSpec(lattice=lat, count=50, seed=0)
     with pytest.raises(ValueError):
-        EnsembleSpec(lattice=lat, count=10, seed=1.5)
+        EnsembleSpec(lattice=lat, count=100, seed=1.5)
 
 
 def test_samples_are_pure_phases_in_momentum_space():
