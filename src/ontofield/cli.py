@@ -224,7 +224,7 @@ _PREDICATES: dict[str, Callable[[dict], Problems]] = {
     "front": lambda p: _setup_problems(p) or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"]),
     "evolve": _setup_problems,
     "interact": lambda p: _setup_problems(p)
-    or _leapfrog_problems(p["box_length"], p["points"], p["mass"], p["lambda"], p["dt"], p["field_mode"]),
+    or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"], p["field_mode"]),
     "vacuum": lambda p: _lattice_problems(*_lattice_args(p)) or _memory_problems(p["points"], len(_evolve_times(p))),
 }
 

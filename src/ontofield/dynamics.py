@@ -80,8 +80,9 @@ class EvolutionRun:
     """Recorded trajectory of one time-evolution experiment.
 
     ``snapshots`` are position-space fields whose ``time`` stamps must
-    strictly increase.  The leapfrog integrator fills ``velocity``, its last
-    one, and in real-field mode ``energy``; each is ``None`` otherwise.
+    strictly increase; a real-field leapfrog run's hold float64 values, every
+    other run's complex128.  The leapfrog integrator fills ``velocity``, its
+    last one, and in real-field mode ``energy``; each is ``None`` otherwise.
     """
 
     lattice: MomentumLattice
@@ -172,7 +173,7 @@ _RULES = {
 def _schedule(dt: float, steps: int, record_every: int) -> list[int]:
     """Steps a run records after step 0: every ``record_every``-th and the last."""
     refuse(problems(_RULES, dt=dt, steps=steps, record_every=record_every))
-    return [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
+    return [*range(record_every, steps, record_every), steps]
 
 
 def _dims_problems(dims: int, **vectors) -> Problems:
@@ -187,13 +188,17 @@ def _packet_problems(dims: int, k0, center, width: float, amplitude: float) -> P
     return found + _dims_problems(dims, k0=k0, center=center)
 
 
-def _leapfrog_problems(box_lengths, grid_points, mass: float, coupling: float, dt: float, field_mode: str) -> Problems:
+def _leapfrog_problems(
+    box_lengths, grid_points, mass: float, cutoff: float | None, coupling: float, dt: float, field_mode: str
+) -> Problems:
     """Every ``(argument, message)`` reason :func:`leapfrog_interact` refuses its parameters, ``dt`` past its own rule; the lattice enters by its arguments."""
     found = problems(_RULES, coupling=coupling, field_mode=field_mode)
     if not found:
         bound = _bound(_spacings(box_lengths, grid_points), mass)
         if not dt < bound:
             found.append(("dt", f"must be below the leapfrog stability bound {bound!r}"))
+    if cutoff is not None:
+        found.append(("cutoff", f"must be None: the leapfrog stencil evolves every mode, got {cutoff!r}"))
     return found
 
 
@@ -611,8 +616,12 @@ def leapfrog_interact(
     energy functional, so it is experimental and records no energy; its
     instability monitor is the norm ``sum (|v|^2 + |b|^2) dV`` instead.  Runs
     whose monitor grows past 10x its initial value abort with an
-    ``InstabilityError`` that names it.  Of the velocities, the run keeps
-    only the last, in either mode.
+    ``InstabilityError`` that names it.  Each record is a copy of the field
+    in the run's own dtype (float64 in real mode, complex128 in complex
+    mode), taken at step 0, every ``record_every``-th step and the last; the
+    loop steps from one record to the next.  Of the velocities, the run
+    keeps only the last, in either mode.  The lattice must have no cutoff:
+    the stencil evolves every mode.
 
     The step runs in place on C-contiguous arrays of the field's dtype: the
     force and the energy are bound once (:func:`_force`, :func:`_energy`), and
@@ -622,8 +631,10 @@ def leapfrog_interact(
     ``(dt/2) acc`` is formed once per step and serves as that step's closing
     half-kick and the next one's opening half-kick.
     """
-    recorded = set(_schedule(dt, steps, record_every))
-    refuse(_leapfrog_problems(lattice.box_lengths, lattice.grid_points, lattice.mass, coupling, dt, field_mode))
+    schedule = _schedule(dt, steps, record_every)
+    refuse(_leapfrog_problems(
+        lattice.box_lengths, lattice.grid_points, lattice.mass, lattice.cutoff, coupling, dt, field_mode
+    ))
     _require(b0, lattice, "position")
     _require(bdot0, lattice, "position")
     _require_finite(b0, "b0")
@@ -661,7 +672,7 @@ def leapfrog_interact(
 
     force()
     t0 = b0.time
-    snapshots = [ComplexField(space="position", values=b.astype(complex), time=t0)]
+    snapshots = [ComplexField(space="position", values=b.copy(), time=t0)]
     monitored = [monitor()]
 
     # Overflow on the way to an instability abort is expected; the finiteness
@@ -672,22 +683,20 @@ def leapfrog_interact(
     add, multiply = np.add, np.multiply
     multiply(half_dt, acc, kick)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, steps + 1):
-            add(v, kick, v)
-            multiply(full_dt, v, scratch)
-            add(b, scratch, b)
-            force()
-            multiply(half_dt, acc, kick)
-            add(v, kick, v)
-            if n in recorded:
-                if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-                    raise InstabilityError(n, float("nan"), monitored[0], quantity)
-                snapshots.append(
-                    ComplexField(space="position", values=b.astype(complex), time=t0 + n * dt)
-                )
-                monitored.append(monitor())
-                if abs(monitored[-1]) > 10.0 * max(abs(monitored[0]), 1e-30):
-                    raise InstabilityError(n, monitored[-1], monitored[0], quantity)
+        for start, n in zip([0, *schedule], schedule):
+            for _ in range(start, n):
+                add(v, kick, v)
+                multiply(full_dt, v, scratch)
+                add(b, scratch, b)
+                force()
+                multiply(half_dt, acc, kick)
+                add(v, kick, v)
+            if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+                raise InstabilityError(n, float("nan"), monitored[0], quantity)
+            snapshots.append(ComplexField(space="position", values=b.copy(), time=t0 + n * dt))
+            monitored.append(monitor())
+            if abs(monitored[-1]) > 10.0 * max(abs(monitored[0]), 1e-30):
+                raise InstabilityError(n, monitored[-1], monitored[0], quantity)
 
     return EvolutionRun(
         lattice=lattice,

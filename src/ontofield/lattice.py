@@ -170,6 +170,11 @@ def build_lattice(
     axis, with ``k = 2*pi*m / L``.
     """
     refuse(_lattice_problems(box_lengths, grid_points, mass, cutoff))
+    return _assemble(box_lengths, grid_points, mass, cutoff)
+
+
+def _assemble(box_lengths, grid_points, mass: float, cutoff: float | None) -> MomentumLattice:
+    """The mode grid of arguments that passed :func:`_lattice_problems`; checks nothing again."""
     lengths = tuple(float(l) for l in as_tuple(box_lengths))
     points = tuple(int(n) for n in as_tuple(grid_points))
     dims = len(points)
@@ -786,7 +791,8 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
     so the bits do not depend on numpy's SIMD dispatch level.
 
     The lattice is rebuilt from the stored geometry with no cutoff; reapply
-    one via :func:`build_lattice` if needed.
+    one via :func:`build_lattice` if needed.  The header's geometry is checked
+    once, and the mode grid is assembled only after the body has been read.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -823,5 +829,4 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         )
     # A view keeps each (re, im) pair's bits; re + 1j*im would turn inf into nan.
     values = body.view(complex).reshape(points)
-    lattice = build_lattice(lengths, points, mass)
-    return ComplexField(space="position", values=values, time=time), lattice
+    return ComplexField(space="position", values=values, time=time), _assemble(lengths, points, mass, None)

@@ -2,26 +2,42 @@
 
 Renaming or deleting a wrapped name (a re-import kept for the tracer, or a
 function the CLI calls by module attribute) makes ``install`` raise, so it
-fails here as well as in a traced benchmark run.
+fails here as well as in a traced benchmark run.  A wrapped name that the
+program no longer calls raises nothing and reads 0 in its metric, so the
+README configs at the benchmark's smoke sizes run here under the tracer, and
+every wrapped name but the known stale ones must be called.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import ontofield.cli as cli
 import ontofield.dynamics as dynamics
+import ontofield.lattice as lattice
 from ontofield.kernels import f1_contour
 from ontofield.lattice import build_lattice
 from ontofield.vacuum import EnsembleSpec, ensemble_correlators
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Wrapped names that no README config reaches: the CLI calls
+# ensemble_correlators, not the one-time ensemble_correlator it re-imports,
+# and the ensemble draws its phases through vacuum._draw_phases.
+STALE = {"cli.ensemble_correlator", "vacuum.sample_vacuum"}
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return load_bench("spans")
 
 
 def test_benchmark_tracer_finds_and_restores_every_wrapped_name():
@@ -71,3 +87,45 @@ def test_benchmark_tracer_sees_the_ensemble_transforms():
     assert counts["lattice.transform_points"] == 2 * 300 * 8
     # One evolution per block, of the t = 1 estimate.
     assert tracer.name.count(tracer.names.index("lattice.phase")) == 2
+
+
+def test_benchmark_tracer_reaches_every_wrapped_name_but_the_stale_ones(tmp_path):
+    spans = load_spans()
+
+    class CallCounter(spans.Tracer):
+        """A tracer that also counts the calls of each name it wraps."""
+
+        def __init__(self):
+            super().__init__()
+            self.calls = {}
+
+        def wrap(self, owner, attr, name, count=None):
+            label = f"{owner.__name__.removeprefix('ontofield.')}.{attr}"
+            self.calls[label] = 0
+
+            def counted(counts, args, kwargs, result):
+                self.calls[label] += 1
+                if count is not None:
+                    count(counts, args, kwargs, result)
+
+            super().wrap(owner, attr, name, counted)
+
+    configs = load_bench("workloads").generate("readme", 0, smoke=True)
+    assert sorted(configs) == sorted(cli._EXPERIMENTS)
+    tracer = CallCounter()
+    try:
+        spans.install(tracer)
+        for name, config in configs.items():
+            tracer.begin_op(name)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", str(path), "--output-dir", str(tmp_path / name)]) == 0
+        # The benchmark reads every snapshot back through the module attribute.
+        tracer.begin_op("readback")
+        for path in sorted(tmp_path.glob("*/*.csv")):
+            if path.name.startswith("snapshot_") or path.name == "final_field.csv":
+                lattice.load_field(path)
+    finally:
+        tracer.unwrap_all()
+    assert {label for label, calls in tracer.calls.items() if calls == 0} == STALE

@@ -299,6 +299,9 @@ _KERNEL = {"kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "radial_reduced
         ("interact", {"field_mode": "imaginary"}, "field_mode", lambda: leapfrog_interact(
             _packet_on(build_lattice(*_LATTICE_16)), _packet_on(build_lattice(*_LATTICE_16)),
             build_lattice(*_LATTICE_16), 0.1, 0.2, 20, field_mode="imaginary")),
+        ("interact", {"cutoff": 0.5}, "cutoff", lambda: leapfrog_interact(
+            _packet_on(build_lattice(*_LATTICE_16)), _packet_on(build_lattice(*_LATTICE_16)),
+            build_lattice(*_LATTICE_16, 0.5), 0.1, 0.2, 20)),
         ("front", {"box_length": [64.0, 64.0], "points": [128, 128], "k0": [1.0, 0.0], "center": [16.0, 16.0]},
          "box_length", lambda: wavefront_measure(_front_run([8.0, 8.0], [8, 8], [1.0, 0.0], 1.0), [1.0, 0.0])),
         ("front", {"mass": 0.0, "k0": 0.0}, "k0", lambda: wavefront_measure(_front_run(8.0, 16, 0.0, 0.0), 0.0)),

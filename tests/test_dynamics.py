@@ -28,6 +28,7 @@ from ontofield.dynamics import (
     wavefront_measure,
     _energy,
     _force,
+    _schedule,
 )
 from ontofield.lattice import (
     ComplexField,
@@ -576,6 +577,23 @@ def test_leapfrog_keeps_the_last_velocity_in_either_mode():
     assert spectral_run(real_packet(lat), lat, 0.2, 2).velocity is None
 
 
+def test_leapfrog_records_in_the_run_dtype():
+    # A real run's records are float64, 8 bytes a site; a complex run's complex128.
+    lat = build_lattice(32.0, 64, 1.0)
+    for mode, dtype in (("real", np.float64), ("complex", np.complex128)):
+        run = leapfrog_interact(real_packet(lat), zero_field(lat), lat, 0.1, 0.2, 20, field_mode=mode, record_every=5)
+        assert [snap.values.dtype for snap in run.snapshots] == [dtype] * 5
+        assert not any(np.shares_memory(a.values, b.values) for a, b in zip(run.snapshots, run.snapshots[1:]))
+
+
+def test_schedule_keeps_the_multiples_of_record_every_and_the_last_step():
+    # The rule the schedule's range replaced, over counts below, at and above record_every.
+    for steps in range(1, 41):
+        for record_every in range(1, 45):
+            expected = [n for n in range(1, steps + 1) if n % record_every == 0 or n == steps]
+            assert _schedule(0.1, steps, record_every) == expected
+
+
 _RECORD_PEAK_SCRIPT = """
 import sys
 import numpy as np
@@ -616,9 +634,9 @@ def test_each_leapfrog_record_holds_one_snapshot_and_no_velocity():
         pytest.skip("the peak resident size is read from /proc/self/status")
     # 200 steps on 32^3 sites, recorded at 3 and at 21 steps (step 0 included).
     per_record = (_record_peak(10) - _record_peak(100)) / (18 * 32**3)
-    # A record's complex snapshot takes 16 bytes per site (measured 16.1 to
-    # 16.4); a copy of the real velocity with each record would add 8.
-    assert per_record < 20.0
+    # A record's float snapshot takes 8 bytes per site; a complex one took 16
+    # (measured 16.1 to 16.4), and a copy of the velocity with each record 8 more.
+    assert per_record < 12.0
 def test_runaway_coupling_aborts_with_context():
     lat = build_lattice(32.0, 64, 1.0)
     big = gaussian_packet(lat, 0.0, 8.0, 3.0, amplitude=5.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ontofield.lattice
 from ontofield.lattice import (
     _ARRAY_MIN_ROWS,
     _read_body,
@@ -167,20 +168,26 @@ def test_cutoff_mode_validation():
         build_lattice(8.0, 8, 1.0, cutoff=-2.0)
 
 
-def test_snapshot_round_trip_is_bit_exact(tmp_path):
+def test_snapshot_round_trip_is_bit_exact(tmp_path, monkeypatch):
     lat = build_lattice([7.0, 3.0], [8, 4], 1.25)
     rng = np.random.default_rng(13)
     values = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
     field = ComplexField("position", values, time=2.5)
     path = tmp_path / "snap.csv"
     save_field(field, lat, path)
+    # The header's geometry is checked once per file, and the grid is built without a second check.
+    checks = []
+    check = ontofield.lattice._lattice_problems
+    monkeypatch.setattr(ontofield.lattice, "_lattice_problems", lambda *args: checks.append(args) or check(*args))
     loaded, loaded_lat = load_field(path)
+    assert len(checks) == 1
     assert np.array_equal(loaded.values, values)
     assert loaded.time == 2.5
     assert loaded_lat.box_lengths == lat.box_lengths
     assert loaded_lat.grid_points == lat.grid_points
     assert loaded_lat.mass == lat.mass
     assert loaded_lat.cutoff is None
+    assert np.array_equal(loaded_lat.omega, lat.omega) and not loaded_lat.excluded.any()
 
 
 def test_save_rejects_momentum_space_fields(tmp_path):
