@@ -41,7 +41,7 @@ _DELETE = object()
 _MULTI_EDITS = 3000
 _SEED = 17
 
-VERDICTS = "5fc068b43f2479b47557a16a9d551d02a73890bcb74ff390d30c8c29a307c2a3"
+VERDICTS = "9b97c1a8241ac7bb378aeade9325e1e0ffa888e4abec7a35db6bb69f65cdf435"
 
 
 def readme_configs() -> list[dict]:
