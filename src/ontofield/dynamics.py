@@ -617,11 +617,9 @@ def leapfrog_interact(
     instability monitor is the norm ``sum (|v|^2 + |b|^2) dV`` instead.  Runs
     whose monitor grows past 10x its initial value abort with an
     ``InstabilityError`` that names it.  Each record is a copy of the field
-    in the run's own dtype (float64 in real mode, complex128 in complex
-    mode), taken at step 0, every ``record_every``-th step and the last; the
-    loop steps from one record to the next.  Of the velocities, the run
-    keeps only the last, in either mode.  The lattice must have no cutoff:
-    the stencil evolves every mode.
+    in the run's own dtype, float64 in real mode and complex128 in complex
+    mode; of the velocities, the run keeps only the last.  The lattice must
+    have no cutoff: the stencil evolves every mode.
 
     The step runs in place on C-contiguous arrays of the field's dtype: the
     force and the energy are bound once (:func:`_force`, :func:`_energy`), and

@@ -637,6 +637,8 @@ def test_each_leapfrog_record_holds_one_snapshot_and_no_velocity():
     # A record's float snapshot takes 8 bytes per site; a complex one took 16
     # (measured 16.1 to 16.4), and a copy of the velocity with each record 8 more.
     assert per_record < 12.0
+
+
 def test_runaway_coupling_aborts_with_context():
     lat = build_lattice(32.0, 64, 1.0)
     big = gaussian_packet(lat, 0.0, 8.0, 3.0, amplitude=5.0)
