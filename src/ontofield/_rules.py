@@ -2,7 +2,10 @@
 
 Each module keeps its arguments' rules in a ``_RULES`` table.  Its predicates
 return ``(argument, message)`` pairs, which its entry points raise through
-:func:`refuse` and ``ontofield validate`` reports under the config key.
+:func:`refuse` and ``ontofield validate`` reports under the config key.  A
+rule refuses every value outside its argument's type too, so ``validate``
+passes each config value, whatever its JSON type, to one rule: a scalar rule
+refuses a list or a string, and only :func:`nullable` rules accept ``None``.
 """
 
 from __future__ import annotations
@@ -48,8 +51,29 @@ def nonnegative_finite(value) -> str | None:
 
 
 def finite(value) -> str | None:
-    """A finite real number, or a list or 1-D array of them."""
+    """One finite real number."""
+    return None if is_real(value) else f"must be finite, got {value!r}"
+
+
+def finite_entries(value) -> str | None:
+    """A finite real number, or a list or 1-D array of any number of them."""
     return None if all(map(is_real, as_tuple(value))) else f"must be finite, got {value!r}"
+
+
+def per_axis(entry: Rule) -> Rule:
+    """A scalar or a list of 1 to 3 entries, one per lattice axis, each passing ``entry``."""
+    def check(value: object) -> str | None:
+        entries = as_tuple(value)
+        if not 1 <= len(entries) <= 3:
+            return f"must be a scalar or a list of 1 to 3 entries, got {value!r}"
+        return next(filter(None, map(entry, entries)), None)  # the first entry's message
+
+    return check
+
+
+def nullable(inner: Rule) -> Rule:
+    """``None``, or a value ``inner`` accepts."""
+    return lambda value: None if value is None else inner(value)
 
 
 def integer_at_least(lo: int) -> Rule:

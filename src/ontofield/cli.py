@@ -38,7 +38,9 @@ import numpy as np
 
 import ontofield
 from ontofield import __version__
-from ontofield._rules import Problems, Rule, as_tuple, integer_at_least, is_integer, is_real, one_of, positive_finite
+from ontofield._rules import (
+    Problems, Rule, as_tuple, finite, integer_at_least, is_integer, is_real, nullable, one_of, positive_finite,
+)
 from ontofield.cyclic import CycleConfig, basis_change, energy_levels, evolution_matrix
 from ontofield.dynamics import (
     FrontTrackingError,
@@ -88,45 +90,8 @@ _ENV_OUTPUT_DIR = "ONTOFIELD_OUTPUT_DIR"
 
 # --- schema ------------------------------------------------------------------
 #
-# A JSON check returns an error string or None: it says what JSON value a key
-# takes.  The values the library accepts are the library's to say (_RULES,
-# _PREDICATES).
-
-def _expect(test: Callable[[object], bool], what: str) -> Rule:
-    return lambda v: None if test(v) else f"expected {what}"
-
-
-_real = _expect(is_real, "a finite real number")
-_integer = _expect(is_integer, "an integer")
-_string = _expect(lambda v: isinstance(v, str), "a string")
-
-
-def _nullable(inner: Rule) -> Rule:
-    return lambda v: None if v is None else inner(v)
-
-
-def _geometry(check_entry: Rule) -> Rule:
-    def check(v: object) -> str | None:
-        entries = as_tuple(v)
-        if not 1 <= len(entries) <= 3:
-            return "expected a scalar or a list of 1 to 3 entries"
-        return next(filter(None, map(check_entry, entries)), None)  # the first entry's error
-
-    return check
-
-
-# The JSON value each key takes; a key means the same in every experiment.
-_JSON: dict[str, Rule] = {
-    **dict.fromkeys(
-        ("mass", "width", "amplitude", "dt", "lambda", "omega", "delta_t", "t", "taper_frac", "z_start", "z_stop"), _real
-    ),
-    **dict.fromkeys(("steps", "record_every", "n_levels", "time_pairs", "n_states", "z_count", "samples"), _integer),
-    **dict.fromkeys(("kind", "method", "window", "field_mode"), _string),
-    **dict.fromkeys(("box_length", "k0"), _geometry(_real)),
-    "points": _geometry(_integer),
-    "center": _nullable(_geometry(_real)),
-    **dict.fromkeys(("cutoff", "evolve_time"), _nullable(_real)),
-}
+# Each key's value, whatever its JSON type, goes to one rule: the rule of the
+# library argument the key sets (_RULES), which refuses a wrong type too.
 
 _REQUIRED = object()  # the default of a key the config must state
 _LATTICE_KEYS = dict.fromkeys(("mass", "box_length", "points", "cutoff"), _REQUIRED)
@@ -159,10 +124,12 @@ def _keyed(*tables: dict[str, Rule]) -> dict[str, Rule]:
     return {_CONFIG_KEY.get(arg, arg): rule for table in tables for arg, rule in table.items()}
 
 
-# The CLI's own rules: a z grid above 0, a positive amplitude, the counts,
-# the span 4*pi/omega the identities time pairs are drawn below, and the evolve method.
+# The CLI's own rules: a z grid above 0, a positive amplitude, an optional
+# center, the counts, the span 4*pi/omega the identities time pairs are drawn
+# below, the evolve method, and an optional evolved vacuum time.
 _Z_GRID = {"z_start": positive_finite, "z_stop": positive_finite}
-_PACKET_RULES = _keyed(ontofield.lattice._RULES, ontofield.dynamics._RULES, {"amplitude": positive_finite})
+_PACKET_RULES = _keyed(ontofield.lattice._RULES, ontofield.dynamics._RULES,
+                       {"amplitude": positive_finite, "center": nullable(ontofield.dynamics._RULES["center"])})
 _SPAN = {"omega": lambda omega: ontofield.ladder._RULES["omega"](omega)
          or (None if is_real(4.0 * np.pi / omega) else f"must leave a finite time-pair span 4*pi/omega, got {omega!r}")}
 
@@ -174,7 +141,7 @@ _RULES: dict[str, dict[str, Rule]] = {
     "front": _PACKET_RULES,
     "evolve": _keyed(_PACKET_RULES, {"method": one_of("spectral", "convolution_literal")}),
     "interact": _PACKET_RULES,
-    "vacuum": _keyed(ontofield.lattice._RULES, ontofield.vacuum._RULES),
+    "vacuum": _keyed(ontofield.lattice._RULES, ontofield.vacuum._RULES, {"evolve_time": nullable(finite)}),
 }
 
 
@@ -232,9 +199,9 @@ _PREDICATES: dict[str, Callable[[dict], Problems]] = {
 def validate_config(raw: object) -> list[str]:
     """Full list of schema violations; empty means the config is runnable.
 
-    A value that passes its key's JSON check goes to the rule of the library
-    argument the key sets.  Once every key has passed, _PREDICATES reports
-    the library's objections that read several keys.
+    Each value goes to the rule of the library argument its key sets.  Once
+    every key has passed, _PREDICATES reports the library's objections that
+    read several keys.
     """
     if not isinstance(raw, dict):
         return ["config root must be a JSON object"]
@@ -258,14 +225,9 @@ def validate_config(raw: object) -> list[str]:
             if default is _REQUIRED:
                 violations.append(f"key {key!r}: required for experiment {experiment!r} but missing")
             continue
-        value = raw[key]
-        error = _JSON[key](value)
-        if error is not None:
-            violations.append(f"key {key!r}: {error}, got {value!r}")
-        elif value is not None and key in rules:
-            message = rules[key](value)
-            if message is not None:
-                violations.append(f"key {key!r}: {message}")
+        message = rules[key](raw[key])
+        if message is not None:
+            violations.append(f"key {key!r}: {message}")
     if not violations and experiment in _PREDICATES:
         params = _apply_defaults(experiment, raw)
         violations.extend(

@@ -19,7 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ontofield._rules import Problems, as_tuple, finite, integer_at_least, one_of, positive_finite, problems, refuse
+from ontofield._rules import (
+    Problems, as_tuple, finite, integer_at_least, one_of, per_axis, positive_finite, problems, refuse,
+)
 from ontofield.kernels import _velocity_problems, group_velocity
 from ontofield.lattice import (
     ComplexField,
@@ -159,7 +161,8 @@ def _bound(spacings, mass: float) -> float:
 
 
 _RULES = {
-    **dict.fromkeys(("k0", "center", "amplitude", "coupling"), finite),
+    **dict.fromkeys(("k0", "center"), per_axis(finite)),
+    **dict.fromkeys(("amplitude", "coupling"), finite),
     # The envelope's exponent -d^2 / (4 w^2) would be 0/0 at the center of a width whose square is 0.
     "width": lambda width: positive_finite(width)
     or (None if float(width) * float(width) > 0.0 else f"must have a square that does not underflow to 0, got {width!r}"),

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ontofield._rules import Problems, finite, is_real, nonnegative_finite, one_of, problems, refuse
+from ontofield._rules import Problems, finite, finite_entries, is_real, nonnegative_finite, one_of, problems, refuse
 from ontofield.lattice import _RULES as _LATTICE_RULES, _write_csv
 
 __all__ = [
@@ -516,7 +516,7 @@ _RULES = {
     "mass": _LATTICE_RULES["mass"],
     "cutoff": _LATTICE_RULES["cutoff"],
     "t": finite,
-    "k": finite,
+    "k": finite_entries,
     "method": one_of(*_METHODS),
     "window": one_of(*WINDOWS),
     "taper_frac": lambda frac: None if is_real(frac) and 0.0 < frac <= 1.0 else f"must be in (0, 1], got {frac!r}",

@@ -20,7 +20,8 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from ontofield._rules import (
-    Problems, as_tuple, finite, is_integer, is_real, nonnegative_finite, one_of, positive_finite, problems, refuse,
+    Problems, as_tuple, finite, is_integer, is_real, nonnegative_finite, nullable, one_of, per_axis, positive_finite,
+    problems, refuse,
 )
 
 __all__ = [
@@ -103,11 +104,6 @@ class ComplexField:
         refuse(problems(_RULES, space=self.space))
 
 
-def _lengths_problem(box_lengths: float | Sequence[float]) -> str | None:
-    lengths = as_tuple(box_lengths)
-    return f"must be positive and finite, got {lengths}" if any(map(positive_finite, lengths)) else None
-
-
 def _points_problem(grid_points: int | Sequence[int]) -> str | None:
     points = as_tuple(grid_points)
     if not (1 <= len(points) <= 3 and all(is_integer(n) and n >= 2 and n % 2 == 0 for n in points)):
@@ -119,12 +115,12 @@ def _points_problem(grid_points: int | Sequence[int]) -> str | None:
 
 
 _RULES = {
-    "box_lengths": _lengths_problem,
+    "box_lengths": per_axis(positive_finite),
     "grid_points": _points_problem,
     # The dispersion sqrt(k.k + mass^2) squares the mass.
     "mass": lambda mass: nonnegative_finite(mass)
     or (None if is_real(float(mass) * float(mass)) else f"must have a square that does not overflow, got {mass!r}"),
-    "cutoff": lambda cutoff: None if cutoff is None else positive_finite(cutoff),
+    "cutoff": nullable(positive_finite),
     "space": one_of("position", "momentum"),
     "t": finite,
 }
@@ -570,12 +566,14 @@ def save_field(field: ComplexField, lattice: MomentumLattice, path: str | Path) 
     digits, so ``nan``, ``inf`` and ``-0`` spell out as such) and every line
     ends in CRLF, as the ``csv`` module's default dialect writes it.  A
     correctly rounded parser, such as :func:`load_field`'s, reads each value
-    back bit for bit.
+    back bit for bit.  A real field's imaginary column is the constant ``0``,
+    the text of a complex copy's ``+0.0``, so no complex copy is made.
     """
     _require(field, lattice, "position")
     header = [lattice.dims, *lattice.grid_points, *lattice.box_lengths, lattice.mass, field.time]
-    values = np.ascontiguousarray(field.values, dtype=complex).ravel()
-    _write_csv(path, header, [values.real, values.imag])
+    values = np.ravel(field.values)
+    imag = values.imag if np.iscomplexobj(values) else 0
+    _write_csv(path, header, [values.real.astype(np.float64, copy=False), imag])
 
 
 def _bytes_word(text: bytes) -> int:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ontofield._rules import Problems, as_tuple, finite, integer_at_least, is_integer, problems, refuse
+from ontofield._rules import Problems, as_tuple, finite_entries, integer_at_least, is_integer, problems, refuse
 from ontofield.lattice import ComplexField, MomentumLattice, _write_csv, spectral_evolve, to_position
 
 __all__ = [
@@ -51,7 +51,7 @@ _RULES = {
     else f"must be >= {_MIN_SAMPLES} samples for a correlator estimate, got {count!r}",
     "seed": lambda seed: None if is_integer(seed) else f"must be an integer, got {seed!r}",
     "sample_index": integer_at_least(0),
-    "evolve_times": lambda times: finite(times) if len(times) else "must hold at least one time",
+    "evolve_times": lambda times: finite_entries(times) if len(times) else "must hold at least one time",
 }
 # Samples per block.  Each block adds its BLAS products to the sums, so the
 # block edges set them: changing this moves the correlator's last bits.

@@ -180,7 +180,7 @@ VACUUM_TOO_LARGE = {
         # The time pairs are drawn below 4*pi/omega, which overflows here.
         ({"experiment": "identities", "n_levels": 4, "omega": 5e-308},
          "key 'omega': must leave a finite time-pair span 4*pi/omega"),
-        ({**FRONT_2D, "points": [2, 2, 2, 2]}, "key 'points': expected a scalar or a list of 1 to 3 entries"),
+        ({**FRONT_2D, "points": [2, 2, 2, 2]}, "key 'points': must be 1 to 3 even integers >= 2"),
         ({**SPECTRUM, "seed": -1}, "key 'seed': expected a nonnegative integer"),
         ({**SPECTRUM, "output_dir": 5}, "key 'output_dir': expected a string path"),
         # Every lattice needs a mode grid of finite numbers: spacings with
@@ -333,6 +333,14 @@ def test_validate_names_the_key_with_the_library_message(experiment, edits, key,
     assert len(violations) == 1 and violations[0].startswith(prefix), violations
     with pytest.raises(ValueError, match=re.escape(violations[0].removeprefix(prefix))):
         call()
+
+
+@pytest.mark.parametrize("experiment", list(cli._SCHEMAS))
+def test_every_config_key_has_one_rule_and_only_the_optional_ones_take_null(experiment):
+    schema, rules = cli._SCHEMAS[experiment], cli._RULES[experiment]
+    assert set(schema) <= set(rules), set(schema) - set(rules)
+    nullable = {key for key in schema if rules[key](None) is None}
+    assert nullable == {"cutoff", "center", "evolve_time"} & set(schema)
 
 
 def test_missing_config_file_is_an_io_failure(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 import ontofield.lattice
 from ontofield.lattice import (
     _ARRAY_MIN_ROWS,
+    _VECTOR_MIN_ROWS,
     _read_body,
     ComplexField,
     build_lattice,
@@ -211,6 +212,17 @@ def _csv_writer_bytes(field, lattice, path):
         for v in field.values.ravel():
             writer.writerow([fmt % v.real, fmt % v.imag])
     return path.read_bytes()
+
+
+# Rows below and at the array route's threshold, and past one 4096-row block.
+@pytest.mark.parametrize("lengths, points", [(8.0, 64), (8.0, _VECTOR_MIN_ROWS), ([3.0, 5.0], [2, 2050])])
+def test_a_real_field_writes_the_bytes_of_its_complex_copy(tmp_path, lengths, points):
+    lat = build_lattice(lengths, points, 0.5)
+    values = np.random.default_rng(3).normal(size=lat.grid_points)
+    values.flat[:6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.0]
+    save_field(ComplexField("position", values), lat, tmp_path / "real.csv")
+    save_field(ComplexField("position", values.astype(np.complex128)), lat, tmp_path / "complex.csv")
+    assert (tmp_path / "real.csv").read_bytes() == (tmp_path / "complex.csv").read_bytes()
 
 
 def test_snapshot_bytes_and_bits_survive_awkward_values(tmp_path):

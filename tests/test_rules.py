@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from ontofield._rules import as_tuple, finite, is_integer, is_real
+from ontofield._rules import as_tuple, finite, finite_entries, is_integer, is_real, nullable, per_axis
 from ontofield.cyclic import CycleConfig, OntState
 from ontofield.dynamics import gaussian_packet, leapfrog_interact, refinement_study, spectral_run, wavefront_measure
 from ontofield.kernels import KernelSpec, group_velocity, spacelike_suppression_scan
 from ontofield.ladder import TimedOperator, build_mode, evolve_operator
-from ontofield.lattice import ComplexField, build_lattice, evolution_phase
+from ontofield.lattice import ComplexField, build_lattice, evolution_phase, spectral_evolve
 from ontofield.vacuum import EnsembleSpec, sample_vacuum
 
 _LAT = build_lattice(16.0, 16, 1.0)
@@ -105,4 +105,44 @@ def test_the_number_test_and_the_scalar_or_list_rule():
     assert as_tuple(1.0) == (1.0,) and as_tuple([1.0, 2.0]) == (1.0, 2.0) and as_tuple("ab") == ("ab",)
     assert len(as_tuple(np.array(1.0))) == 1 and len(as_tuple(np.array([1.0, 2.0]))) == 2
     assert len(as_tuple([1, [2, 3]])) == 2  # a ragged list is its entries, not an error
-    assert finite([np.array(1.0), 2]) is None and finite([[1.0]]) is not None
+    assert finite_entries([np.array(1.0), 2]) is None and finite_entries([[1.0]]) is not None
+    assert finite_entries(np.array([1.0, 2.0, 3.0, 4.0])) is None and finite_entries([1.0, "x"]) is not None
+
+
+def test_scalar_rules_take_one_number_and_the_per_axis_rule_one_to_three():
+    for value in (0.5, -2, np.float32(1.5), np.array(2.0)):
+        assert finite(value) is None, value
+    for value in ([0.5], [0.5, 1.0], np.array([1.0]), (1.0,), "1", None, True, _HUGE):
+        assert finite(value) == f"must be finite, got {value!r}", value
+    axes = per_axis(finite)
+    for value in (1.0, [1.0], [1.0, 2.0, 3.0], np.array([1.0, 2.0])):
+        assert axes(value) is None, value
+    for value in ([], [1.0] * 4):
+        assert axes(value) == f"must be a scalar or a list of 1 to 3 entries, got {value!r}"
+    assert axes([1.0, [2.0]]) == "must be finite, got [2.0]"  # the first refused entry's message
+    assert axes(None) is not None and nullable(axes)(None) is None and nullable(axes)("x") is not None
+
+
+_LAT_2 = build_lattice(4.0, 2, 1.0)
+_PAIR = [0.5, 1.0]
+
+
+# A list where one number belongs: on a 2-point lattice numpy would broadcast it site by site.
+@pytest.mark.parametrize(
+    "argument, call",
+    [
+        ("t", lambda: evolution_phase(_LAT_2, _PAIR)),
+        ("t", lambda: spectral_evolve(ComplexField("momentum", np.zeros(2, dtype=complex)), _LAT_2, _PAIR)),
+        ("amplitude", lambda: gaussian_packet(_LAT_2, 1.0, 1.0, 1.0, amplitude=_PAIR)),
+        ("coupling", lambda: leapfrog_interact(_zero(2), _zero(2), _LAT_2, _PAIR, 0.1, 2)),
+        ("t", lambda: KernelSpec("F2", 1.0, t=_PAIR, method="contour")),
+        ("t", lambda: evolve_operator(TimedOperator(np.eye(2), 1.0, "lowering"), _PAIR)),
+    ],
+)
+def test_scalar_arguments_refuse_a_list_naming_the_argument(argument, call):
+    with pytest.raises(ValueError, match=rf"^{re.escape(argument)}[ :]"):
+        call()
+
+
+def test_a_velocity_takes_a_vector_of_any_length():
+    assert np.shape(group_velocity(np.array([1.0, 0.5, 0.5, 0.5]), 1.0)) == (4,)
