@@ -107,6 +107,7 @@ def test_the_number_test_and_the_scalar_or_list_rule():
     assert len(as_tuple([1, [2, 3]])) == 2  # a ragged list is its entries, not an error
     assert finite_entries([np.array(1.0), 2]) is None and finite_entries([[1.0]]) is not None
     assert finite_entries(np.array([1.0, 2.0, 3.0, 4.0])) is None and finite_entries([1.0, "x"]) is not None
+    assert group_velocity([1.0, 0.5, 0.5, 0.5], 1.0).shape == (4,)  # a wave vector of any length
 
 
 def test_scalar_rules_take_one_number_and_the_per_axis_rule_one_to_three():
@@ -142,7 +143,3 @@ _PAIR = [0.5, 1.0]
 def test_scalar_arguments_refuse_a_list_naming_the_argument(argument, call):
     with pytest.raises(ValueError, match=rf"^{re.escape(argument)}[ :]"):
         call()
-
-
-def test_a_velocity_takes_a_vector_of_any_length():
-    assert np.shape(group_velocity(np.array([1.0, 0.5, 0.5, 0.5]), 1.0)) == (4,)
