@@ -27,6 +27,7 @@ from ontofield.dynamics import (
     stability_bound,
     time_derivative_check,
     wavefront_measure,
+    _aligned_empty,
     _energy,
     _force,
     _halo_copy,
@@ -447,6 +448,17 @@ def test_halo_copy_moves_the_wrap_planes_bit_for_bit(shape, dtype):
     ext[1:-1] = words.view(dtype)[: math.prod(shape)].reshape(shape)
     _run([_halo_copy(ext)])
     assert ext[0].tobytes() == ext[-2].tobytes() and ext[-1].tobytes() == ext[1].tobytes()
+
+
+@pytest.mark.parametrize("shape, dtype", [((1,), np.float64), ((66,), np.complex128), ((3, 2, 5), np.int64), ((34, 32, 32), np.float64)])
+def test_stencil_buffers_start_on_a_64_byte_boundary(shape, dtype):
+    for _ in range(8):  # successive allocations land at different offsets
+        array = _aligned_empty(shape, dtype)
+        assert array.ctypes.data % 64 == 0 and array.flags.c_contiguous and array.flags.writeable
+        assert array.shape == shape and array.dtype == dtype
+    lat = build_lattice(32.0, 64, 1.0)
+    run = leapfrog_interact(real_packet(lat), zero_field(lat), lat, 0.1, 0.2, 2)
+    assert run.velocity.ctypes.data % 64 == 0
 
 
 def test_force_reads_axis_0_through_the_halo_without_seam_calls():
