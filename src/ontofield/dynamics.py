@@ -712,13 +712,14 @@ def leapfrog_interact(
     mode; of the velocities, the run keeps only the last.  The lattice must
     have no cutoff: the stencil evolves every mode.
 
-    The step runs in place on C-contiguous arrays of the field's dtype: the
-    field is ``ext[1:-1]`` of one buffer ``ext`` with a halo plane before and
-    after axis 0 (:func:`_with_halo`), and the force and the energy are bound
-    once (:func:`_force`, :func:`_energy`).  Each of their calls first copies
-    the field's last and first planes into the halo bit for bit; every
-    neighbour difference along axis 0 is then one contiguous call on
-    ``ext``'s flat view, shifted one plane.  Along an inner axis it is one
+    The step runs in place on C-contiguous arrays of the field's dtype that
+    start on 64-byte boundaries (:func:`_aligned_empty`): the field is
+    ``ext[1:-1]``, one plane into a buffer ``ext`` with a halo plane before
+    and after axis 0 (:func:`_with_halo`), and the force and the energy are
+    bound once (:func:`_force`, :func:`_energy`).  Each of their calls
+    first copies the field's last and first planes into the halo bit for
+    bit; every neighbour difference along axis 0 is then one contiguous call
+    on ``ext``'s flat view, shifted one plane.  Along an inner axis it is one
     call on the field's flat view, shifted by the axis stride, followed by a
     strided rewrite of the plane whose neighbour wraps around the box.
     ``(dt/2) acc`` is formed once per step and serves as that step's closing
@@ -750,13 +751,14 @@ def leapfrog_interact(
     # Buffers C-contiguous and 64-byte aligned like ext: the force goes to
     # acc through scratch and one plane of diff; kick holds (dt/2) acc; the
     # energy reuses scratch and diff between steps, with grad of its own.
-    v, acc, scratch, diff, kick, grad = (_aligned_empty(b.shape, dtype) for _ in range(6))
+    v, acc, scratch, diff, kick = (_aligned_empty(b.shape, dtype) for _ in range(5))
     v[...] = v_values
     force = _force(ext, spacings, mass_sq, coupling, acc, scratch, diff)
     if field_mode == "real":
         quantity = "energy"
         monitor = _energy(
-            ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume, grad, diff, scratch,
+            ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume,
+            np.empty_like(b), diff, scratch,
         )
     else:
         quantity = "norm"
