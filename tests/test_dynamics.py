@@ -386,8 +386,9 @@ def _haloed(state):
 @example(_seam_case((1, 2), complex))
 @example(_seam_case((2, 1)))
 # Axis 0 of length 1 and 2, where the halo planes are copies of the one
-# state plane or of each other, and a complex state whose wrap planes hold
-# signed zeros in both parts: the halo copy must move their bits unchanged.
+# state plane or of each other, and complex states whose wrap planes hold
+# signed zeros in both parts.  The sums absorb a zero's sign, so the copy's
+# exactness is pinned by test_halo_copy_moves_the_wrap_planes_bit_for_bit.
 @example((np.array([-0.0]), (0.5,), 1.0, 0.1))
 @example((np.array([-0.0, -0.0]), (0.75,), 1.0, 0.1))
 @example(_signed_zero_wraps((3, 2), (0.5, 0.75)))
