@@ -13,7 +13,9 @@ table at negative ``t``.  Three more runs end off their ``record_every``
 grid: a literal-convolution ``evolve`` and a complex and a real
 ``interact``.  Two ``vacuum`` runs of 512 and 600 sites cover correlators
 wider than one 256-site accumulation strip, the second with a partial last
-strip.  Two ``interact`` runs leave one dimension: a real 3D field and a
+strip.  A ``vacuum`` run of the ``scaled3d`` benchmark's shape (8x8x4 sites,
+2000 samples) fills exactly one strip with full-width products over eight
+sample blocks.  Two ``interact`` runs leave one dimension: a real 3D field and a
 complex 2D one, each on anisotropic spacings with a 2-point axis (the last
 and the first), so that the stencil's wrap planes are also its bulk.
 
@@ -23,11 +25,11 @@ different numpy, scipy or BLAS build, or the same build at another SIMD
 dispatch level, may legitimately change the last bits of some floats and
 needs the digests re-recorded after checking the acceptance suite still
 passes.  With ``NPY_DISABLE_CPU_FEATURES`` set to every feature numpy
-dispatches on (``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` on that CPU), 12 of
-these 20 cases fail: the README ``decay``, ``evolve``, ``front``,
+dispatches on (``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` on that CPU), 13 of
+these 21 cases fail: the README ``decay``, ``evolve``, ``front``,
 ``identities``, ``interact`` and ``vacuum`` configs, the multi-block
 snapshot, the F2 alias table at the origin, ``evolve_literal``,
-``sites_512``, ``sites_600`` and ``real_3d``.
+``sites_512``, ``sites_600``, the ``scaled3d``-shape vacuum and ``real_3d``.
 """
 
 import hashlib
@@ -226,6 +228,27 @@ VACUUM_STRIP_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(VACUUM_STRIP_CONFIGS))
 def test_multi_strip_vacuum_artifacts_match_the_golden_digests(tmp_path, case):
     config, golden = VACUUM_STRIP_CONFIGS[case]
+    assert run_digests(tmp_path, json.dumps(config)) == golden
+
+
+# The vacuum config of the scaled3d benchmark workload at a fixed seed: 256
+# sites, so one strip whose products span the whole correlator width, and
+# 2000 samples, seven full blocks and a partial eighth.
+SCALED3D_VACUUM = (
+    {
+        "experiment": "vacuum", "mass": 1.0,
+        "box_length": [6.283185307179586, 6.283185307179586, 3.141592653589793],
+        "points": [8, 8, 4], "cutoff": None, "samples": 2000, "evolve_time": 1.0, "seed": 6,
+    },
+    {
+        "correlator.csv": "b3ab00aad794565743704e79fe5d5d00aed91ede1e55abf3c20c5e2f12ff379c",
+        "correlator_evolved.csv": "720847cd4a7e7494339677631dcd221e660c21008fe0e3e47374d909b4b412f4",
+    },
+)
+
+
+def test_scaled3d_shape_vacuum_artifacts_match_the_golden_digests(tmp_path):
+    config, golden = SCALED3D_VACUUM
     assert run_digests(tmp_path, json.dumps(config)) == golden
 
 
