@@ -234,14 +234,17 @@ def to_momentum(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
     return ComplexField(space="momentum", values=values, time=field.time)
 
 
-def to_position(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
+def to_position(field: ComplexField, lattice: MomentumLattice, *, out: np.ndarray | None = None) -> ComplexField:
     """Unitary (symmetric-norm) DFT from momentum to position samples.
 
     The values may be a stack of fields, the grid on their trailing axes:
-    each is transformed as it would be alone.
+    each is transformed as it would be alone.  ``out``, a complex array of
+    the values' shape, receives the samples instead of a new array, with the
+    same bits; it may be the values themselves, which are then transformed
+    in place.
     """
     _require(field, lattice, "momentum", stack=True)
-    values = np.fft.ifftn(field.values, axes=tuple(range(-lattice.dims, 0)), norm="ortho")
+    values = np.fft.ifftn(field.values, axes=tuple(range(-lattice.dims, 0)), norm="ortho", out=out)
     return ComplexField(space="position", values=values, time=field.time)
 
 
@@ -259,17 +262,21 @@ def evolution_phase(lattice: MomentumLattice, t: float) -> np.ndarray:
     return phase
 
 
-def spectral_evolve(field: ComplexField, lattice: MomentumLattice, t: float) -> ComplexField:
+def spectral_evolve(
+    field: ComplexField, lattice: MomentumLattice, t: float, *, out: np.ndarray | None = None,
+) -> ComplexField:
     """Advance momentum samples by the exact per-mode phase.
 
     Modes beyond the cutoff keep their amplitude unchanged.  The field's
     clock advances by ``t``.  A NaN or infinite mode is rejected.  The
     values may be a stack of fields, as :func:`to_position` takes.
+    ``out``, a complex array of the values' shape, receives the evolved
+    values instead of a new array, with the same bits.
     """
     _require(field, lattice, "momentum", stack=True)
     _require_finite(field, "field")
     phase = evolution_phase(lattice, t)
-    return ComplexField(space="momentum", values=field.values * phase, time=field.time + t)
+    return ComplexField(space="momentum", values=np.multiply(field.values, phase, out=out), time=field.time + t)
 
 
 def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -15,11 +15,21 @@ every index, so a block holds exactly the arrays that per-sample draws give.
 Evolution by ``t`` is an exact per-mode rotation of the same configuration,
 so one draw of a block feeds the estimates at every requested time: for each
 time the block, a stack of momentum fields, goes through the lattice's own
-``spectral_evolve`` (out of place) and ``to_position``, the path of a single
-field, and the result is added to that time's sums.  The sums are Hermitian
+``spectral_evolve`` (out of place: every time reads the same draws) and
+``to_position``, the path of a single field, and the result is added to that
+time's sums.  The sums are Hermitian
 (the mean) and symmetric (the second moment), so only their upper triangle is
 accumulated, in row strips of ``_STRIP_SITES`` sites, and mirrored once after
 the last block.
+
+One call allocates its per-block arrays once, in a workspace sized for
+``_BATCH_ROWS`` rows (:class:`_Workspace`), and every block writes into the
+leading rows of it, through the ``out=`` of ``spectral_evolve``,
+``to_position`` and the ufuncs: the uniforms and their phases, the evolved
+block (transformed in place), its conjugate and ``|b|^2``, and each strip's
+product.  The arithmetic and its order are those of fresh arrays, so the
+bits are too; what goes is the page faults of about twenty fresh arrays per
+block.
 """
 
 from __future__ import annotations
@@ -62,13 +72,15 @@ _STRIP_SITES = 256
 # Peak memory of a vacuum run, in bytes per site pair of each estimate (its
 # complex and float accumulator, 16 + 8, its zero-variance flags, 1, and 8
 # that the CLI's float pull matrix took before its pulls went row strip by
-# row strip, kept as headroom) and per site of a block of samples (its
-# draws, one time's phases, transforms, conjugate and strip product).
+# row strip, kept as headroom) and per site of a block of samples (the
+# workspace: angles 8, phases 16, the evolved and transformed block 16, its
+# conjugate 16 and |b|^2 8, and the two strip products, 16 + 8 per site of
+# a 256-site strip, 88 in all).
 # Measured peaks of `ontofield run` (VmHWM above VmRSS after a 64-site
-# warm-up run in the same process, 300 samples) were 37.1 and 124.1 MB for
-# one estimate and 65.2 and 230.4 MB for two, at 1024 and 2048 sites (41.1,
-# 137.6, 67.4 and 242.5 MB with the pulls formed over the whole matrix),
-# under the 59.8 and 188.7 MB and 94.4 and 327.2 MB this gives.
+# warm-up run in the same process, 300 samples) were 49.8 and 147.3 MB for
+# one estimate and 74.0 and 245.7 MB for two, at 1024 and 2048 sites (39.6,
+# 126.7, 67.1 and 232.3 MB with fresh arrays per block), under the 59.8 and
+# 188.7 MB and 94.4 and 327.2 MB this gives.
 _PAIR_BYTES = 33
 _BLOCK_SITE_BYTES = 96
 
@@ -91,7 +103,9 @@ class EnsembleSpec:
         refuse(problems(_RULES, count=self.count, seed=self.seed))
 
 
-def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
+def _draw_phases(
+    spec: EnsembleSpec, start: int, stop: int, uniforms: np.ndarray | None = None, out: np.ndarray | None = None,
+) -> np.ndarray:
     """Unit phases of samples ``start <= i < stop``, shape ``(stop-start, *grid)``.
 
     Row ``i - start`` is the Philox stream keyed by ``(seed, i)``, filling
@@ -100,6 +114,8 @@ def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     would, without building one.  The state holds Python ints in lists, which
     the setter reads word by word: a rekey took 0.87 us against 2.07 us with
     uint64 arrays (numpy 2.4.6, 2 vCPU shared host), for the same streams.
+    ``uniforms`` (float) and ``out`` (complex), C-contiguous arrays of that
+    shape, take the angles and the phases instead of new arrays.
     """
     bits = np.random.Philox(key=0)  # rekeyed below; key=0 skips OS entropy
     rng = np.random.Generator(bits)
@@ -113,14 +129,22 @@ def _draw_phases(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    theta = np.empty((stop - start, *spec.lattice.grid_points))
+    shape = (stop - start, *spec.lattice.grid_points)
+    theta = np.empty(shape) if uniforms is None else uniforms
+    phases = np.empty(shape, dtype=complex) if out is None else out
     for row, index in enumerate(range(start, stop)):
         key[1] = index
         bits.state = state
         rng.random(out=theta[row])
     # uniform(0, 2 pi) is 0.0 + 2 pi * u, so one scaling gives its bits.
     theta *= 2.0 * np.pi
-    return np.exp(1j * theta)
+    # The bits of np.exp(1j * theta), with no temporaries: libm's complex exp
+    # scales the cos and sin of the imaginary part by exp(0.0) = 1.0.  They
+    # matched on 42 million angles, at the host's dispatch level and with it
+    # off (numpy 2.4.6, glibc 2.36).
+    np.cos(theta, out=phases.real)
+    np.sin(theta, out=phases.imag)
+    return phases
 
 
 def sample_vacuum(spec: EnsembleSpec, sample_index: int = 0) -> ComplexField:
@@ -197,15 +221,20 @@ def _strips(n_sites: int):
         yield lo, min(lo + _STRIP_SITES, n_sites)
 
 
-def _add_upper(total: np.ndarray, left_t: np.ndarray, right: np.ndarray) -> None:
+def _add_upper(total: np.ndarray, left_t: np.ndarray, right: np.ndarray, product: np.ndarray) -> None:
     """Add the upper triangle of ``left_t @ right`` into ``total``, strip by strip.
 
     Strip ``[lo, hi)`` adds rows ``lo:hi`` from column ``lo`` on, so the
     squares on the diagonal are added whole and the rest of the lower
-    triangle is left for :func:`_mirror`.
+    triangle is left for :func:`_mirror`.  Each strip's product is formed in
+    the leading entries of ``product``, a flat array of ``total``'s dtype
+    with room for the first strip.
     """
-    for lo, hi in _strips(total.shape[0]):
-        total[lo:hi, lo:] += left_t[lo:hi] @ right[:, lo:]
+    n = total.shape[0]
+    for lo, hi in _strips(n):
+        strip = product[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        rows = total[lo:hi, lo:]
+        rows += np.matmul(left_t[lo:hi], right[:, lo:], out=strip)
 
 
 def _mirror(total: np.ndarray) -> None:
@@ -244,6 +273,25 @@ def _finalise(sum_w: np.ndarray, sum_sq: np.ndarray, n_samples: int) -> Correlat
     return CorrelatorEstimate(mean=sum_w, stderr=sum_sq, count=n_samples, zero_variance=zero_variance)
 
 
+class _Workspace:
+    """The per-block arrays of one :func:`ensemble_correlators` call, for up to ``rows`` samples.
+
+    A block of fewer rows uses the leading rows of each.  ``product_w`` and
+    ``product_sq`` are flat, with room for the first (widest) strip's product.
+    """
+
+    def __init__(self, grid_points: tuple[int, ...], rows: int) -> None:
+        n_sites = math.prod(grid_points)
+        self.uniforms = np.empty((rows, *grid_points))
+        self.phases = np.empty((rows, *grid_points), dtype=complex)
+        self.position = np.empty((rows, *grid_points), dtype=complex)
+        self.conj = np.empty((rows, n_sites), dtype=complex)
+        self.abs_sq = np.empty((rows, n_sites))
+        strip = min(_STRIP_SITES, n_sites) * n_sites
+        self.product_w = np.empty(strip, dtype=complex)
+        self.product_sq = np.empty(strip)
+
+
 def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> list[CorrelatorEstimate]:
     """Average ``conj(b(x)) b(y)`` over the ``spec.count`` vacua, at each evolution time.
 
@@ -267,19 +315,25 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     lattice = spec.lattice
     n_sites = math.prod(lattice.grid_points)
     sums = [(np.zeros((n_sites, n_sites), dtype=complex), np.zeros((n_sites, n_sites))) for _ in evolve_times]
+    work = _Workspace(lattice.grid_points, min(_BATCH_ROWS, n_samples))
     for start in range(0, n_samples, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, n_samples)
-        modes = ComplexField(space="momentum", values=_draw_phases(spec, start, stop))
+        rows = min(_BATCH_ROWS, n_samples - start)
+        drawn = _draw_phases(spec, start, start + rows, work.uniforms[:rows], work.phases[:rows])
+        modes = ComplexField(space="momentum", values=drawn)
+        # The evolved block is transformed in place: one buffer serves both.
+        position = work.position[:rows]
+        block = position.reshape(rows, n_sites)
+        conj = work.conj[:rows]
+        abs_sq = work.abs_sq[:rows]
         for t, (sum_w, sum_sq) in zip(evolve_times, sums):
-            position = to_position(spectral_evolve(modes, lattice, t) if t != 0.0 else modes, lattice)
-            block = position.values.reshape(stop - start, n_sites)
-            _add_upper(sum_w, block.conj().T, block)
-            abs_sq = np.abs(block) ** 2
-            _add_upper(sum_sq, abs_sq.T, abs_sq)
-            # Each time's block goes before the next time's is built, and
-            # the draw before the next draw: the guard counts one of each.
-            del position, block, abs_sq
-        del modes
+            to_position(spectral_evolve(modes, lattice, t, out=position) if t != 0.0 else modes, lattice, out=position)
+            _add_upper(sum_w, np.conjugate(block, out=conj).T, block, work.product_w)
+            # |b|^2 as np.abs(block) ** 2 forms it: ** 2 is np.square.
+            np.square(np.abs(block, out=abs_sq), out=abs_sq)
+            _add_upper(sum_sq, abs_sq.T, abs_sq, work.product_sq)
+    # Freed before the finalising: kept, it raised the peaks measured above
+    # by 3 to 16 MB.
+    del work
     estimates = []
     for sum_w, sum_sq in sums:
         _mirror(sum_w)

@@ -653,9 +653,9 @@ def test_vacuum_run_draws_each_sample_once_for_both_correlators(tmp_path, monkey
     draw = vacuum._draw_phases
     rows = []
 
-    def counted(spec, start, stop):
+    def counted(spec, start, stop, *buffers):
         rows.append((start, stop))
-        return draw(spec, start, stop)
+        return draw(spec, start, stop, *buffers)
 
     monkeypatch.setattr(vacuum, "_draw_phases", counted)
     payload = {
