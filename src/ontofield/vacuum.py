@@ -17,13 +17,12 @@ so one draw of a block feeds the estimates at every requested time: for each
 time the block, a stack of momentum fields, goes through the lattice's own
 ``spectral_evolve`` (out of place: every time reads the same draws) and
 ``to_position``, the path of a single field, and the result is added to that
-time's sums.  The sums are Hermitian
-(the mean) and symmetric (the second moment), so only their upper triangle is
-accumulated, in row strips of ``_STRIP_SITES`` sites, and mirrored once after
-the last block.
+time's sums.  The sums are Hermitian (the mean) and symmetric (the second
+moment), so only their upper triangle is accumulated, in row strips of
+``_STRIP_SITES`` sites, and mirrored once after the last block.
 
 One call allocates its per-block arrays once, in a workspace sized for
-``_BATCH_ROWS`` rows (:class:`_Workspace`), and every block writes into the
+``_BATCH_ROWS`` rows (:func:`_add_blocks`), and every block writes into the
 leading rows of it, through the ``out=`` of ``spectral_evolve``,
 ``to_position`` and the ufuncs: the uniforms and their phases, the evolved
 block (transformed in place), its conjugate and ``|b|^2``, and each strip's
@@ -273,23 +272,40 @@ def _finalise(sum_w: np.ndarray, sum_sq: np.ndarray, n_samples: int) -> Correlat
     return CorrelatorEstimate(mean=sum_w, stderr=sum_sq, count=n_samples, zero_variance=zero_variance)
 
 
-class _Workspace:
-    """The per-block arrays of one :func:`ensemble_correlators` call, for up to ``rows`` samples.
+def _add_blocks(
+    spec: EnsembleSpec, evolve_times: Sequence[float], sums: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Add every block of ``spec``'s samples into each time's ``(sum_w, sum_sq)``, through one workspace.
 
-    A block of fewer rows uses the leading rows of each.  ``product_w`` and
-    ``product_sq`` are flat, with room for the first (widest) strip's product.
+    The per-block arrays are allocated once, for up to ``_BATCH_ROWS`` rows,
+    and each block writes into their leading rows.  They are freed on return,
+    before the estimates are finalised: kept through :func:`_finalise`, they
+    raised the peaks measured above ``_BLOCK_SITE_BYTES`` by 3 to 16 MB.
     """
-
-    def __init__(self, grid_points: tuple[int, ...], rows: int) -> None:
-        n_sites = math.prod(grid_points)
-        self.uniforms = np.empty((rows, *grid_points))
-        self.phases = np.empty((rows, *grid_points), dtype=complex)
-        self.position = np.empty((rows, *grid_points), dtype=complex)
-        self.conj = np.empty((rows, n_sites), dtype=complex)
-        self.abs_sq = np.empty((rows, n_sites))
-        strip = min(_STRIP_SITES, n_sites) * n_sites
-        self.product_w = np.empty(strip, dtype=complex)
-        self.product_sq = np.empty(strip)
+    lattice = spec.lattice
+    grid = lattice.grid_points
+    n_sites = math.prod(grid)
+    batch = min(_BATCH_ROWS, spec.count)
+    uniforms = np.empty((batch, *grid))
+    phases, position = (np.empty((batch, *grid), dtype=complex) for _ in range(2))
+    conj = np.empty((batch, n_sites), dtype=complex)
+    abs_sq = np.empty((batch, n_sites))
+    # Flat, with room for the first (widest) strip's product.
+    strip = min(_STRIP_SITES, n_sites) * n_sites
+    product_w, product_sq = np.empty(strip, dtype=complex), np.empty(strip)
+    for start in range(0, spec.count, _BATCH_ROWS):
+        rows = min(_BATCH_ROWS, spec.count - start)
+        drawn = _draw_phases(spec, start, start + rows, uniforms[:rows], phases[:rows])
+        modes = ComplexField(space="momentum", values=drawn)
+        # The evolved block is transformed in place: one buffer serves both.
+        out = position[:rows]
+        block = out.reshape(rows, n_sites)
+        for t, (sum_w, sum_sq) in zip(evolve_times, sums):
+            to_position(spectral_evolve(modes, lattice, t, out=out) if t != 0.0 else modes, lattice, out=out)
+            _add_upper(sum_w, np.conjugate(block, out=conj[:rows]).T, block, product_w)
+            # |b|^2 as np.abs(block) ** 2 forms it: ** 2 is np.square.
+            square = np.square(np.abs(block, out=abs_sq[:rows]), out=abs_sq[:rows])
+            _add_upper(sum_sq, square.T, square, product_sq)
 
 
 def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> list[CorrelatorEstimate]:
@@ -312,28 +328,9 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     n_samples = spec.count
     refuse(problems(_RULES, evolve_times=evolve_times))
     refuse(_memory_problems(spec.lattice.grid_points, len(evolve_times)), CorrelatorMemoryError)
-    lattice = spec.lattice
-    n_sites = math.prod(lattice.grid_points)
+    n_sites = math.prod(spec.lattice.grid_points)
     sums = [(np.zeros((n_sites, n_sites), dtype=complex), np.zeros((n_sites, n_sites))) for _ in evolve_times]
-    work = _Workspace(lattice.grid_points, min(_BATCH_ROWS, n_samples))
-    for start in range(0, n_samples, _BATCH_ROWS):
-        rows = min(_BATCH_ROWS, n_samples - start)
-        drawn = _draw_phases(spec, start, start + rows, work.uniforms[:rows], work.phases[:rows])
-        modes = ComplexField(space="momentum", values=drawn)
-        # The evolved block is transformed in place: one buffer serves both.
-        position = work.position[:rows]
-        block = position.reshape(rows, n_sites)
-        conj = work.conj[:rows]
-        abs_sq = work.abs_sq[:rows]
-        for t, (sum_w, sum_sq) in zip(evolve_times, sums):
-            to_position(spectral_evolve(modes, lattice, t, out=position) if t != 0.0 else modes, lattice, out=position)
-            _add_upper(sum_w, np.conjugate(block, out=conj).T, block, work.product_w)
-            # |b|^2 as np.abs(block) ** 2 forms it: ** 2 is np.square.
-            np.square(np.abs(block, out=abs_sq), out=abs_sq)
-            _add_upper(sum_sq, abs_sq.T, abs_sq, work.product_sq)
-    # Freed before the finalising: kept, it raised the peaks measured above
-    # by 3 to 16 MB.
-    del work
+    _add_blocks(spec, evolve_times, sums)
     estimates = []
     for sum_w, sum_sq in sums:
         _mirror(sum_w)

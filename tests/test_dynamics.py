@@ -710,6 +710,81 @@ def test_leapfrog_run_is_bitwise_the_roll_form_run(lengths, points, dtype):
         assert run.energy is None and energies == []
 
 
+def _periodic_l1(shape, site):
+    """Periodic L1 distance of every site of a grid of ``shape`` from ``site``."""
+    distance = np.zeros(shape, dtype=int)
+    for axis, (n, s) in enumerate(zip(shape, site)):
+        offset = np.abs(np.arange(n) - s)
+        distance = distance + np.minimum(offset, n - offset).reshape([n if a == axis else 1 for a in range(len(shape))])
+    return distance
+
+
+@st.composite
+def _cone_cases(draw):
+    # A complex run's norm is no invariant, and the instability monitor stops
+    # it at 10x.  Spacings of at least 1.5 and masses from 1 to 1.5 keep
+    # every frequency squared between 1 and 8, and fields of at most 0.5
+    # keep the cube a small part of the force, so the norm stays under that.
+    dims = draw(st.integers(1, 3))
+    points = draw(st.lists(st.sampled_from([2, 4, 6, 8, 10]), min_size=dims, max_size=dims))
+    spacings = draw(st.lists(st.sampled_from([1.5, 2.0]) | st.floats(1.5, 2.0), min_size=dims, max_size=dims))
+    lattice = build_lattice([n * dx for n, dx in zip(points, spacings)], points, draw(st.floats(1.0, 1.5)))
+    mode = draw(st.sampled_from(["real", "complex"]))
+    b0, v0 = (
+        draw(arrays(np.float64, (*points, 2), elements=st.floats(-0.5, 0.5))).view(complex)[..., 0]
+        for _ in range(2)
+    )
+    if mode == "real":
+        b0, v0 = b0.real.copy(), v0.real.copy()
+    site = tuple(draw(st.integers(0, n - 1)) for n in points)
+    delta = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.25, 0.5))
+    coupling = draw(st.floats(0.1, 1.0))
+    dt = draw(st.floats(0.3, 0.9)) * stability_bound(lattice)
+    # Up to the farthest periodic distance, so that the cone's edge exists.
+    steps = draw(st.integers(1, min(6, sum(n // 2 for n in points))))
+    return lattice, b0, v0, site, delta, coupling, dt, steps, mode
+
+
+@settings(max_examples=25, deadline=None)
+@given(_cone_cases())
+# Unit deltas at rest on a zero field, with dt/dx = 1/2 and 1/4: the edge of
+# the cone holds (dt/dx)^(2n)/2 bit for bit after n steps, whatever M and
+# lambda.
+@example((build_lattice(16.0, 32, 1.0), np.zeros(32), np.zeros(32), (5,), 1.0, 0.7, 0.25, 8, "real"))
+@example((build_lattice(16.0, 32, 0.3), np.zeros(32, complex), np.zeros(32, complex), (30,), 1.0, 0.1, 0.125, 6, "complex"))
+def test_a_one_site_change_stays_inside_the_leapfrog_light_cone(case):
+    # Each step reads nearest neighbours only, so a change of b at one site
+    # reaches periodic L1 distance n after n steps and no farther: outside
+    # that distance every record is equal bit for bit, at any coupling.
+    lattice, b0, v0, site, delta, coupling, dt, steps, mode = case
+    changed = b0.copy()
+    changed[site] += delta
+
+    def records(b):
+        run = leapfrog_interact(
+            ComplexField("position", b.astype(complex)), ComplexField("position", v0.astype(complex)), lattice,
+            coupling, dt, steps, field_mode=mode,
+        )
+        return [snap.values for snap in run.snapshots]
+
+    distance = _periodic_l1(lattice.grid_points, site)
+    # In 1D, from a delta at rest on a zero field, the edge holds
+    # delta (dt/dx)^(2n)/2 from the first step until its two sides meet:
+    # exactly when dt/dx and delta are powers of two, to roundoff otherwise.
+    delta_at_rest = lattice.dims == 1 and not b0.any() and not v0.any()
+    exact = math.frexp(dt / lattice.spacings[0])[0] == 0.5 and math.frexp(delta)[0] == 0.5
+    for n, (base, moved) in enumerate(zip(records(b0), records(changed), strict=True)):
+        differs = np.any((base.view(np.uint8) != moved.view(np.uint8)).reshape(*base.shape, -1), axis=-1)
+        assert not np.any(differs[distance > n]), n
+        assert distance[differs].max() == n
+        if delta_at_rest and 0 < 2 * n < lattice.grid_points[0]:
+            edge = delta * (dt / lattice.spacings[0]) ** (2 * n) / 2.0
+            if exact:
+                assert np.all(moved[distance == n] == edge), n
+            else:
+                assert moved[distance == n] == pytest.approx(edge, rel=1e-13), n
+
+
 def test_schedule_keeps_the_multiples_of_record_every_and_the_last_step():
     # The rule the schedule's range replaced, over counts below, at and above record_every.
     for steps in range(1, 41):

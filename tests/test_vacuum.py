@@ -188,6 +188,12 @@ def test_joint_pass_equals_one_call_per_time_bit_for_bit(seed):
             assert getattr(estimate, field).tobytes() == getattr(alone, field).tobytes(), (t, field)
 
 
+def _with_src(env):
+    """``env`` with this checkout's ``src`` first on ``PYTHONPATH``, for a subprocess."""
+    src = str(Path(ontofield.__file__).resolve().parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
 def _vacuum_digests(tmp_path, env):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -195,11 +201,9 @@ def _vacuum_digests(tmp_path, env):
     config = tmp_path / "vacuum.json"
     config.write_text(next(b for b in blocks if json.loads(b)["experiment"] == "vacuum"))
     out = tmp_path / "out"
-    src = str(Path(ontofield.__file__).resolve().parents[1])
-    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "ontofield.cli", "run", str(config), "--output-dir", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_with_src(env), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
@@ -210,6 +214,41 @@ def test_blas_thread_count_does_not_change_the_correlator_bytes(tmp_path):
     inherited = _vacuum_digests(tmp_path / "inherited", dict(os.environ))
     assert sorted(inherited) == ["correlator.csv", "correlator_evolved.csv"]
     assert _vacuum_digests(tmp_path / "single", single) == inherited
+
+
+_DRAW_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from ontofield.lattice import build_lattice
+from ontofield.vacuum import EnsembleSpec, _draw_phases
+spec = EnsembleSpec(build_lattice([6.0, 5.0, 3.0], [8, 8, 4], 1.0), count=300, seed=2**63 + 5)
+angles = np.empty((300, 8, 8, 4))
+phases = _draw_phases(spec, 0, 300, angles)
+print(hashlib.sha256(phases.tobytes()).hexdigest())
+print(hashlib.sha256(np.exp(1j * angles).tobytes()).hexdigest())
+"""
+
+
+def _draw_digests(env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRAW_DIGEST_SCRIPT], env=_with_src(env), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_phase_draw_bytes_do_not_depend_on_the_simd_dispatch():
+    # The phases are np.cos and np.sin of the angles, which must give the
+    # bits of np.exp(1j * angles) at either dispatch level.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    # Turning off a feature this CPU lacks would change nothing.
+    features = getattr(umath, "__cpu_features__", {})
+    dispatch = [name for name in getattr(umath, "__cpu_dispatch__", []) if features.get(name)]
+    if not dispatch:
+        pytest.skip("this numpy build and CPU have no SIMD dispatch level to turn off")
+    host = _draw_digests(dict(os.environ))
+    assert host[0] == host[1]
+    assert _draw_digests({**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)}) == host
 
 
 def test_correlator_csv_layout(tmp_path):
