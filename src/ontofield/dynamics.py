@@ -26,6 +26,7 @@ from ontofield.kernels import _velocity_problems, group_velocity
 from ontofield.lattice import (
     ComplexField,
     MomentumLattice,
+    _aligned_empty,
     _require,
     _require_finite,
     _spacings,
@@ -316,23 +317,6 @@ def _divide_by(divisor: float, dtype: np.dtype) -> tuple[np.ufunc, np.ndarray]:
     if np.dtype(dtype) == np.float64 and math.frexp(divisor)[0] == 0.5 and math.isfinite(reciprocal):
         return np.multiply, np.array(reciprocal, dtype=dtype)
     return np.divide, np.array(divisor, dtype=dtype)
-
-
-def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An unset C-contiguous array of ``shape`` and ``dtype`` whose data starts on a 64-byte boundary.
-
-    numpy's buffers start wherever malloc puts them, 16-byte aligned, and a
-    stencil call whose output does not start 32-byte aligned runs slower:
-    ``np.add`` of two 32768-value float64 arrays took 8.4-8.8 us with the
-    output at offsets 0 or 32 modulo 64 and 10.1-10.6 us at 16 or 48
-    (numpy 2.4.6, AVX-512, 2 vCPU shared host).  Without this, a 32^3
-    leapfrog's speed moved by about 10% with where its buffers landed.
-    """
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def _with_halo(values: np.ndarray, dtype) -> np.ndarray:

@@ -21,14 +21,14 @@ time's sums.  The sums are Hermitian (the mean) and symmetric (the second
 moment), so only their upper triangle is accumulated, in row strips of
 ``_STRIP_SITES`` sites, and mirrored once after the last block.
 
-One call allocates its per-block arrays once, in a workspace sized for
-``_BATCH_ROWS`` rows (:func:`_add_blocks`), and every block writes into the
-leading rows of it, through the ``out=`` of ``spectral_evolve``,
-``to_position`` and the ufuncs: the uniforms and their phases, the evolved
-block (transformed in place), its conjugate and ``|b|^2``, and each strip's
-product.  The arithmetic and its order are those of fresh arrays, so the
-bits are too; what goes is the page faults of about twenty fresh arrays per
-block.
+One call allocates its per-block arrays once, as views of one workspace
+sized for ``_BATCH_ROWS`` rows (:func:`_add_blocks`, :func:`_workspace`),
+and every block writes into their leading rows through the ``out=`` of
+``spectral_evolve``, ``to_position`` and the ufuncs: the uniforms and their
+phases, the evolved block (transformed in place), its conjugate and
+``|b|^2``, and each strip's product.  The arithmetic and its order are
+those of fresh arrays, so the bits are too; what goes is the page faults of
+about twenty fresh arrays per block.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ontofield._rules import Problems, as_tuple, finite_entries, integer_at_least, is_integer, problems, refuse
-from ontofield.lattice import ComplexField, MomentumLattice, _write_csv, spectral_evolve, to_position
+from ontofield.lattice import ComplexField, MomentumLattice, _aligned_empty, _write_csv, spectral_evolve, to_position
 
 __all__ = [
     "CorrelatorEstimate",
@@ -76,8 +76,8 @@ _STRIP_SITES = 256
 # conjugate 16 and |b|^2 8, and the two strip products, 16 + 8 per site of
 # a 256-site strip, 88 in all).
 # Measured peaks of `ontofield run` (VmHWM above VmRSS after a 64-site
-# warm-up run in the same process, 300 samples) were 49.8 and 147.3 MB for
-# one estimate and 74.0 and 245.7 MB for two, at 1024 and 2048 sites (39.6,
+# warm-up run in the same process, 300 samples) were 49.7 and 147.4 MB for
+# one estimate and 73.7 and 245.2 MB for two, at 1024 and 2048 sites (39.6,
 # 126.7, 67.1 and 232.3 MB with fresh arrays per block), under the 59.8 and
 # 188.7 MB and 94.4 and 327.2 MB this gives.
 _PAIR_BYTES = 33
@@ -276,21 +276,18 @@ def _workspace(*layout: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
     """Unset C-contiguous arrays of the ``(shape, dtype)`` pairs in ``layout``, views of one allocation.
 
     Each starts on a 64-byte boundary.  One allocation of several MB is a
-    mapping of its own, not heap, and numpy asks the kernel for transparent
-    huge pages for it, so it faults in fewer pages and leaves the heap as it
-    was for the allocations after it.  Per ``scaled3d`` vacuum op, after a
-    warm-up pass, 8 fresh processes took 230-1080 minor faults with one
-    allocation and 3.1k with one per array, 28.4k in 2 of the 8, where
-    ``write_csv`` faulted its tiles in anew (numpy 2.4.6, glibc 2.36).
+    mapping of its own, not heap, so the heap is left as it was for the
+    allocations after it, and numpy asks the kernel for transparent huge
+    pages for it (the 5.5 MB ``scaled3d`` workspace got one 2 MB page and
+    took 902 faults to fill).  Per ``scaled3d`` vacuum op, after a warm-up
+    pass, 8 fresh processes took 230-1080 minor faults with one allocation,
+    against 3.1k with one per array, and 28.4k in 2 of those 8 (numpy
+    2.4.6, glibc 2.36).
     """
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
     starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes]).tolist()
-    raw = np.empty(starts[-1] + 64, dtype=np.uint8)
-    base = -raw.ctypes.data % 64
-    return [
-        raw[base + lo : base + lo + size].view(dtype).reshape(shape)
-        for (shape, dtype), lo, size in zip(layout, starts, sizes)
-    ]
+    raw = _aligned_empty((starts[-1],), np.uint8)
+    return [raw[lo : lo + size].view(dtype).reshape(shape) for (shape, dtype), lo, size in zip(layout, starts, sizes)]
 
 
 def _add_blocks(
