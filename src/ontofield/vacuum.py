@@ -280,8 +280,8 @@ def _workspace(*layout: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
     allocations after it, and numpy asks the kernel for transparent huge
     pages for it (the 5.5 MB ``scaled3d`` workspace got one 2 MB page and
     took 902 faults to fill).  Per ``scaled3d`` vacuum op, after a warm-up
-    pass, 8 fresh processes took 230-1080 minor faults with one allocation,
-    against 3.1k with one per array, and 28.4k in 2 of those 8 (numpy
+    pass, 8 fresh processes took 195-1090 minor faults with one allocation,
+    against 3.1k-4.1k with one per array, and 28.4k in 2 of those 8 (numpy
     2.4.6, glibc 2.36).
     """
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
