@@ -15,9 +15,10 @@ grid: a literal-convolution ``evolve`` and a complex and a real
 wider than one 256-site accumulation strip, the second with a partial last
 strip.  A ``vacuum`` run of the ``scaled3d`` benchmark's shape (8x8x4 sites,
 2000 samples) fills exactly one strip with full-width products over eight
-sample blocks.  Two ``interact`` runs leave one dimension: a real 3D field and a
-complex 2D one, each on anisotropic spacings with a 2-point axis (the last
-and the first), so that the stencil's wrap planes are also its bulk.
+sample blocks.  Three ``interact`` runs leave one dimension: a real 3D field,
+and a complex and a real 2D one of the same config, each on anisotropic
+spacings with a 2-point axis (the 3D field's last, the 2D fields' first), so
+that the stencil's wrap planes are also its bulk.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64)
 on a CPU with AVX-512, where numpy dispatches to its AVX-512 loops; a
@@ -26,7 +27,7 @@ dispatch level, may legitimately change the last bits of some floats and
 needs the digests re-recorded after checking the acceptance suite still
 passes.  With ``NPY_DISABLE_CPU_FEATURES`` set to every feature numpy
 dispatches on (``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` on that CPU), 13 of
-these 21 cases fail: the README ``decay``, ``evolve``, ``front``,
+these 22 cases fail: the README ``decay``, ``evolve``, ``front``,
 ``identities``, ``interact`` and ``vacuum`` configs, the multi-block
 snapshot, the F2 alias table at the origin, ``evolve_literal``,
 ``sites_512``, ``sites_600``, the ``scaled3d``-shape vacuum and ``real_3d``.
@@ -253,7 +254,7 @@ def test_scaled3d_shape_vacuum_artifacts_match_the_golden_digests(tmp_path):
 
 
 # Interacting runs in more than one dimension, on anisotropic spacings with a
-# 2-point axis: the real field's last axis, the complex field's first.
+# 2-point axis: the 3D field's last axis, the 2D fields' first.
 MULTI_DIM_INTERACT_CONFIGS = {
     "real_3d": (
         {
@@ -275,6 +276,17 @@ MULTI_DIM_INTERACT_CONFIGS = {
             "field_mode": "complex",
         },
         {"final_field.csv": "466945622d8186692a316086bf3c35189c0bf207e0e78b54942bbecc00f1b4cd"},
+    ),
+    "real_2d": (
+        {
+            "experiment": "interact", "mass": 1.1, "box_length": [4.0, 7.0], "points": [2, 10],
+            "cutoff": None, "k0": [0.0, 1.0], "center": [1.0, 2.5], "width": 1.4,
+            "amplitude": 1.3, "lambda": -0.4, "dt": 0.1, "steps": 25, "record_every": 6,
+        },
+        {
+            "energy.csv": "be0f7202cac15c16f67fb092f596e9be1a86cf272fcc215f00e888dbfa6cb08f",
+            "final_field.csv": "f996ba8e1f7642693a3796f08efcb1b605c216a2260dbd0fb0b9a524239ebb8c",
+        },
     ),
 }
 
