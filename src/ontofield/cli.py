@@ -109,7 +109,7 @@ _SCHEMAS: dict[str, dict[str, object]] = {
     "decay": {"method": "contour", **_KERNEL_KEYS},
     "front": {**_LATTICE_KEYS, **_PACKET_KEYS},
     "evolve": {**_LATTICE_KEYS, **_PACKET_KEYS, "method": "spectral"},
-    "interact": {**_LATTICE_KEYS, **_PACKET_KEYS, "lambda": _REQUIRED, "field_mode": "real"},
+    "interact": {**_LATTICE_KEYS, **_PACKET_KEYS, "lambda": _REQUIRED},
     "vacuum": {**_LATTICE_KEYS, "samples": _REQUIRED, "evolve_time": None},
 }
 
@@ -190,8 +190,7 @@ _PREDICATES: dict[str, Callable[[dict], Problems]] = {
     "decay": _check_kernel,
     "front": lambda p: _setup_problems(p) or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"]),
     "evolve": _setup_problems,
-    "interact": lambda p: _setup_problems(p)
-    or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"], p["field_mode"]),
+    "interact": lambda p: _setup_problems(p) or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"]),
     "vacuum": lambda p: _lattice_problems(*_lattice_args(p)) or _memory_problems(p["points"], len(_evolve_times(p))),
 }
 
@@ -381,32 +380,20 @@ def _run_evolve(params: dict, seed: int, out: Path) -> dict:
 def _run_interact(params: dict, seed: int, out: Path) -> dict:
     lattice = _build_lattice(params)
     packet = _initial_packet(params, lattice)
-    if params["field_mode"] == "real":
-        packet = ComplexField(space="position", values=packet.values.real, time=packet.time)
+    packet = ComplexField(space="position", values=packet.values.real, time=packet.time)
     zero = ComplexField(space="position", values=np.zeros(lattice.grid_points), time=packet.time)
     run = leapfrog_interact(
-        packet,
-        zero,
-        lattice,
-        params["lambda"],
-        params["dt"],
-        params["steps"],
-        field_mode=params["field_mode"],
-        record_every=params["record_every"],
+        packet, zero, lattice, params["lambda"], params["dt"], params["steps"], record_every=params["record_every"]
     )
     save_field(run.final, lattice, out / "final_field.csv")
-    results = {
-        "field_mode": params["field_mode"],
+    _write_csv(out / "energy.csv", ["t", "energy"], [run.times, run.energy])
+    return {
         "coupling": params["lambda"],
         "steps": run.steps,
         "stability_bound": stability_bound(lattice),
+        "initial_energy": float(run.energy[0]),
+        "energy_drift": float(np.max(np.abs(run.energy - run.energy[0])) / max(abs(run.energy[0]), 1e-30)),
     }
-    if run.energy is not None:
-        _write_csv(out / "energy.csv", ["t", "energy"], [run.times, run.energy])
-        scale = max(abs(run.energy[0]), 1e-30)
-        results["initial_energy"] = float(run.energy[0])
-        results["energy_drift"] = float(np.max(np.abs(run.energy - run.energy[0])) / scale)
-    return results
 
 
 def _pull_summary(est: CorrelatorEstimate) -> dict:

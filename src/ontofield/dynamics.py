@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ontofield._rules import (
-    Problems, as_tuple, finite, integer_at_least, one_of, per_axis, positive_finite, problems, refuse,
+    Problems, as_tuple, finite, integer_at_least, per_axis, positive_finite, problems, refuse,
 )
 from ontofield.kernels import _velocity_problems, group_velocity
 from ontofield.lattice import (
@@ -56,20 +56,14 @@ __all__ = [
 ]
 
 class InstabilityError(RuntimeError):
-    """Leapfrog integration blew up; carries the step and the monitored value.
+    """Leapfrog integration blew up; carries the step, the last energy and the initial one."""
 
-    ``quantity`` names what was monitored: the ``"energy"`` of a real-field
-    run or the ``"norm"`` of a complex one.  Its last and initial values are
-    ``energy`` and ``initial_energy`` whichever it is.
-    """
-
-    def __init__(self, step: int, energy: float, initial_energy: float, quantity: str = "energy"):
+    def __init__(self, step: int, energy: float, initial_energy: float):
         super().__init__(
-            f"instability at step {step}: {quantity} {energy!r} "
+            f"instability at step {step}: energy {energy!r} "
             f"exceeds 10x initial {initial_energy!r}"
         )
         self.step = step
-        self.quantity = quantity
         self.energy = energy
         self.initial_energy = initial_energy
 
@@ -83,9 +77,9 @@ class EvolutionRun:
     """Recorded trajectory of one time-evolution experiment.
 
     ``snapshots`` are position-space fields whose ``time`` stamps must
-    strictly increase; a real-field leapfrog run's hold float64 values, every
-    other run's complex128.  The leapfrog integrator fills ``velocity``, its
-    last one, and in real-field mode ``energy``; each is ``None`` otherwise.
+    strictly increase; a leapfrog run's hold float64 values, a spectral
+    run's complex128.  The leapfrog integrator fills ``velocity``, its last
+    one, and ``energy``, one value per snapshot; each is ``None`` otherwise.
     """
 
     lattice: MomentumLattice
@@ -169,7 +163,6 @@ _RULES = {
     or (None if float(width) * float(width) > 0.0 else f"must have a square that does not underflow to 0, got {width!r}"),
     "dt": positive_finite,
     **dict.fromkeys(("steps", "record_every"), integer_at_least(1)),
-    "field_mode": one_of("real", "complex"),
     "levels": integer_at_least(2),
 }
 
@@ -192,11 +185,9 @@ def _packet_problems(dims: int, k0, center, width: float, amplitude: float) -> P
     return found + _dims_problems(dims, k0=k0, center=center)
 
 
-def _leapfrog_problems(
-    box_lengths, grid_points, mass: float, cutoff: float | None, coupling: float, dt: float, field_mode: str
-) -> Problems:
+def _leapfrog_problems(box_lengths, grid_points, mass: float, cutoff: float | None, coupling: float, dt: float) -> Problems:
     """Every ``(argument, message)`` reason :func:`leapfrog_interact` refuses its parameters, ``dt`` past its own rule; the lattice enters by its arguments."""
-    found = problems(_RULES, coupling=coupling, field_mode=field_mode)
+    found = problems(_RULES, coupling=coupling)
     if not found:
         bound = _bound(_spacings(box_lengths, grid_points), mass)
         if not dt < bound:
@@ -470,23 +461,21 @@ def _force(
     and reads axis 0 through them (through ``scratch`` and one plane of
     ``plane``, under its contiguity rule), then the mass term and the cubic
     one in ``scratch``.  The calls are ``partial(_run, calls).args[0]``: 12
-    for a 1-D real state, and 9 more per inner axis.
+    for a 1-D state, and 9 more per inner axis.
 
-    A real cube is ``(b*b)*b``: each multiply is correctly rounded whatever
-    SIMD level numpy dispatches to, while float64 ``np.power`` took 2.4 ms
-    against 0.03 ms on a 32^3 field (numpy 2.4.6, AVX-512) and its last bit
-    followed the dispatch.  A complex cube stays ``np.power(b, 3)``, which
-    gave the same bits with the dispatch on and off where ``b*b*b`` did not.
+    The cube is ``(b*b)*b``: each multiply is correctly rounded whatever SIMD
+    level numpy dispatches to, while float64 ``np.power`` took 2.4 ms against
+    0.03 ms on a 32^3 field (numpy 2.4.6, AVX-512) and its last bit followed
+    the dispatch.
     """
     calls = _fd_laplacian(ext, spacings, out, scratch, plane)
     state = ext[1:-1]
-    m_sq, three, c6 = (np.array(c, dtype=state.dtype) for c in (mass_sq, 3, coupling / 6.0))
-    calls += [(np.multiply, m_sq, state, scratch), (np.subtract, out, scratch, out)]
-    if state.dtype == np.float64:
-        calls += [(np.multiply, state, state, scratch), (np.multiply, scratch, state, scratch)]
-    else:
-        calls += [(np.power, state, three, scratch)]
-    calls += [(np.multiply, c6, scratch, scratch), (np.subtract, out, scratch, out)]
+    m_sq, c6 = (np.array(c, dtype=state.dtype) for c in (mass_sq, coupling / 6.0))
+    calls += [
+        (np.multiply, m_sq, state, scratch), (np.subtract, out, scratch, out),
+        (np.multiply, state, state, scratch), (np.multiply, scratch, state, scratch),
+        (np.multiply, c6, scratch, scratch), (np.subtract, out, scratch, out),
+    ]
     return partial(_run, calls)
 
 
@@ -672,32 +661,28 @@ def leapfrog_interact(
     dt: float,
     steps: int,
     *,
-    field_mode: str = "real",
     record_every: int = 1,
 ) -> EvolutionRun:
     """Kick-drift-kick leapfrog for the anharmonic wave equation.
 
-    Integrates ``d2b/dt2 = Lap b - M^2 b - (coupling/6) b^3`` with centered
-    spatial differences on the periodic box.  In the default real-field
-    mode the discrete energy
+    Integrates ``d2b/dt2 = Lap b - M^2 b - (coupling/6) b^3`` for a real
+    field ``b`` with centered spatial differences on the periodic box.  The
+    initial data must be real; their complex type is the one
+    :class:`ComplexField` carries.  The discrete energy
 
         E = sum [ v*v/2 - (dt^2/8) acc*acc + |grad+ b|^2/2
                   + M^2 b^2/2 + coupling b^4/24 ] * dV
 
     is recorded at every snapshot; its quadratic part is an exact leapfrog
     invariant (the kinetic piece is the staggered half-step product), so
-    drift isolates the quartic term and roundoff.  ``field_mode="complex"``
-    integrates the literal complex cube; that variant descends from no real
-    energy functional, so it is experimental and records no energy; its
-    instability monitor is the norm ``sum (|v|^2 + |b|^2) dV`` instead.  Runs
-    whose monitor grows past 10x its initial value abort with an
-    ``InstabilityError`` that names it.  Each record is a copy of the field
-    in the run's own dtype, float64 in real mode and complex128 in complex
-    mode; of the velocities, the run keeps only the last.  The lattice must
-    have no cutoff: the stencil evolves every mode.
+    drift isolates the quartic term and roundoff.  Runs whose energy grows
+    past 10x its initial value abort with an ``InstabilityError``.  Each
+    record is a float64 copy of the field; of the velocities, the run keeps
+    only the last.  The lattice must have no cutoff: the stencil evolves
+    every mode.
 
-    The step runs in place on C-contiguous arrays of the field's dtype that
-    start on 64-byte boundaries (:func:`_aligned_empty`): the field is
+    The step runs in place on C-contiguous float64 arrays that start on
+    64-byte boundaries (:func:`_aligned_empty`): the field is
     ``ext[1:-1]``, one plane into a buffer ``ext`` with a halo plane before
     and after axis 0 (:func:`_with_halo`), and the force and the energy are
     bound once (:func:`_force`, :func:`_energy`).  Each of their calls
@@ -707,27 +692,21 @@ def leapfrog_interact(
     call on the field's flat view, shifted by the axis stride, followed by a
     strided rewrite of the plane whose neighbour wraps around the box.
     ``(dt/2) acc`` is formed once per step and serves as that step's closing
-    half-kick and the next one's opening half-kick.  A 1-D real step is 17
-    ufunc calls.
+    half-kick and the next one's opening half-kick.  A 1-D step is 17 ufunc
+    calls.
     """
     schedule = _schedule(dt, steps, record_every)
-    refuse(_leapfrog_problems(
-        lattice.box_lengths, lattice.grid_points, lattice.mass, lattice.cutoff, coupling, dt, field_mode
-    ))
+    refuse(_leapfrog_problems(lattice.box_lengths, lattice.grid_points, lattice.mass, lattice.cutoff, coupling, dt))
     _require(b0, lattice, "position")
     _require(bdot0, lattice, "position")
     _require_finite(b0, "b0")
     _require_finite(bdot0, "bdot0")
 
-    if field_mode == "real":
-        scale = max(float(np.max(np.abs(b0.values))), float(np.max(np.abs(bdot0.values))), 1e-30)
-        imag_leak = max(float(np.max(np.abs(b0.values.imag))), float(np.max(np.abs(bdot0.values.imag))))
-        if imag_leak > 1e-12 * scale:
-            raise ValueError("real-field mode requires real initial data")
-        dtype, b_values, v_values = float, b0.values.real, bdot0.values.real
-    else:
-        dtype, b_values, v_values = complex, b0.values, bdot0.values
-    ext = _with_halo(b_values, dtype)
+    scale = max(float(np.max(np.abs(b0.values))), float(np.max(np.abs(bdot0.values))), 1e-30)
+    imag_leak = max(float(np.max(np.abs(b0.values.imag))), float(np.max(np.abs(bdot0.values.imag))))
+    if imag_leak > 1e-12 * scale:
+        raise ValueError("the leapfrog requires real initial data")
+    ext = _with_halo(b0.values.real, float)
     b = ext[1:-1]
 
     mass_sq = lattice.mass**2
@@ -735,25 +714,16 @@ def leapfrog_interact(
     # Buffers C-contiguous and 64-byte aligned like ext: the force goes to
     # acc through scratch and one plane of diff; kick holds (dt/2) acc; the
     # energy reuses scratch and diff between steps, with grad of its own.
-    v, acc, scratch, diff, kick = (_aligned_empty(b.shape, dtype) for _ in range(5))
-    v[...] = v_values
+    v, acc, scratch, diff, kick = (_aligned_empty(b.shape, float) for _ in range(5))
+    v[...] = bdot0.values.real
     force = _force(ext, spacings, mass_sq, coupling, acc, scratch, diff)
-    if field_mode == "real":
-        quantity = "energy"
-        monitor = _energy(
-            ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume,
-            np.empty_like(b), diff, scratch,
-        )
-    else:
-        quantity = "norm"
-
-        def monitor() -> float:
-            return float(np.sum(np.abs(v) ** 2 + np.abs(b) ** 2) * lattice.cell_volume)
-
+    energy = _energy(
+        ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume, np.empty_like(b), diff, scratch
+    )
     force()
     t0 = b0.time
     snapshots = [ComplexField(space="position", values=b.copy(), time=t0)]
-    monitored = [monitor()]
+    energies = [energy()]
 
     # Overflow on the way to an instability abort is expected; the finiteness
     # check below turns it into a typed error.  The step updates b, v and acc
@@ -772,18 +742,14 @@ def leapfrog_interact(
                 multiply(half_dt, acc, kick)
                 add(v, kick, v)
             if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-                raise InstabilityError(n, float("nan"), monitored[0], quantity)
+                raise InstabilityError(n, float("nan"), energies[0])
             snapshots.append(ComplexField(space="position", values=b.copy(), time=t0 + n * dt))
-            monitored.append(monitor())
-            if abs(monitored[-1]) > 10.0 * max(abs(monitored[0]), 1e-30):
-                raise InstabilityError(n, monitored[-1], monitored[0], quantity)
+            energies.append(energy())
+            if abs(energies[-1]) > 10.0 * max(abs(energies[0]), 1e-30):
+                raise InstabilityError(n, energies[-1], energies[0])
 
     return EvolutionRun(
-        lattice=lattice,
-        steps=steps,
-        snapshots=tuple(snapshots),
-        velocity=v,
-        energy=np.array(monitored) if field_mode == "real" else None,
+        lattice=lattice, steps=steps, snapshots=tuple(snapshots), velocity=v, energy=np.array(energies)
     )
 
 

@@ -296,9 +296,6 @@ _KERNEL = {"kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "radial_reduced
         ("interact", {"dt": _BOUND_16}, "dt", lambda: leapfrog_interact(
             _packet_on(build_lattice(*_LATTICE_16)), _packet_on(build_lattice(*_LATTICE_16)),
             build_lattice(*_LATTICE_16), 0.1, _BOUND_16, 20)),
-        ("interact", {"field_mode": "imaginary"}, "field_mode", lambda: leapfrog_interact(
-            _packet_on(build_lattice(*_LATTICE_16)), _packet_on(build_lattice(*_LATTICE_16)),
-            build_lattice(*_LATTICE_16), 0.1, 0.2, 20, field_mode="imaginary")),
         ("interact", {"cutoff": 0.5}, "cutoff", lambda: leapfrog_interact(
             _packet_on(build_lattice(*_LATTICE_16)), _packet_on(build_lattice(*_LATTICE_16)),
             build_lattice(*_LATTICE_16, 0.5), 0.1, 0.2, 20)),

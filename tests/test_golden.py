@@ -9,16 +9,14 @@ formats it in more than one block.  Three F2 ``kernel.csv`` digests cover
 the columns the README's F1 config leaves empty: a radial table with a
 cutoff at ``t != 0``, the ``"direct_quadrature"`` alias with the ``bump``
 window down to ``z = 0`` (which the CLI's grid cannot reach), and a contour
-table at negative ``t``.  Three more runs end off their ``record_every``
-grid: a literal-convolution ``evolve`` and a complex and a real
-``interact``.  Two ``vacuum`` runs of 512 and 600 sites cover correlators
-wider than one 256-site accumulation strip, the second with a partial last
-strip.  A ``vacuum`` run of the ``scaled3d`` benchmark's shape (8x8x4 sites,
+table at negative ``t``.  Two more runs end off their ``record_every``
+grid: a literal-convolution ``evolve`` and an ``interact``.  Two ``vacuum``
+runs of 512 and 600 sites cover correlators wider than one 256-site
+accumulation strip, the second with a partial last strip.  A ``vacuum`` run of the ``scaled3d`` benchmark's shape (8x8x4 sites,
 2000 samples) fills exactly one strip with full-width products over eight
-sample blocks.  Three ``interact`` runs leave one dimension: a real 3D field,
-and a complex and a real 2D one of the same config, each on anisotropic
-spacings with a 2-point axis (the 3D field's last, the 2D fields' first), so
-that the stencil's wrap planes are also its bulk.
+sample blocks.  Two ``interact`` runs leave one dimension: a 3D and a 2D
+field, each on anisotropic spacings with a 2-point axis (the last and the
+first), so that the stencil's wrap planes are also its bulk.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64)
 on a CPU with AVX-512, where numpy dispatches to its AVX-512 loops; a
@@ -27,7 +25,7 @@ dispatch level, may legitimately change the last bits of some floats and
 needs the digests re-recorded after checking the acceptance suite still
 passes.  With ``NPY_DISABLE_CPU_FEATURES`` set to every feature numpy
 dispatches on (``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` on that CPU), 13 of
-these 22 cases fail: the README ``decay``, ``evolve``, ``front``,
+these 20 cases fail: the README ``decay``, ``evolve``, ``front``,
 ``identities``, ``interact`` and ``vacuum`` configs, the multi-block
 snapshot, the F2 alias table at the origin, ``evolve_literal``,
 ``sites_512``, ``sites_600``, the ``scaled3d``-shape vacuum and ``real_3d``.
@@ -153,9 +151,9 @@ def test_f2_alias_table_at_the_origin_matches_the_golden_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == F2_ALIAS_AT_ORIGIN
 
 
-# Runs whose last step is off the ``record_every`` grid, on the routes the
-# README configs leave out: the literal convolution and complex-field
-# interaction.  File name -> digest per case.
+# Runs whose last step is off the ``record_every`` grid: the literal
+# convolution, which the README configs leave out, and an interaction.
+# File name -> digest per case.
 OFF_GRID_CONFIGS = {
     "evolve_literal": (
         {
@@ -169,14 +167,6 @@ OFF_GRID_CONFIGS = {
             "snapshot_0002.csv": "eae43720f45ab869da117f3ba9f554b720045131fc5f09adcf0176c267b00b95",
             "snapshot_0003.csv": "db3cd1bf66cdc7e74737a161c9b962c208f142495a0e0e9471ba92bb28fed448",
         },
-    ),
-    "interact_complex": (
-        {
-            "experiment": "interact", "mass": 1.0, "box_length": 16.0, "points": 32,
-            "cutoff": None, "k0": 1.0, "center": 4.0, "width": 1.5, "amplitude": 1.2,
-            "lambda": 0.5, "dt": 0.1, "steps": 50, "record_every": 7, "field_mode": "complex",
-        },
-        {"final_field.csv": "e13a66bb8d6a41777e33488c496597fc62c7b4d2fd86f4e986443c8720cba48c"},
     ),
     "interact_real": (
         {
@@ -254,7 +244,7 @@ def test_scaled3d_shape_vacuum_artifacts_match_the_golden_digests(tmp_path):
 
 
 # Interacting runs in more than one dimension, on anisotropic spacings with a
-# 2-point axis: the 3D field's last axis, the 2D fields' first.
+# 2-point axis: the 3D field's last axis, the 2D field's first.
 MULTI_DIM_INTERACT_CONFIGS = {
     "real_3d": (
         {
@@ -267,15 +257,6 @@ MULTI_DIM_INTERACT_CONFIGS = {
             "energy.csv": "bccfa69263bb8ee06b0588bbc5392ab03808989fa592f7b7e5516a805747f2d6",
             "final_field.csv": "a604b777336606388ef531e65ededd8075b23c0f918953310b0fe69b92118714",
         },
-    ),
-    "complex_2d": (
-        {
-            "experiment": "interact", "mass": 1.1, "box_length": [4.0, 7.0], "points": [2, 10],
-            "cutoff": None, "k0": [0.0, 1.0], "center": [1.0, 2.5], "width": 1.4,
-            "amplitude": 1.3, "lambda": -0.4, "dt": 0.1, "steps": 25, "record_every": 6,
-            "field_mode": "complex",
-        },
-        {"final_field.csv": "466945622d8186692a316086bf3c35189c0bf207e0e78b54942bbecc00f1b4cd"},
     ),
     "real_2d": (
         {
