@@ -41,7 +41,7 @@ _DELETE = object()
 _MULTI_EDITS = 3000
 _SEED = 17
 
-VERDICTS = "9b97c1a8241ac7bb378aeade9325e1e0ffa888e4abec7a35db6bb69f65cdf435"
+VERDICTS = "be3304c0538a4e99501a22a2440feca99aa44df748b3e567edfd85d1fb560b90"
 
 
 def readme_configs() -> list[dict]:
