@@ -190,7 +190,8 @@ _PREDICATES: dict[str, Callable[[dict], Problems]] = {
     "decay": _check_kernel,
     "front": lambda p: _setup_problems(p) or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"]),
     "evolve": _setup_problems,
-    "interact": lambda p: _setup_problems(p) or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"]),
+    "interact": lambda p: _setup_problems(p)
+    or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"]),
     "vacuum": lambda p: _lattice_problems(*_lattice_args(p)) or _memory_problems(p["points"], len(_evolve_times(p))),
 }
 
@@ -383,16 +384,23 @@ def _run_interact(params: dict, seed: int, out: Path) -> dict:
     packet = ComplexField(space="position", values=packet.values.real, time=packet.time)
     zero = ComplexField(space="position", values=np.zeros(lattice.grid_points), time=packet.time)
     run = leapfrog_interact(
-        packet, zero, lattice, params["lambda"], params["dt"], params["steps"], record_every=params["record_every"]
+        packet,
+        zero,
+        lattice,
+        params["lambda"],
+        params["dt"],
+        params["steps"],
+        record_every=params["record_every"],
     )
     save_field(run.final, lattice, out / "final_field.csv")
     _write_csv(out / "energy.csv", ["t", "energy"], [run.times, run.energy])
+    scale = max(abs(run.energy[0]), 1e-30)
     return {
         "coupling": params["lambda"],
         "steps": run.steps,
         "stability_bound": stability_bound(lattice),
         "initial_energy": float(run.energy[0]),
-        "energy_drift": float(np.max(np.abs(run.energy - run.energy[0])) / max(abs(run.energy[0]), 1e-30)),
+        "energy_drift": float(np.max(np.abs(run.energy - run.energy[0])) / scale),
     }
 
 

@@ -185,7 +185,9 @@ def _packet_problems(dims: int, k0, center, width: float, amplitude: float) -> P
     return found + _dims_problems(dims, k0=k0, center=center)
 
 
-def _leapfrog_problems(box_lengths, grid_points, mass: float, cutoff: float | None, coupling: float, dt: float) -> Problems:
+def _leapfrog_problems(
+    box_lengths, grid_points, mass: float, cutoff: float | None, coupling: float, dt: float
+) -> Problems:
     """Every ``(argument, message)`` reason :func:`leapfrog_interact` refuses its parameters, ``dt`` past its own rule; the lattice enters by its arguments."""
     found = problems(_RULES, coupling=coupling)
     if not found:
@@ -666,9 +668,8 @@ def leapfrog_interact(
     """Kick-drift-kick leapfrog for the anharmonic wave equation.
 
     Integrates ``d2b/dt2 = Lap b - M^2 b - (coupling/6) b^3`` for a real
-    field ``b`` with centered spatial differences on the periodic box.  The
-    initial data must be real; their complex type is the one
-    :class:`ComplexField` carries.  The discrete energy
+    field ``b`` with centered spatial differences on the periodic box, so
+    the initial fields must hold real values.  The discrete energy
 
         E = sum [ v*v/2 - (dt^2/8) acc*acc + |grad+ b|^2/2
                   + M^2 b^2/2 + coupling b^4/24 ] * dV
@@ -696,7 +697,9 @@ def leapfrog_interact(
     calls.
     """
     schedule = _schedule(dt, steps, record_every)
-    refuse(_leapfrog_problems(lattice.box_lengths, lattice.grid_points, lattice.mass, lattice.cutoff, coupling, dt))
+    refuse(_leapfrog_problems(
+        lattice.box_lengths, lattice.grid_points, lattice.mass, lattice.cutoff, coupling, dt
+    ))
     _require(b0, lattice, "position")
     _require(bdot0, lattice, "position")
     _require_finite(b0, "b0")
@@ -718,7 +721,8 @@ def leapfrog_interact(
     v[...] = bdot0.values.real
     force = _force(ext, spacings, mass_sq, coupling, acc, scratch, diff)
     energy = _energy(
-        ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume, np.empty_like(b), diff, scratch
+        ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume,
+        np.empty_like(b), diff, scratch,
     )
     force()
     t0 = b0.time
@@ -749,7 +753,11 @@ def leapfrog_interact(
                 raise InstabilityError(n, energies[-1], energies[0])
 
     return EvolutionRun(
-        lattice=lattice, steps=steps, snapshots=tuple(snapshots), velocity=v, energy=np.array(energies)
+        lattice=lattice,
+        steps=steps,
+        snapshots=tuple(snapshots),
+        velocity=v,
+        energy=np.array(energies),
     )
 
 

@@ -24,7 +24,9 @@ from ontofield.cli import validate_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# Every key some experiment takes, and four it does not know or treats apart.
+# Every key some experiment takes, ``field_mode``, which none takes any more
+# but which keeps the set of generated configs, and four keys it does not
+# know or treats apart.
 _KEYS = [
     "amplitude", "box_length", "center", "cutoff", "delta_t", "dt", "evolve_time", "field_mode", "k0", "kind",
     "lambda", "mass", "method", "n_levels", "n_states", "omega", "points", "record_every", "samples", "steps", "t",
