@@ -22,7 +22,7 @@ from ontofield.cyclic import CycleConfig
 from ontofield.dynamics import gaussian_packet, leapfrog_interact, spectral_run, stability_bound, wavefront_measure
 from ontofield.kernels import KernelSpec, f1_contour, kernel_table
 from ontofield.ladder import build_mode
-from ontofield.lattice import build_lattice, load_field
+from ontofield.lattice import ComplexField, build_lattice, load_field
 from ontofield.vacuum import CorrelatorEstimate, EnsembleSpec, ensemble_correlators
 
 SPECTRUM = {"experiment": "spectrum", "n_states": 6, "delta_t": 0.5}
@@ -198,6 +198,9 @@ VACUUM_TOO_LARGE = {
          "key 'box_length': must give spacings with positive finite squares"),
         # More sites than numpy can index.
         ({**INTERACT_UNSTABLE_STEP, "points": 10**400}, "key 'points': must have at most 9223372036854775807 sites"),
+        # The complex field mode is gone, and its key with it.
+        ({**INTERACT_UNSTABLE_STEP, "dt": 0.1, "field_mode": "complex"},
+         "key 'field_mode': not recognized for experiment 'interact'"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
@@ -543,6 +546,29 @@ def test_interact_run_tracks_the_energy(tmp_path):
     assert manifest["results"]["energy_drift"] < 1e-5
     assert (out / "energy.csv").exists()
     assert (out / "final_field.csv").exists()
+
+
+def test_interact_run_starts_from_the_packets_real_part(tmp_path):
+    # A packet with k0 != 0 is complex; the run integrates its real part from rest.
+    payload = {
+        "experiment": "interact", "mass": 1.0, "box_length": 16.0, "points": 32, "cutoff": None,
+        "k0": 1.0, "center": 4.0, "width": 2.0, "lambda": 0.5, "dt": 0.2, "steps": 12, "record_every": 5,
+    }
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    lattice = build_lattice(16.0, 32, 1.0)
+    packet = gaussian_packet(lattice, 1.0, 4.0, 2.0)
+    assert np.any(packet.values.imag != 0.0)
+    run = leapfrog_interact(
+        ComplexField("position", packet.values.real.copy()), ComplexField("position", np.zeros(32)), lattice,
+        0.5, 0.2, 12, record_every=5,
+    )
+    field, _ = load_field(out / "final_field.csv")
+    assert field.values.real.tobytes() == run.final.values.tobytes()
+    assert not np.any(field.values.imag)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "field_mode" not in manifest["results"]
+    assert manifest["results"]["initial_energy"] == float(run.energy[0])
 
 
 def test_unstable_interaction_exits_with_the_numerical_code(tmp_path, capsys):

@@ -864,6 +864,26 @@ def test_leapfrog_rejects_complex_initial_data():
         leapfrog_interact(gaussian_packet(lat, 1.0, 8.0, 3.0), zero_field(lat), lat, 0.0, 0.1, 2)
 
 
+def test_leapfrog_rejects_a_complex_initial_velocity():
+    lat = build_lattice(32.0, 64, 1.0)
+    with pytest.raises(ValueError, match="requires real initial data"):
+        leapfrog_interact(real_packet(lat), gaussian_packet(lat, 1.0, 8.0, 3.0), lat, 0.0, 0.1, 2)
+
+
+def test_free_run_of_a_uniform_velocity_keeps_its_energy_to_the_end():
+    # b = 0 and v = 1 on 8 sites, box 8, M = 0.25, dt = 0.74 (bound 0.99):
+    # the zero mode's amplitude grows to v/M = 4, a swing that stopped the
+    # deleted complex mode's norm monitor at step 5.  The energy monitor
+    # reads the invariant, so the run goes to its last step.
+    lat = build_lattice(8.0, 8, 0.25)
+    run = leapfrog_interact(
+        zero_field(lat), ComplexField("position", np.ones(8, complex)), lat, 0.0, 0.74, 40, record_every=5
+    )
+    assert run.steps == 40 and len(run.snapshots) == 9
+    assert np.max(np.abs(run.snapshots[-1].values)) > 3.0
+    assert np.max(np.abs(run.energy - run.energy[0])) <= 1e-12 * run.energy[0]
+
+
 # --- front tracking ---------------------------------------------------------------
 
 
