@@ -363,17 +363,25 @@ def _run_evolve(params: dict, seed: int, out: Path) -> dict:
     lattice = _build_lattice(params)
     packet = _initial_packet(params, lattice)
     dt, steps, every = params["dt"], params["steps"], params["record_every"]
+    times, norms = [], []
+
+    def record(snap: ComplexField) -> None:
+        # Each record is written as it is made, so the run holds one snapshot.
+        norms.append(float(np.linalg.norm(snap.values)))
+        save_field(snap, lattice, out / f"snapshot_{len(times):04d}.csv")
+        times.append(snap.time)
+
     if params["method"] == "spectral":
-        snapshots = spectral_run(packet, lattice, dt, steps, every).snapshots
+        spectral_run(packet, lattice, dt, steps, every, sink=record)
     else:
-        snapshots = [packet] + [evolve_convolution(packet, lattice, n * dt) for n in _schedule(dt, steps, every)]
-    norms = [float(np.linalg.norm(s.values)) for s in snapshots]
-    for i, snap in enumerate(snapshots):
-        save_field(snap, lattice, out / f"snapshot_{i:04d}.csv")
+        schedule = _schedule(dt, steps, every)
+        record(packet)
+        for n in schedule:
+            record(evolve_convolution(packet, lattice, n * dt))
     return {
         "method": params["method"],
-        "snapshots": len(snapshots),
-        "times": [s.time for s in snapshots],
+        "snapshots": len(times),
+        "times": times,
         "norm_drift": float(np.max(np.abs(np.array(norms) - norms[0]))),
     }
 
@@ -383,6 +391,14 @@ def _run_interact(params: dict, seed: int, out: Path) -> dict:
     packet = _initial_packet(params, lattice)
     packet = ComplexField(space="position", values=packet.values.real, time=packet.time)
     zero = ComplexField(space="position", values=np.zeros(lattice.grid_points), time=packet.time)
+    times, final = [], None
+
+    def record(field: ComplexField) -> None:
+        # The run keeps the last field only, and energy.csv the record times.
+        nonlocal final
+        times.append(field.time)
+        final = field
+
     run = leapfrog_interact(
         packet,
         zero,
@@ -391,9 +407,10 @@ def _run_interact(params: dict, seed: int, out: Path) -> dict:
         params["dt"],
         params["steps"],
         record_every=params["record_every"],
+        sink=record,
     )
-    save_field(run.final, lattice, out / "final_field.csv")
-    _write_csv(out / "energy.csv", ["t", "energy"], [run.times, run.energy])
+    save_field(final, lattice, out / "final_field.csv")
+    _write_csv(out / "energy.csv", ["t", "energy"], [np.array(times), run.energy])
     scale = max(abs(run.energy[0]), 1e-30)
     return {
         "coupling": params["lambda"],

@@ -78,8 +78,10 @@ class EvolutionRun:
 
     ``snapshots`` are position-space fields whose ``time`` stamps must
     strictly increase; a leapfrog run's hold float64 values, a spectral
-    run's complex128.  The leapfrog integrator fills ``velocity``, its last
-    one, and ``energy``, one value per snapshot; each is ``None`` otherwise.
+    run's complex128.  A run given a ``sink`` hands its records to it and
+    keeps none, so its ``snapshots`` are empty.  The leapfrog integrator
+    fills ``velocity``, its last one, and ``energy``, one value per record;
+    each is ``None`` otherwise.
     """
 
     lattice: MomentumLattice
@@ -603,19 +605,25 @@ def spectral_run(
     dt: float,
     steps: int,
     record_every: int = 1,
+    *,
+    sink: Callable[[ComplexField], None] | None = None,
 ) -> EvolutionRun:
     """Exact free evolution recorded at uniform intervals.
 
-    Snapshots are position-space fields at times ``b0.time + n*dt``; the
-    final step is always recorded.
+    Records are position-space fields at times ``b0.time + n*dt``; the
+    final step is always recorded.  Each record goes to ``sink`` as it is
+    made.  Without one the run collects them as its ``snapshots``; with one
+    it holds a single record at a time and returns no snapshots.
     """
     schedule = _schedule(dt, steps, record_every)
     _require(b0, lattice, "position")
     _require_finite(b0, "b0")
+    snapshots: list[ComplexField] = []
+    record = snapshots.append if sink is None else sink
     modes = to_momentum(b0, lattice)
-    snapshots = [to_position(modes, lattice)]
+    record(to_position(modes, lattice))
     for n in schedule:
-        snapshots.append(to_position(spectral_evolve(modes, lattice, n * dt), lattice))
+        record(to_position(spectral_evolve(modes, lattice, n * dt), lattice))
     return EvolutionRun(lattice=lattice, steps=steps, snapshots=tuple(snapshots))
 
 
@@ -664,6 +672,7 @@ def leapfrog_interact(
     steps: int,
     *,
     record_every: int = 1,
+    sink: Callable[[ComplexField], None] | None = None,
 ) -> EvolutionRun:
     """Kick-drift-kick leapfrog for the anharmonic wave equation.
 
@@ -674,13 +683,14 @@ def leapfrog_interact(
         E = sum [ v*v/2 - (dt^2/8) acc*acc + |grad+ b|^2/2
                   + M^2 b^2/2 + coupling b^4/24 ] * dV
 
-    is recorded at every snapshot; its quadratic part is an exact leapfrog
+    is recorded with every record; its quadratic part is an exact leapfrog
     invariant (the kinetic piece is the staggered half-step product), so
     drift isolates the quartic term and roundoff.  Runs whose energy grows
     past 10x its initial value abort with an ``InstabilityError``.  Each
-    record is a float64 copy of the field; of the velocities, the run keeps
-    only the last.  The lattice must have no cutoff: the stencil evolves
-    every mode.
+    record is a float64 copy of the field, handed to ``sink`` as it is made;
+    without one the run collects the records as its ``snapshots``, with one
+    it keeps none.  Of the velocities, the run keeps only the last.  The
+    lattice must have no cutoff: the stencil evolves every mode.
 
     The step runs in place on C-contiguous float64 arrays that start on
     64-byte boundaries (:func:`_aligned_empty`): the field is
@@ -726,7 +736,9 @@ def leapfrog_interact(
     )
     force()
     t0 = b0.time
-    snapshots = [ComplexField(space="position", values=b.copy(), time=t0)]
+    snapshots: list[ComplexField] = []
+    record = snapshots.append if sink is None else sink
+    record(ComplexField(space="position", values=b.copy(), time=t0))
     energies = [energy()]
 
     # Overflow on the way to an instability abort is expected; the finiteness
@@ -747,7 +759,7 @@ def leapfrog_interact(
                 add(v, kick, v)
             if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
                 raise InstabilityError(n, float("nan"), energies[0])
-            snapshots.append(ComplexField(space="position", values=b.copy(), time=t0 + n * dt))
+            record(ComplexField(space="position", values=b.copy(), time=t0 + n * dt))
             energies.append(energy())
             if abs(energies[-1]) > 10.0 * max(abs(energies[0]), 1e-30):
                 raise InstabilityError(n, energies[-1], energies[0])
