@@ -7,14 +7,12 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ontofield
 import ontofield.cli as cli
 import ontofield.vacuum as vacuum
 from ontofield.cli import main, validate_config
@@ -24,6 +22,7 @@ from ontofield.kernels import KernelSpec, f1_contour, kernel_table
 from ontofield.ladder import build_mode
 from ontofield.lattice import ComplexField, build_lattice, load_field
 from ontofield.vacuum import CorrelatorEstimate, EnsembleSpec, ensemble_correlators
+from fresh_interpreter import peak_bytes, with_src
 
 SPECTRUM = {"experiment": "spectrum", "n_states": 6, "delta_t": 0.5}
 
@@ -620,12 +619,9 @@ def test_a_run_that_cannot_allocate_exits_with_the_numerical_code(tmp_path):
     # validate passes a 10**7-state spectrum; its dense hop matrix would be 1.6 PB.
     resource = pytest.importorskip("resource")
     config = write_config(tmp_path, {**SPECTRUM, "n_states": 10**7})
-    src = str(Path(ontofield.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_RUN, config, str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=with_src({**os.environ, "OPENBLAS_NUM_THREADS": "1"}), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
     record = json.loads(proc.stderr)
@@ -633,6 +629,58 @@ def test_a_run_that_cannot_allocate_exits_with_the_numerical_code(tmp_path):
     assert "Unable to allocate" in record["error"]["message"]
     assert json.loads((tmp_path / "out" / "error.json").read_text()) == record
     assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
+# A packet run on 8^3 sites warms the process; the run on 32^3 is measured.
+_CLI_PEAK_SCRIPT = """
+import contextlib, io, sys
+from ontofield.cli import main
+
+def cli_run(config, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", config, "--output-dir", out]) == 0
+
+def warm():
+    cli_run(sys.argv[1], sys.argv[3] + "/warm")
+
+def run():
+    cli_run(sys.argv[2], sys.argv[3] + "/run")
+"""
+
+_PACKET_3D = {
+    "evolve": {
+        "experiment": "evolve", "mass": 1.0, "box_length": [24.0] * 3, "cutoff": None,
+        "k0": [1.0, 0.5, 0.0], "center": [6.0] * 3, "width": 2.0, "dt": 0.5,
+    },
+    "interact": {
+        "experiment": "interact", "mass": 1.0, "box_length": [32.0] * 3, "cutoff": None,
+        "k0": [1.0, 0.0, 0.0], "center": [8.0, 16.0, 16.0], "width": 3.0, "amplitude": 0.05, "lambda": 0.1,
+        "dt": 0.25,
+    },
+}
+
+
+def _cli_peak(tmp_path, experiment, records):
+    """The peak of a CLI run on 32^3 sites that records ``records`` fields, step 0 included."""
+    tmp_path.mkdir()
+    # evolve records every 4th step, as the scaled benchmark's does; interact runs 200 steps.
+    steps, every = (4 * (records - 1), 4) if experiment == "evolve" else (200, 200 // (records - 1))
+    configs = [
+        write_config(tmp_path, {**_PACKET_3D[experiment], "points": [n] * 3, "steps": steps, "record_every": every}, f"{n}.json")
+        for n in (8, 32)
+    ]
+    return peak_bytes(_CLI_PEAK_SCRIPT, *configs, tmp_path)
+
+
+@pytest.mark.parametrize("experiment, few, many, record_bytes", [("evolve", 3, 9, 16), ("interact", 3, 21, 8)])
+def test_a_cli_packet_run_holds_one_record_whatever_the_record_count(tmp_path, experiment, few, many, record_bytes):
+    # evolve writes each snapshot as it is made, and interact keeps the last
+    # field, so the run's peak must not grow with the record count.  In
+    # bytes per site and extra record, collecting every record grew it by
+    # 16.0 (evolve) and 8.4 (interact); streamed, four runs of each read
+    # -0.23 to 0.06.
+    growth = _cli_peak(tmp_path / "many", experiment, many) - _cli_peak(tmp_path / "few", experiment, few)
+    assert growth / ((many - few) * 32**3) < record_bytes / 4
 
 
 def test_validate_counts_the_evolved_estimate_against_memory(tmp_path, capsys, monkeypatch):

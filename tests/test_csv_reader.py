@@ -3,23 +3,19 @@
 import hashlib
 import io
 import os
-import subprocess
-import sys
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ontofield
 from ontofield import lattice
 from ontofield.lattice import _ARRAY_MIN_ROWS, ComplexField, build_lattice, load_field, save_field
+from fresh_interpreter import peak_bytes, run_script
 from test_csv_writer import _edge_values
 
-_SRC = str(Path(ontofield.__file__).resolve().parents[1])
 _ROWS = 2 * _ARRAY_MIN_ROWS
 _NAN_BITS = np.float64(np.nan).view(np.int64)
 
@@ -352,13 +348,7 @@ print(hashlib.sha256(load_field(sys.argv[1])[0].values.tobytes()).hexdigest())
 
 
 def _reader_digest(env, path):
-    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _READER_DIGEST_SCRIPT, str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return run_script(_READER_DIGEST_SCRIPT, path, env=env).strip()
 
 
 def test_parsed_bits_do_not_depend_on_the_simd_dispatch(tmp_path):
@@ -382,38 +372,25 @@ def test_parsed_bits_do_not_depend_on_the_simd_dispatch(tmp_path):
     assert _reader_digest(baseline, path) == _reader_digest(dict(os.environ), path) == expected
 
 
+# A small read warms the reader, so one-time imports and tables are not counted.
 _PEAK_SCRIPT = """
 import sys
 from ontofield.lattice import load_field
 
-def status_bytes(field):
-    # VmHWM is this address space's peak; ru_maxrss would start at the parent's.
-    with open("/proc/self/status") as fh:
-        line = next(line for line in fh if line.startswith(field + ":"))
-    return int(line.split()[1]) * 1024
+def warm():
+    load_field(sys.argv[1])
 
-# A small read first, so one-time imports and tables are not counted.
-load_field(sys.argv[1])
-before = status_bytes("VmRSS")
-field, lattice = load_field(sys.argv[2])
-print(status_bytes("VmHWM") - before)
+def run():
+    load_field(sys.argv[2])
 """
 
 
 def test_reading_a_large_snapshot_holds_one_chunk_not_the_file(tmp_path):
-    if not Path("/proc/self/status").exists():
-        pytest.skip("the peak resident size is read from /proc/self/status")
     rng = np.random.default_rng(4)
     _snapshot(rng.normal(size=2 * _ROWS), tmp_path / "small.csv")
     sites = 100_000
     _snapshot(rng.normal(size=2 * sites) * 1e-3, tmp_path / "large.csv")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_SCRIPT, str(tmp_path / "small.csv"), str(tmp_path / "large.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    peak = int(proc.stdout)
+    peak = peak_bytes(_PEAK_SCRIPT, tmp_path / "small.csv", tmp_path / "large.csv")
     # The output and the lattice's grids take 16 and 32 bytes per site, and
     # one chunk's parse about 9 bytes per byte of the chunk (6.1 MiB in all
     # here).  A route that held the 4.7 MB file would add it on top.

@@ -3,8 +3,6 @@
 import csv
 import math
 import os
-import subprocess
-import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -15,8 +13,9 @@ from hypothesis import strategies as st
 
 import ontofield
 from ontofield.lattice import _G17_SLOTS, _CSV_BLOCK_ROWS, _VECTOR_MIN_ROWS, _g17_cells, _write_csv
+from ontofield.vacuum import _correlator_bytes
+from fresh_interpreter import peak_bytes, run_script
 
-_SRC = str(Path(ontofield.__file__).resolve().parents[1])
 _HEADER = ["a", "b"]
 
 
@@ -234,13 +233,7 @@ print(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest())
 
 
 def _writer_digest(env, path):
-    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _WRITER_DIGEST_SCRIPT, str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return run_script(_WRITER_DIGEST_SCRIPT, path, env=env).strip()
 
 
 def test_writer_bytes_do_not_depend_on_the_simd_dispatch(tmp_path):
@@ -254,43 +247,31 @@ def test_writer_bytes_do_not_depend_on_the_simd_dispatch(tmp_path):
     assert _writer_digest(baseline, tmp_path / "off.csv") == _writer_digest(dict(os.environ), tmp_path / "on.csv")
 
 
+# A small run warms the process, so one-time imports and caches are not counted.
 _PEAK_SCRIPT = """
 import sys
 from ontofield.lattice import build_lattice
-from ontofield.vacuum import EnsembleSpec, _correlator_bytes, ensemble_correlators
+from ontofield.vacuum import EnsembleSpec, ensemble_correlators
 
-def run(points, path):
+def vacuum(points):
     # The CLI's vacuum run: one joint pass for the static and the evolved
     # estimate, then both CSVs.
     lattice = build_lattice([6.0] * len(points), points, 1.0)
     static, evolved = ensemble_correlators(EnsembleSpec(lattice, count=300, seed=4), (0.0, 0.5))
-    static.write_csv(path)
-    evolved.write_csv(path)
+    static.write_csv(sys.argv[1])
+    evolved.write_csv(sys.argv[1])
 
-def status_bytes(field):
-    # VmHWM is this address space's peak; ru_maxrss would start at the parent's.
-    with open("/proc/self/status") as fh:
-        line = next(line for line in fh if line.startswith(field + ":"))
-    return int(line.split()[1]) * 1024
+def warm():
+    vacuum([8])
 
-# A small run first, so one-time imports and caches are not counted.
-run([8], sys.argv[1])
-before = status_bytes("VmRSS")
-run([16, 8, 8], sys.argv[1])
-print(status_bytes("VmHWM") - before, _correlator_bytes(1024, 2))
+def run():
+    vacuum([16, 8, 8])
 """
 
 
 def test_correlator_peak_memory_stays_under_the_guard_estimate(tmp_path):
-    if not Path("/proc/self/status").exists():
-        pytest.skip("the peak resident size is read from /proc/self/status")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_SCRIPT, str(tmp_path / "correlator.csv")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    peak, estimate = (int(v) for v in proc.stdout.split())
+    peak = peak_bytes(_PEAK_SCRIPT, tmp_path / "correlator.csv", timeout=300)
+    estimate = _correlator_bytes(1024, 2)
     # The two estimates' accumulators alone are 48 * 1024**2 bytes: a peak
     # far below it would mean the run did not take place.
     assert 30 * 1024**2 < peak <= estimate

@@ -3,9 +3,6 @@
 import hashlib
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import ontofield
 from ontofield.dynamics import (
     EvolutionRun,
     FrontTrackingError,
@@ -44,6 +40,7 @@ from ontofield.lattice import (
     to_momentum,
     to_position,
 )
+from fresh_interpreter import peak_bytes, run_script
 
 
 def real_packet(lattice, k0=1.0, center=8.0, width=3.0):
@@ -53,6 +50,25 @@ def real_packet(lattice, k0=1.0, center=8.0, width=3.0):
 
 def zero_field(lattice):
     return ComplexField("position", np.zeros(lattice.grid_points, dtype=complex))
+
+
+def stencil_frequency(lattice):
+    """``W_k = sqrt(sum_a 4/dx_a^2 sin^2(k_a dx_a / 2) + M^2)`` on the mode grid: each mode's frequency under the leapfrog's stencil."""
+    terms = (4.0 * np.sin(k * dx / 2.0) ** 2 / dx**2 for k, dx in zip(np.ix_(*lattice.k_axes), lattice.spacings))
+    return np.sqrt(sum(terms) + lattice.mass**2)
+
+
+def chebyshev_free_record(b0, v0, lattice, dt, n):
+    """The free leapfrog's exact field after ``n`` steps from the real arrays ``b0`` and ``v0``.
+
+    At zero coupling a step is ``b_{n+1} = 2 b_n - b_{n-1} - dt^2 W^2 b_n`` per
+    mode, solved by ``b_n = cos(n th) b_0 + dt sin(n th)/sin(th) v_0`` with
+    ``cos th = 1 - dt^2 W^2 / 2``; ``th = 2 arcsin(dt W / 2)`` is that angle
+    without the loss of ``arccos`` near 1.
+    """
+    theta = 2.0 * np.arcsin(0.5 * dt * stencil_frequency(lattice))
+    modes = np.cos(n * theta) * np.fft.fftn(b0) + dt * np.sin(n * theta) / np.sin(theta) * np.fft.fftn(v0)
+    return np.fft.ifftn(modes).real
 
 
 def flawed_field(lattice, value):
@@ -537,18 +553,8 @@ print(_energy(state, vel, out, (0.5, 0.5, 0.5), 1.0, 3.0, 0.1, 0.125, *work)().h
 """
 
 
-def _with_src(env):
-    """``env`` with this checkout's ``src`` first on ``PYTHONPATH``, for a subprocess."""
-    src = str(Path(ontofield.__file__).resolve().parents[1])
-    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
-
-
 def _force_digest(env):
-    proc = subprocess.run(
-        [sys.executable, "-c", _FORCE_DIGEST_SCRIPT], env=_with_src(env), capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return run_script(_FORCE_DIGEST_SCRIPT, env=env).strip()
 
 
 def test_real_force_bytes_do_not_depend_on_the_simd_dispatch():
@@ -600,9 +606,7 @@ def test_leapfrog_converges_to_the_discrete_free_solution():
     # so the measured error is purely the O(dt^2) time-stepping error.
     lat = build_lattice(32.0, 64, 1.0)
     b0 = real_packet(lat)
-    k = lat.k_axes[0]
-    dx = lat.spacings[0]
-    omega_fd = np.sqrt(4.0 * np.sin(k * dx / 2.0) ** 2 / dx**2 + lat.mass**2)
+    omega_fd = stencil_frequency(lat)
     horizon = 2.0
     exact = np.fft.ifft(np.cos(omega_fd * horizon) * np.fft.fft(b0.values.real)).real
     errors = []
@@ -612,6 +616,27 @@ def test_leapfrog_converges_to_the_discrete_free_solution():
         )
         errors.append(float(np.max(np.abs(run.final.values.real - exact))))
     assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize(
+    "lengths, points, mass",
+    [([32.0], [64], 1.0), ([8.0, 6.0], [16, 12], 0.7), ([6.0, 5.0, 4.0], [12, 10, 8], 1.3)],
+)
+def test_free_leapfrog_is_its_chebyshev_solution_to_roundoff(lengths, points, mass, fraction):
+    # The exact solution of the discrete recurrence, not an O(dt^2) limit:
+    # every record matches it to c * n * eps * scale, the roundoff of n
+    # steps.  Over these lattices and dt fractions, with seeds 0-5 and every
+    # step from 1 to 300, c read at most 2.98 (3D at 0.9 of the bound).
+    lat = build_lattice(lengths, points, mass)
+    dt = fraction * stability_bound(lat)
+    rng = np.random.default_rng(7)
+    b0, v0 = rng.standard_normal(lat.grid_points), rng.standard_normal(lat.grid_points)
+    run = leapfrog_interact(ComplexField("position", b0), ComplexField("position", v0), lat, 0.0, dt, 200)
+    eps = np.finfo(float).eps
+    for n, snap in enumerate(run.snapshots[1:], start=1):
+        exact = chebyshev_free_record(b0, v0, lat, dt, n)
+        assert np.max(np.abs(snap.values - exact)) <= 6.0 * n * eps * np.max(np.abs(exact)), n
 
 
 def test_quartic_force_response_is_linear_in_the_coupling():
@@ -790,44 +815,61 @@ def test_schedule_keeps_the_multiples_of_record_every_and_the_last_step():
             assert _schedule(0.1, steps, record_every) == expected
 
 
+# A small run warms the process, so one-time imports and tables are not counted.
 _RECORD_PEAK_SCRIPT = """
 import sys
 import numpy as np
 from ontofield.dynamics import leapfrog_interact
 from ontofield.lattice import ComplexField, build_lattice
 
-def status_bytes(field):
-    # VmHWM is this address space's peak; ru_maxrss would start at the parent's.
-    with open("/proc/self/status") as fh:
-        line = next(line for line in fh if line.startswith(field + ":"))
-    return int(line.split()[1]) * 1024
-
 def inputs(points):
     lattice = build_lattice([32.0] * 3, [points] * 3, 1.0)
     noise = np.random.default_rng(5).standard_normal(lattice.grid_points)
     return ComplexField("position", 0.05 * noise + 0j), ComplexField("position", 0j * noise), lattice
 
-# A small run first, so one-time imports and tables are not counted.
-leapfrog_interact(*inputs(8), 0.1, 0.2, 2)
 b0, bdot0, lattice = inputs(32)
-before = status_bytes("VmRSS")
-leapfrog_interact(b0, bdot0, lattice, 0.1, 0.2, 200, record_every=int(sys.argv[1]))
-print(status_bytes("VmHWM") - before)
+
+def warm():
+    leapfrog_interact(*inputs(8), 0.1, 0.2, 2)
+
+def run():
+    leapfrog_interact(b0, bdot0, lattice, 0.1, 0.2, 200, record_every=int(sys.argv[1]))
 """
 
 
+def test_a_sink_receives_the_records_a_run_collects_bit_for_bit():
+    # 7 steps recorded every 3rd: records at steps 0, 3, 6 and 7.
+    def both_routes(run, *args, **kwargs):
+        received = []
+        return run(*args, **kwargs), run(*args, **kwargs, sink=received.append), received
+
+    plane = build_lattice([8.0, 6.0], [16, 12], 1.0)
+    packet = gaussian_packet(plane, [1.0, 0.5], [3.0, 2.0], 1.5)
+    assert np.iscomplexobj(packet.values)
+    spectral = both_routes(spectral_run, packet, plane, 0.3, 7, 3)
+    box = build_lattice([6.0, 5.0, 4.0], [12, 10, 8], 1.0)
+    rng = np.random.default_rng(9)
+    b0, v0 = (ComplexField("position", 0.5 * rng.standard_normal(box.grid_points)) for _ in range(2))
+    leapfrog = both_routes(leapfrog_interact, b0, v0, box, 0.1, 0.1, 7, record_every=3)
+    for collected, sunk, received in (spectral, leapfrog):
+        assert sunk.snapshots == ()
+        assert [snap.time for snap in received] == list(collected.times)
+        assert len(received) == 4
+        for kept, sent in zip(collected.snapshots, received):
+            assert sent.values.dtype == kept.values.dtype
+            assert sent.values.tobytes() == kept.values.tobytes()
+        assert (sunk.lattice, sunk.steps) == (collected.lattice, collected.steps)
+    collected, sunk, _ = leapfrog
+    assert sunk.energy.tobytes() == collected.energy.tobytes()
+    assert sunk.velocity.tobytes() == collected.velocity.tobytes()
+    assert spectral[1].energy is spectral[1].velocity is None
+
+
 def _record_peak(record_every: int) -> int:
-    proc = subprocess.run(
-        [sys.executable, "-c", _RECORD_PEAK_SCRIPT, str(record_every)],
-        env=_with_src(dict(os.environ)), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    return peak_bytes(_RECORD_PEAK_SCRIPT, record_every)
 
 
 def test_each_leapfrog_record_holds_one_snapshot_and_no_velocity():
-    if not Path("/proc/self/status").exists():
-        pytest.skip("the peak resident size is read from /proc/self/status")
     # 200 steps on 32^3 sites, recorded at 3 and at 21 steps (step 0 included).
     per_record = (_record_peak(10) - _record_peak(100)) / (18 * 32**3)
     # A record's float snapshot takes 8 bytes per site; a complex one took 16

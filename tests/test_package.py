@@ -2,15 +2,13 @@
 
 import importlib
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import ontofield
+from fresh_interpreter import run_script
 
 MODULES = ["cyclic", "ladder", "lattice", "kernels", "dynamics", "vacuum"]
 
@@ -62,14 +60,7 @@ def test_only_quadrature_loads_scipy(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for block in re.findall(r"```json\n(.*?)```", readme, re.S):
         (tmp_path / f"{json.loads(block)['experiment']}.json").write_text(block)
-    src = str(Path(ontofield.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = json.loads(run_script(NO_SCIPY_SCRIPT, tmp_path, timeout=300))
     assert len(report["codes"]) == 8 + 4
     assert set(report["codes"].values()) == {0}, report["codes"]
     assert report["before_kernel"] == []

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ontofield
 import ontofield.vacuum as vacuum
 from ontofield.lattice import ComplexField, build_lattice, spectral_evolve, to_position
 from ontofield.vacuum import (
@@ -26,6 +25,7 @@ from ontofield.vacuum import (
     ensemble_correlators,
     sample_vacuum,
 )
+from fresh_interpreter import run_script, with_src
 
 
 def small_spec(count=400, seed=6):
@@ -188,12 +188,6 @@ def test_joint_pass_equals_one_call_per_time_bit_for_bit(seed):
             assert getattr(estimate, field).tobytes() == getattr(alone, field).tobytes(), (t, field)
 
 
-def _with_src(env):
-    """``env`` with this checkout's ``src`` first on ``PYTHONPATH``, for a subprocess."""
-    src = str(Path(ontofield.__file__).resolve().parents[1])
-    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
-
-
 def _vacuum_digests(tmp_path, env):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -203,7 +197,7 @@ def _vacuum_digests(tmp_path, env):
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "ontofield.cli", "run", str(config), "--output-dir", str(out)],
-        env=_with_src(env), capture_output=True, text=True, timeout=300,
+        env=with_src(env), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
@@ -230,11 +224,7 @@ print(hashlib.sha256(np.exp(1j * angles).tobytes()).hexdigest())
 
 
 def _draw_digests(env):
-    proc = subprocess.run(
-        [sys.executable, "-c", _DRAW_DIGEST_SCRIPT], env=_with_src(env), capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return run_script(_DRAW_DIGEST_SCRIPT, env=env).split()
 
 
 def test_phase_draw_bytes_do_not_depend_on_the_simd_dispatch():
