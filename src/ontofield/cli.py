@@ -374,9 +374,8 @@ def _run_evolve(params: dict, seed: int, out: Path) -> dict:
     if params["method"] == "spectral":
         spectral_run(packet, lattice, dt, steps, every, sink=record)
     else:
-        schedule = _schedule(dt, steps, every)
         record(packet)
-        for n in schedule:
+        for n in _schedule(dt, steps, every):
             record(evolve_convolution(packet, lattice, n * dt))
     return {
         "method": params["method"],
