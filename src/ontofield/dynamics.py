@@ -298,31 +298,29 @@ def _flat(array: np.ndarray) -> np.ndarray:
     return array.reshape(-1)
 
 
-def _divide_by(divisor: float, dtype: np.dtype) -> tuple[np.ufunc, np.ndarray]:
+def _divide_by(divisor: float) -> tuple[np.ufunc, np.ndarray]:
     """``(ufunc, constant)`` whose call ``ufunc(x, constant)`` is ``x / divisor``.
 
-    A real ``x / 2**e`` is ``x * 2**-e`` to the bit: both round the same real
+    ``x / 2**e`` is ``x * 2**-e`` to the bit: both round the same real
     quotient, and the reciprocal of a power of two is exact when it is
     finite.  The multiply took 7.5 us against 27 us for the divide on a
-    32^3 field (numpy 2.4.6, AVX-512).  A complex field always divides: a
-    complex multiply by ``r + 0j`` forms ``x.imag * 0`` terms that can flip
-    the sign of a zero.
+    32^3 field (numpy 2.4.6, AVX-512).
     """
     reciprocal = 1.0 / divisor
-    if np.dtype(dtype) == np.float64 and math.frexp(divisor)[0] == 0.5 and math.isfinite(reciprocal):
-        return np.multiply, np.array(reciprocal, dtype=dtype)
-    return np.divide, np.array(divisor, dtype=dtype)
+    if math.frexp(divisor)[0] == 0.5 and math.isfinite(reciprocal):
+        return np.multiply, np.array(reciprocal)
+    return np.divide, np.array(divisor)
 
 
-def _with_halo(values: np.ndarray, dtype) -> np.ndarray:
-    """``ext``: a C-contiguous array of ``dtype`` holding ``values`` as ``ext[1:-1]``, 64-byte aligned (:func:`_aligned_empty`).
+def _with_halo(values: np.ndarray) -> np.ndarray:
+    """``ext``: a C-contiguous float64 array holding ``values`` as ``ext[1:-1]``, 64-byte aligned (:func:`_aligned_empty`).
 
     The planes ``ext[0]`` and ``ext[-1]`` before and after axis 0 are the
     halo the stencils read axis 0's periodic neighbours through; they are
     left unset, as every force and energy call refreshes them first
     (:func:`_halo_copy`).
     """
-    ext = _aligned_empty((values.shape[0] + 2, *values.shape[1:]), dtype)
+    ext = _aligned_empty((values.shape[0] + 2, *values.shape[1:]), float)
     ext[1:-1] = values
     return ext
 
@@ -408,32 +406,32 @@ def _fd_laplacian(
     written before it is read, for every axis length.  In-place calls touch
     two arrays where a third buffer would add a stream to each call.
 
-    ``out``, ``term`` and ``plane`` have the state's shape and dtype and alias
-    none of the others or ``ext``.  ``ext`` and ``term`` are read through flat
+    ``out``, ``term`` and ``plane`` have the float64 state's shape and alias
+    none of the others or ``ext``; state axes past ``len(spacings)`` are
+    components the sums never mix.  ``ext`` and ``term`` are read through flat
     views, so they must be C-contiguous, and any other raises ``ValueError``:
     ``reshape(-1)`` of a non-contiguous array would be a copy, and the
-    stencil would read stale data.  The constants are 0-d arrays of that
-    dtype, as a Python scalar operand costs a conversion per call.
+    stencil would read stale data.  The constants are 0-d float64 arrays, as
+    a Python scalar operand costs a conversion per call.
     """
     values = ext[1:-1]
-    dtype = values.dtype
-    two = np.array(2.0, dtype=dtype)
+    two = np.array(2.0)
     st = values[0].size
     e_flat, t_flat = _flat(ext), _flat(term)
-    divide, dx_sq = _divide_by(spacings[0] ** 2, dtype)
+    divide, dx_sq = _divide_by(spacings[0] ** 2)
     calls: list[_Call] = [
         _halo_copy(ext),
         (np.multiply, two, values, term),
         (np.subtract, e_flat[2 * st:], t_flat, t_flat),
         (np.add, t_flat, e_flat[:-2 * st], t_flat),
         (divide, term, dx_sq, term),
-        (np.add, np.array(0.0, dtype=dtype), term, out),
+        (np.add, np.array(0.0), term, out),
     ]
     for axis, dx in enumerate(spacings[1:], start=1):
         b_up, b_low, b_first, b_last = _axis_views(values, axis)
         t_up, t_low, t_first, t_last = _axis_views(term, axis)
         seam = plane[(slice(None),) * axis + (slice(None, 1),)]
-        divide, dx_sq = _divide_by(dx**2, dtype)
+        divide, dx_sq = _divide_by(dx**2)
         calls += [
             (np.multiply, two, values, term),
             (np.subtract, b_up, t_low, t_low),
@@ -474,7 +472,7 @@ def _force(
     """
     calls = _fd_laplacian(ext, spacings, out, scratch, plane)
     state = ext[1:-1]
-    m_sq, c6 = (np.array(c, dtype=state.dtype) for c in (mass_sq, coupling / 6.0))
+    m_sq, c6 = (np.array(c, dtype=float) for c in (mass_sq, coupling / 6.0))
     calls += [
         (np.multiply, m_sq, state, scratch), (np.subtract, out, scratch, out),
         (np.multiply, state, state, scratch), (np.multiply, scratch, state, scratch),
@@ -515,22 +513,22 @@ def _energy(
     """
     state = ext[1:-1]
     half, c_acc, c_mass, c_quartic = (
-        np.array(c, dtype=state.dtype) for c in (0.5, 0.125 * dt**2, 0.5 * mass_sq, coupling / 24.0)
+        np.array(c, dtype=float) for c in (0.5, 0.125 * dt**2, 0.5 * mass_sq, coupling / 24.0)
     )
     st = state[0].size
     e_flat = _flat(ext)
-    divide, by_dx = _divide_by(spacings[0], state.dtype)
+    divide, by_dx = _divide_by(spacings[0])
     calls: list[_Call] = [
         _halo_copy(ext),
         (np.subtract, e_flat[2 * st:], e_flat[st:-st], _flat(diff)),
         (divide, diff, by_dx, diff),
         (np.multiply, diff, diff, diff),
-        (np.add, np.array(0.0, dtype=state.dtype), diff, grad),
+        (np.add, np.array(0.0), diff, grad),
     ]
     for axis, dx in enumerate(spacings[1:], start=1):
         b_up, b_low, b_first, b_last = _axis_views(state, axis)
         _, d_low, _, d_last = _axis_views(diff, axis)
-        divide, by_dx = _divide_by(dx, state.dtype)
+        divide, by_dx = _divide_by(dx)
         calls += [
             (np.subtract, b_up, b_low, d_low),
             (np.subtract, b_first, b_last, d_last),
@@ -562,9 +560,10 @@ def kg_residual(run: EvolutionRun) -> ResidualReport:
     Applies centered second differences in space and time and subtracts the
     mass term: ``r = Lap_dx b - D2_dt b - M^2 b`` on interior snapshot
     times.  Needs at least 3 snapshots at uniform spacing.  The spatial
-    term is the leapfrog's stencil (:func:`_fd_laplacian`), bound to a
-    copy of each interior snapshot with halo planes (:func:`_with_halo`),
-    so a snapshot of any memory layout gives the same bits.
+    term is the leapfrog's float64 stencil (:func:`_fd_laplacian`) on a
+    copy of each interior snapshot with halo planes (:func:`_with_halo`)
+    and a trailing ``(re, im)`` axis, 1 long if real: each part of a
+    snapshot of any layout goes through the leapfrog's stencil bit for bit.
     """
     if len(run.snapshots) < 3:
         raise ValueError(f"need at least 3 snapshots, got {len(run.snapshots)}")
@@ -580,13 +579,14 @@ def kg_residual(run: EvolutionRun) -> ResidualReport:
     count = 0
     for j in range(1, len(run.snapshots) - 1):
         b_prev = run.snapshots[j - 1].values
-        # The stencil reads a C-contiguous copy with halo planes, whatever the snapshot's layout.
-        ext = _with_halo(run.snapshots[j].values, run.snapshots[j].values.dtype)
-        b_here = ext[1:-1]
+        values = run.snapshots[j].values
+        dtype = np.result_type(values, float)
+        ext = _with_halo(np.ascontiguousarray(values, dtype=dtype).view(np.float64).reshape(*values.shape, -1))
+        parts, *work = (np.empty_like(ext[1:-1]) for _ in range(3))
+        _run(_fd_laplacian(ext, spacings, parts, *work))
+        laplacian, b_here = (a.view(dtype).reshape(values.shape) for a in (parts, ext[1:-1]))
         b_next = run.snapshots[j + 1].values
         btt = (b_next - 2.0 * b_here + b_prev) / dt**2
-        laplacian, *work = (np.empty_like(b_here) for _ in range(3))
-        _run(_fd_laplacian(ext, spacings, laplacian, *work))
         residual = laplacian - btt - lattice.mass**2 * b_here
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
         sq_sum += float(np.sum(np.abs(residual) ** 2))
@@ -719,7 +719,7 @@ def leapfrog_interact(
     imag_leak = max(float(np.max(np.abs(b0.values.imag))), float(np.max(np.abs(bdot0.values.imag))))
     if imag_leak > 1e-12 * scale:
         raise ValueError("the leapfrog requires real initial data")
-    ext = _with_halo(b0.values.real, float)
+    ext = _with_halo(b0.values.real)
     b = ext[1:-1]
 
     mass_sq = lattice.mass**2
@@ -745,7 +745,7 @@ def leapfrog_interact(
     # check below turns it into a typed error.  The step updates b, v and acc
     # in place: v += kick; b += dt v; acc = force(b); kick = (dt/2) acc;
     # v += kick.  A step's closing kick is the next step's opening one.
-    half_dt, full_dt = (np.array(c, dtype=b.dtype) for c in (0.5 * dt, dt))
+    half_dt, full_dt = (np.array(c, dtype=float) for c in (0.5 * dt, dt))
     add, multiply = np.add, np.multiply
     multiply(half_dt, acc, kick)
     with np.errstate(over="ignore", invalid="ignore"):
