@@ -53,9 +53,7 @@ __all__ = [
 ]
 
 _KINDS = ("F1", "F2")
-# "direct_quadrature" and "radial_reduced" name one route: rotation symmetry
-# reduces the D=3 integral to one radial dimension exactly.
-_METHODS = ("direct_quadrature", "radial_reduced", "contour")
+_METHODS = ("radial_reduced", "contour")
 _MIN_FIT_POINTS = 8
 _TWO_PI_SQ = 2.0 * np.pi**2
 # |F1| falls like z**-2.5 * exp(-M z) at large z (Watson's lemma).

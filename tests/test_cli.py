@@ -200,6 +200,10 @@ VACUUM_TOO_LARGE = {
         # The complex field mode is gone, and its key with it.
         ({**INTERACT_UNSTABLE_STEP, "dt": 0.1, "field_mode": "complex"},
          "key 'field_mode': not recognized for experiment 'interact'"),
+        # So is the "direct_quadrature" alias of the radial route.
+        ({"experiment": "kernel", "kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "direct_quadrature",
+          "z_start": 0.5, "z_stop": 5.0, "z_count": 4},
+         "key 'method': must be one of ('radial_reduced', 'contour')"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
