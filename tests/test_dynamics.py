@@ -14,6 +14,7 @@ from ontofield.dynamics import (
     EvolutionRun,
     FrontTrackingError,
     InstabilityError,
+    ResidualReport,
     evolve_convolution,
     gaussian_packet,
     kg_residual,
@@ -307,6 +308,12 @@ def test_field_equation_residual_needs_three_uniform_snapshots():
     uneven = spectral_run(packet, lat, 0.1, 5, record_every=2)
     with pytest.raises(ValueError):
         kg_residual(uneven)
+
+
+@pytest.mark.parametrize("max_residual, l2_residual", [(-1e-3, 0.0), (0.0, -1e-3)])
+def test_residual_report_refuses_a_negative_residual(max_residual, l2_residual):
+    with pytest.raises(ValueError, match="residuals must be nonnegative"):
+        ResidualReport((0.5,), 0.1, max_residual, l2_residual)
 
 
 def test_refinement_halves_the_residual_twice_per_level():
@@ -990,6 +997,13 @@ def test_front_tracking_refuses_an_intensity_whose_mean_underflows():
     snapshots = tuple(ComplexField("position", values, time=t) for t in (0.0, 1.0))
     with pytest.raises(FrontTrackingError, match="intensity vanished"):
         wavefront_measure(EvolutionRun(lat, 1, snapshots), 1.0)
+
+
+def test_front_tracking_needs_two_snapshots():
+    lat = build_lattice(32.0, 64, 1.0)
+    run = EvolutionRun(lat, 0, (gaussian_packet(lat, 1.0, 8.0, 3.0),))
+    with pytest.raises(ValueError, match="need at least 2 snapshots"):
+        wavefront_measure(run, 1.0)
 
 
 def test_front_tracking_is_one_dimensional_only():

@@ -1,5 +1,7 @@
 """Tests for the radial kernels, their dual evaluation routes, and decay fits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -289,6 +291,19 @@ def test_table_carries_values_and_positive_errors(tmp_path):
     assert len(lines) == 6
 
 
+def test_table_refuses_non_finite_values_non_positive_errors_and_an_empty_grid():
+    spec = KernelSpec(kind="F1", mass=1.0, method="contour")
+    table = kernel_table(spec, [1.0, 2.0])
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite values"):
+            replace(table, values=np.array([table.values[0], value]))
+    for error in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="error estimates must be positive"):
+            replace(table, errors=np.array([table.errors[0], error]))
+    with pytest.raises(ValueError, match="empty abscissa grid"):
+        kernel_table(spec, [])
+
+
 def test_fit_recovers_the_mass_from_the_tail():
     spec = KernelSpec(kind="F1", mass=1.0, method="contour")
     table = kernel_table(spec, np.linspace(2.0, 8.0, 25))
@@ -309,6 +324,14 @@ def test_fit_requires_enough_points():
     table = kernel_table(spec, np.linspace(2.0, 4.0, 7))
     with pytest.raises(ValueError):
         decay_fit(table)
+
+
+def test_fit_refuses_a_zero_kernel_value_and_equal_abscissae():
+    table = kernel_table(KernelSpec(kind="F1", mass=1.0, method="contour"), np.linspace(2.0, 4.0, 8))
+    with pytest.raises(ValueError, match="nonzero kernel values"):
+        decay_fit(replace(table, values=np.where(np.arange(8) == 3, 0.0, table.values)))
+    with pytest.raises(ValueError, match="abscissae carry zero variance"):
+        decay_fit(replace(table, z=np.full(8, 2.0)))
 
 
 def test_suppression_scan_is_monotone_with_mass_dependent_rate():
