@@ -578,15 +578,13 @@ def kg_residual(run: EvolutionRun) -> ResidualReport:
     sq_sum = 0.0
     count = 0
     for j in range(1, len(run.snapshots) - 1):
-        b_prev = run.snapshots[j - 1].values
         values = run.snapshots[j].values
         dtype = np.result_type(values, float)
         ext = _with_halo(np.ascontiguousarray(values, dtype=dtype).view(np.float64).reshape(*values.shape, -1))
         parts, *work = (np.empty_like(ext[1:-1]) for _ in range(3))
         _run(_fd_laplacian(ext, spacings, parts, *work))
         laplacian, b_here = (a.view(dtype).reshape(values.shape) for a in (parts, ext[1:-1]))
-        b_next = run.snapshots[j + 1].values
-        btt = (b_next - 2.0 * b_here + b_prev) / dt**2
+        btt = (run.snapshots[j + 1].values - 2.0 * b_here + run.snapshots[j - 1].values) / dt**2
         residual = laplacian - btt - lattice.mass**2 * b_here
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
         sq_sum += float(np.sum(np.abs(residual) ** 2))
