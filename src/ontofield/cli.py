@@ -32,7 +32,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,7 +91,8 @@ _ENV_OUTPUT_DIR = "ONTOFIELD_OUTPUT_DIR"
 # --- schema ------------------------------------------------------------------
 #
 # Each key's value, whatever its JSON type, goes to one rule: the rule of the
-# library argument the key sets (_RULES), which refuses a wrong type too.
+# library argument the key sets (_Experiment.rules), which refuses a wrong
+# type too.
 
 _REQUIRED = object()  # the default of a key the config must state
 _LATTICE_KEYS = dict.fromkeys(("mass", "box_length", "points", "cutoff"), _REQUIRED)
@@ -101,19 +102,6 @@ _PACKET_KEYS = {
 _KERNEL_KEYS = {
     **dict.fromkeys(("mass", "cutoff", "z_start", "z_stop", "z_count"), _REQUIRED), "window": "cosine", "taper_frac": 0.1,
 }
-
-_SCHEMAS: dict[str, dict[str, object]] = {
-    "identities": {"n_levels": _REQUIRED, "omega": _REQUIRED, "time_pairs": 10},
-    "spectrum": {"n_states": _REQUIRED, "delta_t": _REQUIRED},
-    "kernel": {"kind": _REQUIRED, "method": _REQUIRED, "t": 0.0, **_KERNEL_KEYS},
-    "decay": {"method": "contour", **_KERNEL_KEYS},
-    "front": {**_LATTICE_KEYS, **_PACKET_KEYS},
-    "evolve": {**_LATTICE_KEYS, **_PACKET_KEYS, "method": "spectral"},
-    "interact": {**_LATTICE_KEYS, **_PACKET_KEYS, "lambda": _REQUIRED},
-    "vacuum": {**_LATTICE_KEYS, "samples": _REQUIRED, "evolve_time": None},
-}
-
-_EXPERIMENTS = tuple(_SCHEMAS)
 
 # Library argument -> the config key that sets it, where the two differ.
 _CONFIG_KEY = {"box_lengths": "box_length", "grid_points": "points", "coupling": "lambda", "count": "samples"}
@@ -132,17 +120,6 @@ _PACKET_RULES = _keyed(ontofield.lattice._RULES, ontofield.dynamics._RULES,
                        {"amplitude": positive_finite, "center": nullable(ontofield.dynamics._RULES["center"])})
 _SPAN = {"omega": lambda omega: ontofield.ladder._RULES["omega"](omega)
          or (None if is_real(4.0 * np.pi / omega) else f"must leave a finite time-pair span 4*pi/omega, got {omega!r}")}
-
-_RULES: dict[str, dict[str, Rule]] = {
-    "identities": _keyed(ontofield.ladder._RULES, _SPAN, {"time_pairs": integer_at_least(1)}),
-    "spectrum": _keyed(ontofield.cyclic._RULES),
-    "kernel": _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(1)}),
-    "decay": _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(_MIN_FIT_POINTS)}),
-    "front": _PACKET_RULES,
-    "evolve": _keyed(_PACKET_RULES, {"method": one_of("spectral", "convolution_literal")}),
-    "interact": _PACKET_RULES,
-    "vacuum": _keyed(ontofield.lattice._RULES, ontofield.vacuum._RULES, {"evolve_time": nullable(finite)}),
-}
 
 
 def _lattice_args(params: dict) -> tuple:
@@ -182,62 +159,46 @@ def _setup_problems(params: dict) -> Problems:
     return _lattice_problems(*_lattice_args(params)) + packet
 
 
-# The predicates read the geometry from the config: building the lattice
-# would cost memory and time of the order of the run itself.  A run's later
-# predicates are asked only once its lattice is sound.
-_PREDICATES: dict[str, Callable[[dict], Problems]] = {
-    "kernel": _check_kernel,
-    "decay": _check_kernel,
-    "front": lambda p: _setup_problems(p) or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"]),
-    "evolve": _setup_problems,
-    "interact": lambda p: _setup_problems(p)
-    or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"]),
-    "vacuum": lambda p: _lattice_problems(*_lattice_args(p)) or _memory_problems(p["points"], len(_evolve_times(p))),
-}
-
-
 def validate_config(raw: object) -> list[str]:
     """Full list of schema violations; empty means the config is runnable.
 
     Each value goes to the rule of the library argument its key sets.  Once
-    every key has passed, _PREDICATES reports the library's objections that
-    read several keys.
+    every key has passed, the experiment's ``check`` reports the library's
+    objections that read several keys.
     """
     if not isinstance(raw, dict):
         return ["config root must be a JSON object"]
     experiment = raw.get("experiment")
-    if experiment not in _EXPERIMENTS:
-        return [f"key 'experiment': expected one of {_EXPERIMENTS}, got {experiment!r}"]
+    if not (isinstance(experiment, str) and experiment in _EXPERIMENTS):
+        return [f"key 'experiment': expected one of {tuple(_EXPERIMENTS)}, got {experiment!r}"]
     violations: list[str] = []
-    schema, rules = _SCHEMAS[experiment], _RULES[experiment]
+    entry = _EXPERIMENTS[experiment]
     seed = raw.get("seed", 0)
     if not (is_integer(seed) and seed >= 0):
         violations.append("key 'seed': expected a nonnegative integer")
     out_dir = raw.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         violations.append("key 'output_dir': expected a string path")
-    known = set(schema) | {"experiment", "seed", "output_dir"}
+    known = set(entry.keys) | {"experiment", "seed", "output_dir"}
     for key in raw:
         if key not in known:
             violations.append(f"key {key!r}: not recognized for experiment {experiment!r}")
-    for key, default in schema.items():
+    for key, default in entry.keys.items():
         if key not in raw:
             if default is _REQUIRED:
                 violations.append(f"key {key!r}: required for experiment {experiment!r} but missing")
             continue
-        message = rules[key](raw[key])
+        message = entry.rules[key](raw[key])
         if message is not None:
             violations.append(f"key {key!r}: {message}")
-    if not violations and experiment in _PREDICATES:
+    if not violations:
         params = _apply_defaults(experiment, raw)
-        violations.extend(
-            f"key {_CONFIG_KEY.get(arg, arg)!r}: {message}" for arg, message in _PREDICATES[experiment](params)
-        )
+        violations.extend(f"key {_CONFIG_KEY.get(arg, arg)!r}: {message}" for arg, message in entry.check(params))
     return violations
 
 
 def _apply_defaults(experiment: str, raw: dict) -> dict:
-    return {key: raw.get(key, default) for key, default in _SCHEMAS[experiment].items()}
+    return {key: raw.get(key, default) for key, default in _EXPERIMENTS[experiment].keys.items()}
 
 
 # --- experiment runners ------------------------------------------------------
@@ -457,15 +418,45 @@ def _run_vacuum(params: dict, seed: int, out: Path) -> dict:
     return results
 
 
-_RUNNERS: dict[str, Callable[[dict, int, Path], dict]] = {
-    "identities": _run_identities,
-    "spectrum": _run_spectrum,
-    "kernel": _run_kernel,
-    "decay": _run_decay,
-    "front": _run_front,
-    "evolve": _run_evolve,
-    "interact": _run_interact,
-    "vacuum": _run_vacuum,
+# --- experiment table ----------------------------------------------------------
+
+class _Experiment(NamedTuple):
+    """An experiment's config keys with their defaults, each key's rule, its runner, and its multi-key ``check``."""
+
+    keys: dict[str, object]
+    rules: dict[str, Rule]
+    run: Callable[[dict, int, Path], dict]
+    check: Callable[[dict], Problems] = lambda params: []
+
+
+# In the order validate names them.  A check reports the library's objections
+# that read several keys.  It reads the geometry from the config: building the
+# lattice would cost memory and time of the order of the run itself.  A run's
+# later objections are asked only once its lattice is sound.
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "identities": _Experiment({"n_levels": _REQUIRED, "omega": _REQUIRED, "time_pairs": 10},
+                              _keyed(ontofield.ladder._RULES, _SPAN, {"time_pairs": integer_at_least(1)}),
+                              _run_identities),
+    "spectrum": _Experiment({"n_states": _REQUIRED, "delta_t": _REQUIRED}, _keyed(ontofield.cyclic._RULES),
+                            _run_spectrum),
+    "kernel": _Experiment({"kind": _REQUIRED, "method": _REQUIRED, "t": 0.0, **_KERNEL_KEYS},
+                          _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(1)}),
+                          _run_kernel, _check_kernel),
+    "decay": _Experiment({"method": "contour", **_KERNEL_KEYS},
+                         _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(_MIN_FIT_POINTS)}),
+                         _run_decay, _check_kernel),
+    "front": _Experiment({**_LATTICE_KEYS, **_PACKET_KEYS}, _PACKET_RULES, _run_front,
+                         lambda p: _setup_problems(p) or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"])),
+    "evolve": _Experiment({**_LATTICE_KEYS, **_PACKET_KEYS, "method": "spectral"},
+                          _keyed(_PACKET_RULES, {"method": one_of("spectral", "convolution_literal")}),
+                          _run_evolve, _setup_problems),
+    "interact": _Experiment({**_LATTICE_KEYS, **_PACKET_KEYS, "lambda": _REQUIRED}, _PACKET_RULES, _run_interact,
+                            lambda p: _setup_problems(p) or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"])),
+    "vacuum": _Experiment({**_LATTICE_KEYS, "samples": _REQUIRED, "evolve_time": None},
+                          _keyed(ontofield.lattice._RULES, ontofield.vacuum._RULES, {"evolve_time": nullable(finite)}),
+                          _run_vacuum,
+                          lambda p: _lattice_problems(*_lattice_args(p))
+                          or _memory_problems(p["points"], len(_evolve_times(p)))),
 }
 
 
@@ -475,10 +466,8 @@ def _jsonable(value):
     """Plain JSON values; non-finite floats become ``null``."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -556,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     started = datetime.now(timezone.utc)
     clock = time.perf_counter()
     try:
-        results = _RUNNERS[experiment](params, seed, out)
+        results = _EXPERIMENTS[experiment].run(params, seed, out)
     except (QuadratureError, InstabilityError, FrontTrackingError, ValueError, ArithmeticError) as exc:
         return _error_record("numerical", str(exc), EXIT_NUMERICAL, out)
     except MemoryError as exc:

@@ -26,10 +26,10 @@ from ontofield.kernels import _velocity_problems, group_velocity
 from ontofield.lattice import (
     ComplexField,
     MomentumLattice,
-    _aligned_empty,
     _require,
     _require_finite,
     _spacings,
+    _workspace,
     build_lattice,
     evolution_phase,
     position_axes,
@@ -312,17 +312,16 @@ def _divide_by(divisor: float) -> tuple[np.ufunc, np.ndarray]:
     return np.divide, np.array(divisor)
 
 
-def _with_halo(values: np.ndarray) -> np.ndarray:
-    """``ext``: a C-contiguous float64 array holding ``values`` as ``ext[1:-1]``, 64-byte aligned (:func:`_aligned_empty`).
+def _with_halo(shape: tuple[int, ...], buffers: int) -> list[np.ndarray]:
+    """``[ext, *work]``: unset float64 arrays, views of one 64-byte aligned workspace (``lattice._workspace``).
 
-    The planes ``ext[0]`` and ``ext[-1]`` before and after axis 0 are the
-    halo the stencils read axis 0's periodic neighbours through; they are
-    left unset, as every force and energy call refreshes them first
-    (:func:`_halo_copy`).
+    ``ext`` has ``shape`` with one more plane before and after axis 0: the
+    state of ``shape`` is ``ext[1:-1]``, and the planes ``ext[0]`` and
+    ``ext[-1]`` are the halo the stencils read axis 0's periodic neighbours
+    through, refreshed by every force and energy call (:func:`_halo_copy`).
+    ``work`` is ``buffers`` arrays of ``shape``.
     """
-    ext = _aligned_empty((values.shape[0] + 2, *values.shape[1:]), float)
-    ext[1:-1] = values
-    return ext
+    return _workspace(((shape[0] + 2, *shape[1:]), float), *[(shape, float)] * buffers)
 
 
 def _halo_copy(ext: np.ndarray) -> _Call:
@@ -560,10 +559,11 @@ def kg_residual(run: EvolutionRun) -> ResidualReport:
     Applies centered second differences in space and time and subtracts the
     mass term: ``r = Lap_dx b - D2_dt b - M^2 b`` on interior snapshot
     times.  Needs at least 3 snapshots at uniform spacing.  The spatial
-    term is the leapfrog's float64 stencil (:func:`_fd_laplacian`) on a
-    copy of each interior snapshot with halo planes (:func:`_with_halo`)
-    and a trailing ``(re, im)`` axis, 1 long if real: each part of a
-    snapshot of any layout goes through the leapfrog's stencil bit for bit.
+    term is the leapfrog's float64 stencil (:func:`_fd_laplacian`), bound
+    once to a buffer with halo planes (:func:`_with_halo`) and a trailing
+    ``(re, im)`` axis, 1 long if real, into which each interior snapshot is
+    copied: each part of a snapshot of any layout goes through the
+    leapfrog's stencil bit for bit.
     """
     if len(run.snapshots) < 3:
         raise ValueError(f"need at least 3 snapshots, got {len(run.snapshots)}")
@@ -574,16 +574,17 @@ def kg_residual(run: EvolutionRun) -> ResidualReport:
         raise ValueError("snapshots are not uniformly spaced in time")
     lattice = run.lattice
     spacings = lattice.spacings
+    shape = run.snapshots[0].values.shape
+    dtype = np.result_type(float, *(snap.values.dtype for snap in run.snapshots[1:-1]))
+    ext, parts, *work = _with_halo((*shape, dtype.itemsize // 8), 3)
+    calls = _fd_laplacian(ext, spacings, parts, *work)
+    laplacian, b_here = (a.view(dtype).reshape(shape) for a in (parts, ext[1:-1]))
     max_residual = 0.0
     sq_sum = 0.0
     count = 0
     for j in range(1, len(run.snapshots) - 1):
-        values = run.snapshots[j].values
-        dtype = np.result_type(values, float)
-        ext = _with_halo(np.ascontiguousarray(values, dtype=dtype).view(np.float64).reshape(*values.shape, -1))
-        parts, *work = (np.empty_like(ext[1:-1]) for _ in range(3))
-        _run(_fd_laplacian(ext, spacings, parts, *work))
-        laplacian, b_here = (a.view(dtype).reshape(values.shape) for a in (parts, ext[1:-1]))
+        b_here[...] = run.snapshots[j].values
+        _run(calls)
         btt = (run.snapshots[j + 1].values - 2.0 * b_here + run.snapshots[j - 1].values) / dt**2
         residual = laplacian - btt - lattice.mass**2 * b_here
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
@@ -684,14 +685,15 @@ def leapfrog_interact(
     is recorded with every record; its quadratic part is an exact leapfrog
     invariant (the kinetic piece is the staggered half-step product), so
     drift isolates the quartic term and roundoff.  Runs whose energy grows
-    past 10x its initial value abort with an ``InstabilityError``.  Each
-    record is a float64 copy of the field, handed to ``sink`` as it is made;
-    without one the run collects the records as its ``snapshots``, with one
-    it keeps none.  Of the velocities, the run keeps only the last.  The
-    lattice must have no cutoff: the stencil evolves every mode.
+    past 10x its initial value or is not finite abort with an
+    ``InstabilityError`` before the record.  Each record is a float64 copy
+    of the field, handed to ``sink`` as it is made; without one the run
+    collects the records as its ``snapshots``, with one it keeps none.  Of
+    the velocities, the run keeps only the last.  The lattice must have no
+    cutoff: the stencil evolves every mode.
 
     The step runs in place on C-contiguous float64 arrays that start on
-    64-byte boundaries (:func:`_aligned_empty`): the field is
+    64-byte boundaries (``lattice._workspace``): the field is
     ``ext[1:-1]``, one plane into a buffer ``ext`` with a halo plane before
     and after axis 0 (:func:`_with_halo`), and the force and the energy are
     bound once (:func:`_force`, :func:`_energy`).  Each of their calls
@@ -717,20 +719,20 @@ def leapfrog_interact(
     imag_leak = max(float(np.max(np.abs(b0.values.imag))), float(np.max(np.abs(bdot0.values.imag))))
     if imag_leak > 1e-12 * scale:
         raise ValueError("the leapfrog requires real initial data")
-    ext = _with_halo(b0.values.real)
+    # ext's workspace: the force goes to acc through scratch and one plane of
+    # diff; kick holds (dt/2) acc; the energy reuses scratch and diff between
+    # steps, with grad its own.  The returned velocity is allocated alone.
+    ext, acc, scratch, diff, kick, grad = _with_halo(lattice.grid_points, 5)
+    (v,) = _workspace((lattice.grid_points, float))
     b = ext[1:-1]
+    b[...] = b0.values.real
+    v[...] = bdot0.values.real
 
     mass_sq = lattice.mass**2
     spacings = lattice.spacings
-    # Buffers C-contiguous and 64-byte aligned like ext: the force goes to
-    # acc through scratch and one plane of diff; kick holds (dt/2) acc; the
-    # energy reuses scratch and diff between steps, with grad of its own.
-    v, acc, scratch, diff, kick = (_aligned_empty(b.shape, float) for _ in range(5))
-    v[...] = bdot0.values.real
     force = _force(ext, spacings, mass_sq, coupling, acc, scratch, diff)
     energy = _energy(
-        ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume,
-        np.empty_like(b), diff, scratch,
+        ext, v, acc, spacings, mass_sq, coupling, dt, lattice.cell_volume, grad, diff, scratch,
     )
     force()
     t0 = b0.time
@@ -739,8 +741,9 @@ def leapfrog_interact(
     record(ComplexField(space="position", values=b.copy(), time=t0))
     energies = [energy()]
 
-    # Overflow on the way to an instability abort is expected; the finiteness
-    # check below turns it into a typed error.  The step updates b, v and acc
+    # Overflow on the way to an instability abort is expected: a state that
+    # is not finite has a NaN or infinite energy, which fails the energy
+    # check below before the record is made.  The step updates b, v and acc
     # in place: v += kick; b += dt v; acc = force(b); kick = (dt/2) acc;
     # v += kick.  A step's closing kick is the next step's opening one.
     half_dt, full_dt = (np.array(c, dtype=float) for c in (0.5 * dt, dt))
@@ -755,12 +758,10 @@ def leapfrog_interact(
                 force()
                 multiply(half_dt, acc, kick)
                 add(v, kick, v)
-            if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-                raise InstabilityError(n, float("nan"), energies[0])
-            record(ComplexField(space="position", values=b.copy(), time=t0 + n * dt))
             energies.append(energy())
-            if abs(energies[-1]) > 10.0 * max(abs(energies[0]), 1e-30):
+            if not abs(energies[-1]) <= 10.0 * max(abs(energies[0]), 1e-30):
                 raise InstabilityError(n, energies[-1], energies[0])
+            record(ComplexField(space="position", values=b.copy(), time=t0 + n * dt))
 
     return EvolutionRun(
         lattice=lattice,

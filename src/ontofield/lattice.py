@@ -279,21 +279,30 @@ def spectral_evolve(
     return ComplexField(space="momentum", values=np.multiply(field.values, phase, out=out), time=field.time + t)
 
 
-def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An unset C-contiguous array of ``shape`` and ``dtype`` whose data starts on a 64-byte boundary.
+def _workspace(*layout: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Unset C-contiguous arrays of the ``(shape, dtype)`` pairs in ``layout``, views of one allocation.
 
-    numpy's buffers start wherever malloc puts them, 16-byte aligned, and a
-    stencil call whose output does not start 32-byte aligned runs slower:
-    ``np.add`` of two 32768-value float64 arrays took 8.4-8.8 us with the
-    output at offsets 0 or 32 modulo 64 and 10.1-10.6 us at 16 or 48
-    (numpy 2.4.6, AVX-512, 2 vCPU shared host).  Without this, a 32^3
-    leapfrog's speed moved by about 10% with where its buffers landed.
+    Each starts on a 64-byte boundary.  numpy's buffers start wherever
+    malloc puts them, 16-byte aligned, and a stencil call whose output does
+    not start 32-byte aligned runs slower: ``np.add`` of two 32768-value
+    float64 arrays took 8.4-8.8 us with the output at offsets 0 or 32 modulo
+    64 and 10.1-10.6 us at 16 or 48 (numpy 2.4.6, AVX-512, 2 vCPU shared
+    host).  Without this, a 32^3 leapfrog's speed moved by about 10% with
+    where its buffers landed.
+
+    One allocation of several MB is a mapping of its own, not heap, so the
+    heap is left as it was for the allocations after it, and numpy asks the
+    kernel for transparent huge pages for it (the 5.5 MB ``scaled3d`` vacuum
+    workspace got one 2 MB page and took 902 faults to fill).  Per
+    ``scaled3d`` vacuum op, after a warm-up pass, 8 fresh processes took
+    195-1090 minor faults with one allocation, against 3.1k-4.1k with one
+    per array, and 28.4k in 2 of those 8 (numpy 2.4.6, glibc 2.36).
     """
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start:start + nbytes].view(dtype).reshape(shape)
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
+    starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes]).tolist()
+    raw = np.empty(starts[-1] + 64, dtype=np.uint8)
+    raw = raw[-raw.ctypes.data % 64 :]
+    return [raw[lo : lo + size].view(dtype).reshape(shape) for (shape, dtype), lo, size in zip(layout, starts, sizes)]
 
 
 def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -22,7 +22,7 @@ moment), so only their upper triangle is accumulated, in row strips of
 ``_STRIP_SITES`` sites, and mirrored once after the last block.
 
 One call allocates its per-block arrays once, as views of one workspace
-sized for ``_BATCH_ROWS`` rows (:func:`_add_blocks`, :func:`_workspace`),
+sized for ``_BATCH_ROWS`` rows (:func:`_add_blocks`, ``lattice._workspace``),
 and every block writes into their leading rows through the ``out=`` of
 ``spectral_evolve``, ``to_position`` and the ufuncs: the uniforms and their
 phases, the evolved block (transformed in place), its conjugate and
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ontofield._rules import Problems, as_tuple, finite_entries, integer_at_least, is_integer, problems, refuse
-from ontofield.lattice import ComplexField, MomentumLattice, _aligned_empty, _write_csv, spectral_evolve, to_position
+from ontofield.lattice import ComplexField, MomentumLattice, _workspace, _write_csv, spectral_evolve, to_position
 
 __all__ = [
     "CorrelatorEstimate",
@@ -270,24 +270,6 @@ def _finalise(sum_w: np.ndarray, sum_sq: np.ndarray, n_samples: int) -> Correlat
         variance /= n_samples
         np.sqrt(variance, out=variance)
     return CorrelatorEstimate(mean=sum_w, stderr=sum_sq, count=n_samples, zero_variance=zero_variance)
-
-
-def _workspace(*layout: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
-    """Unset C-contiguous arrays of the ``(shape, dtype)`` pairs in ``layout``, views of one allocation.
-
-    Each starts on a 64-byte boundary.  One allocation of several MB is a
-    mapping of its own, not heap, so the heap is left as it was for the
-    allocations after it, and numpy asks the kernel for transparent huge
-    pages for it (the 5.5 MB ``scaled3d`` workspace got one 2 MB page and
-    took 902 faults to fill).  Per ``scaled3d`` vacuum op, after a warm-up
-    pass, 8 fresh processes took 195-1090 minor faults with one allocation,
-    against 3.1k-4.1k with one per array, and 28.4k in 2 of those 8 (numpy
-    2.4.6, glibc 2.36).
-    """
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
-    starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes]).tolist()
-    raw = _aligned_empty((starts[-1],), np.uint8)
-    return [raw[lo : lo + size].view(dtype).reshape(shape) for (shape, dtype), lo, size in zip(layout, starts, sizes)]
 
 
 def _add_blocks(

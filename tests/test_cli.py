@@ -108,9 +108,8 @@ def test_validate_catches_cross_field_inconsistencies():
 
 
 def test_every_experiment_has_one_schema_and_one_runner():
-    assert set(cli._RUNNERS) == set(cli._SCHEMAS)
-    # The experiment list is the schema table's keys, in the order validate names them.
-    assert cli._EXPERIMENTS == (
+    # The experiment list is the table's keys, in the order validate names them.
+    assert tuple(cli._EXPERIMENTS) == (
         "identities", "spectrum", "kernel", "decay", "front", "evolve", "interact", "vacuum",
     )
 
@@ -338,9 +337,9 @@ def test_validate_names_the_key_with_the_library_message(experiment, edits, key,
         call()
 
 
-@pytest.mark.parametrize("experiment", list(cli._SCHEMAS))
+@pytest.mark.parametrize("experiment", list(cli._EXPERIMENTS))
 def test_every_config_key_has_one_rule_and_only_the_optional_ones_take_null(experiment):
-    schema, rules = cli._SCHEMAS[experiment], cli._RULES[experiment]
+    schema, rules = cli._EXPERIMENTS[experiment].keys, cli._EXPERIMENTS[experiment].rules
     assert set(schema) <= set(rules), set(schema) - set(rules)
     nullable = {key for key in schema if rules[key](None) is None}
     assert nullable == {"cutoff", "center", "evolve_time"} & set(schema)
@@ -357,6 +356,47 @@ def test_an_output_dir_that_is_a_file_is_an_io_failure(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "io" and "cannot prepare output directory" in record["error"]["message"]
     assert "Traceback" not in record["error"]["message"] and taken.read_text() == ""
+
+
+def test_a_csv_path_that_is_a_directory_is_an_io_failure(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "spectrum.csv").mkdir(parents=True)
+    code, _ = run_cli(tmp_path, SPECTRUM)
+    assert code == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "io"
+    assert json.loads((out / "error.json").read_text()) == record
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_manifest_path_that_is_a_directory_is_an_io_failure_after_the_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    code, _ = run_cli(tmp_path, SPECTRUM)
+    assert code == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "io" and record["exit_code"] == 4
+    assert (out / "spectrum.csv").is_file() and (out / "error.json").is_file()
+
+
+def test_an_output_dir_without_write_access_is_an_io_failure_before_the_run(tmp_path, capsys, monkeypatch):
+    # Root bypasses file modes, so the access check is refused by hand.
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, out = run_cli(tmp_path, SPECTRUM)
+    assert code == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "io" and "is not writable" in record["error"]["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_an_error_record_that_cannot_be_saved_still_returns_its_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "spectrum.csv").mkdir(parents=True)
+    (out / "error.json").mkdir()
+    code, _ = run_cli(tmp_path, SPECTRUM)
+    assert code == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "io" and record["exit_code"] == 4
 
 
 def test_malformed_json_is_a_schema_failure(tmp_path):
@@ -600,7 +640,7 @@ def test_unstable_interaction_exits_with_the_numerical_code(tmp_path, capsys):
 def test_correlator_too_large_for_memory_exits_with_the_numerical_code(tmp_path, capsys, monkeypatch):
     # With the validate check bypassed, the library's own guard still stops
     # the run before it allocates, through the numerical-failure handler.
-    monkeypatch.setitem(cli._PREDICATES, "vacuum", lambda params: [])
+    monkeypatch.setitem(cli._EXPERIMENTS, "vacuum", cli._EXPERIMENTS["vacuum"]._replace(check=lambda params: []))
     code, out = run_cli(tmp_path, VACUUM_TOO_LARGE)
     assert code == 3
     record = json.loads(capsys.readouterr().err)

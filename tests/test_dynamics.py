@@ -24,7 +24,6 @@ from ontofield.dynamics import (
     stability_bound,
     time_derivative_check,
     wavefront_measure,
-    _aligned_empty,
     _energy,
     _force,
     _halo_copy,
@@ -33,6 +32,7 @@ from ontofield.dynamics import (
 )
 from ontofield.lattice import (
     ComplexField,
+    _workspace,
     build_lattice,
     position_axes,
     save_field,
@@ -495,15 +495,35 @@ def test_halo_copy_moves_the_wrap_planes_bit_for_bit(shape, dtype):
     assert ext[0].tobytes() == ext[-2].tobytes() and ext[-1].tobytes() == ext[1].tobytes()
 
 
-@pytest.mark.parametrize("shape, dtype", [((1,), np.float64), ((66,), np.complex128), ((3, 2, 5), np.int64), ((34, 32, 32), np.float64)])
-def test_stencil_buffers_start_on_a_64_byte_boundary(shape, dtype):
+@pytest.mark.parametrize("layout", [
+    [((1,), np.float64)],
+    [((66,), np.complex128), ((3,), np.uint8), ((3, 2, 5), np.int64), ((1,), np.float64)],
+    [((34, 32, 32), np.float64), *[((32, 32, 32), np.float64)] * 5],
+    [((7, 3), np.float64), ((1, 1), np.complex128), ((5,), np.bool_)],
+])
+def test_stencil_buffers_start_on_a_64_byte_boundary(layout):
     for _ in range(8):  # successive allocations land at different offsets
-        array = _aligned_empty(shape, dtype)
-        assert array.ctypes.data % 64 == 0 and array.flags.c_contiguous and array.flags.writeable
-        assert array.shape == shape and array.dtype == dtype
+        arrays = _workspace(*layout)
+        assert len(arrays) == len(layout)
+        for array, (shape, dtype) in zip(arrays, layout):
+            assert array.ctypes.data % 64 == 0 and array.flags.c_contiguous and array.flags.writeable
+            assert array.shape == shape and array.dtype == dtype
+        spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
     lat = build_lattice(32.0, 64, 1.0)
     run = leapfrog_interact(real_packet(lat), zero_field(lat), lat, 0.1, 0.2, 2)
     assert run.velocity.ctypes.data % 64 == 0
+
+
+def test_a_returned_velocity_keeps_only_its_own_field_alive():
+    # The leapfrog's six work fields share one allocation; the velocity's
+    # holds its field and the padding that aligns it.
+    lat = build_lattice(32.0, 64, 1.0)
+    velocity = leapfrog_interact(real_packet(lat), zero_field(lat), lat, 0.1, 0.2, 2).velocity
+    owner = velocity
+    while owner.base is not None:
+        owner = owner.base
+    assert velocity.nbytes <= owner.nbytes < 2 * velocity.nbytes
 
 
 def test_force_reads_axis_0_through_the_halo_without_seam_calls():
@@ -562,9 +582,9 @@ import hashlib
 import numpy as np
 from ontofield.dynamics import _energy, _force, _with_halo
 rng = np.random.default_rng(13)
-state = _with_halo(2.0 * rng.standard_normal((32, 32, 32)))
+state, out, *work = _with_halo((32, 32, 32), 4)
+state[1:-1] = 2.0 * rng.standard_normal((32, 32, 32))
 vel = rng.standard_normal((32, 32, 32))
-out, *work = (np.empty_like(vel) for _ in range(4))
 _force(state, (0.5, 0.5, 0.5), 1.0, 3.0, out, *work[:2])()
 print(hashlib.sha256(out.tobytes()).hexdigest())
 print(_energy(state, vel, out, (0.5, 0.5, 0.5), 1.0, 3.0, 0.1, 0.125, *work)().hex())
