@@ -100,7 +100,8 @@ _PACKET_KEYS = {
     **dict.fromkeys(("k0", "width", "dt", "steps"), _REQUIRED), "center": None, "amplitude": 1.0, "record_every": 1,
 }
 _KERNEL_KEYS = {
-    **dict.fromkeys(("mass", "cutoff", "z_start", "z_stop", "z_count"), _REQUIRED), "window": "cosine", "taper_frac": 0.1,
+    **dict.fromkeys(("mass", "cutoff", "z_start", "z_stop", "z_count"), _REQUIRED),
+    "window": KernelSpec.window, "taper_frac": KernelSpec.taper_frac,
 }
 
 # Library argument -> the config key that sets it, where the two differ.

@@ -102,16 +102,11 @@ def _err_floor(value: float, error: float) -> float:
 
 # --- smooth high-k windows -------------------------------------------------
 #
-# Each profile maps u in [0, 1] to a taper running from 1 to 0.  The cosine
-# profile is the default; the higher-order ones keep more derivatives
-# continuous at the taper ends and converge faster at fixed cutoff.  The
-# polynomial profiles are in Horner form with only + and *, so a Python
-# float and an ndarray give bitwise the same result and the quadrature
-# callback never boxes its argument into numpy.
-
-def _cosine_profile(u: float | np.ndarray) -> float | np.ndarray:
-    return 0.5 * (1.0 + np.cos(np.pi * u))
-
+# Each profile maps u in [0, 1] to a taper running from 1 to 0, with its
+# first two (quintic) or three (septic) derivatives zero at both ends.  Both
+# are in Horner form with only + and *, so a Python float and an ndarray
+# give bitwise the same result and the quadrature callback never boxes its
+# argument into numpy.
 
 def _quintic_profile(u: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
@@ -122,20 +117,12 @@ def _septic_profile(u: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
 
 
-def _bump_profile(u: float | np.ndarray) -> float | np.ndarray:
-    u = np.clip(u, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        rise = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
-        fall = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-    return rise / (rise + fall)
-
-
 WINDOWS: dict[str, Callable[[float | np.ndarray], float | np.ndarray]] = {
-    "cosine": _cosine_profile,
     "quintic": _quintic_profile,
     "septic": _septic_profile,
-    "bump": _bump_profile,
 }
+# The default window and taper fraction of every windowed kernel.
+_WINDOW, _TAPER_FRAC = "septic", 0.5
 
 
 # Probe cutoffs of the error estimate, as fractions of the cutoff.
@@ -251,8 +238,8 @@ def f1_direct(
     mass: float,
     cutoff: float,
     *,
-    window: str = "cosine",
-    taper_frac: float = 0.1,
+    window: str = _WINDOW,
+    taper_frac: float = _TAPER_FRAC,
 ) -> float:
     """Static kernel via the defining radial integral up to a finite cutoff.
 
@@ -307,8 +294,8 @@ def f2_direct(
     mass: float,
     cutoff: float,
     *,
-    window: str = "cosine",
-    taper_frac: float = 0.1,
+    window: str = _WINDOW,
+    taper_frac: float = _TAPER_FRAC,
 ) -> complex:
     """Finite-time kernel via the windowed radial integral.
 
@@ -547,8 +534,8 @@ class KernelSpec:
     cutoff: float | None = None
     t: float = 0.0
     method: str = "radial_reduced"
-    window: str = "cosine"
-    taper_frac: float = 0.1
+    window: str = _WINDOW
+    taper_frac: float = _TAPER_FRAC
 
     def __post_init__(self) -> None:
         problems = _spec_problems(**vars(self))
