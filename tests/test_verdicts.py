@@ -43,7 +43,7 @@ _DELETE = object()
 _MULTI_EDITS = 3000
 _SEED = 17
 
-VERDICTS = "be3304c0538a4e99501a22a2440feca99aa44df748b3e567edfd85d1fb560b90"
+VERDICTS = "de4b33fffaf6a3d4677dc936535de284671e832c82da0a0949724a390f63d436"
 
 
 def readme_configs() -> list[dict]:
