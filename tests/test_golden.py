@@ -7,7 +7,7 @@ A refactor that moves one byte of one artifact fails here.  One more digest
 covers a 3D snapshot of 6144 sites, large enough that the snapshot writer
 formats it in more than one block.  Three F2 ``kernel.csv`` digests cover
 the columns the README's F1 config leaves empty: a radial table with a
-cutoff at ``t != 0``, a radial table with the ``bump`` window down to
+cutoff at ``t != 0``, a radial table with the ``septic`` window down to
 ``z = 0`` (which the CLI's grid cannot reach), and a contour
 table at negative ``t``.  Two more runs end off their ``record_every``
 grid: a literal-convolution ``evolve`` and an ``interact``.  Two ``vacuum``
@@ -24,11 +24,11 @@ different numpy, scipy or BLAS build, or the same build at another SIMD
 dispatch level, may legitimately change the last bits of some floats and
 needs the digests re-recorded after checking the acceptance suite still
 passes.  With ``NPY_DISABLE_CPU_FEATURES`` set to every feature numpy
-dispatches on (``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` on that CPU), 13 of
+dispatches on (``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` on that CPU), 12 of
 these 20 cases fail: the README ``decay``, ``evolve``, ``front``,
 ``identities``, ``interact`` and ``vacuum`` configs, the multi-block
-snapshot, the F2 ``bump`` table at the origin, ``evolve_literal``,
-``sites_512``, ``sites_600``, the ``scaled3d``-shape vacuum and ``real_3d``.
+snapshot, ``evolve_literal``, ``sites_512``, ``sites_600``, the
+``scaled3d``-shape vacuum and ``real_3d``.
 """
 
 import hashlib
@@ -141,14 +141,14 @@ def test_f2_kernel_csv_matches_the_golden_digest(tmp_path, case):
     assert run_digests(tmp_path, json.dumps(config)) == {"kernel.csv": digest}
 
 
-F2_BUMP_AT_ORIGIN = "f1ad5a0be681e1182bdc9f5e6e621432a77fa9d2d12f6369b70d8cb3d6d1aaa7"
+F2_SEPTIC_AT_ORIGIN = "dbb371bb6aef348d79e5b7455fbbc9211a7d63d12c2b4f9eac3d7ee76cccc469"
 
 
-def test_f2_bump_table_at_the_origin_matches_the_golden_digest(tmp_path):
-    spec = KernelSpec("F2", 1.0, 25.3, 0.5, "radial_reduced", "bump", 0.3)
+def test_f2_septic_table_at_the_origin_matches_the_golden_digest(tmp_path):
+    spec = KernelSpec("F2", 1.0, 25.3, 0.5, "radial_reduced", "septic", 0.3)
     path = tmp_path / "kernel.csv"
     kernel_table(spec, [0.0, 0.4, 1.2]).write_csv(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == F2_BUMP_AT_ORIGIN
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == F2_SEPTIC_AT_ORIGIN
 
 
 # Runs whose last step is off the ``record_every`` grid: the literal
