@@ -103,6 +103,16 @@ MUTANTS = (
         "return -scale * raw, ", "return -scale * raw * 1.001, ",
         "the static kernel F1 by its contour route",
     ),
+    Mutant(
+        "f2_dispersion", "src/ontofield/kernels.py",
+        "trig(math.sqrt(k * k + mass * mass) * t)", "trig(math.sqrt(k * k + mass * mass * 1.01) * t)",
+        "the windowed F2 route's phase omega(k) t, omega = sqrt(k^2 + M^2)",
+    ),
+    Mutant(
+        "f2_imag", "src/ontofield/kernels.py",
+        "part(math.sin, -1.0)", "part(math.sin, -1.02)",
+        "the windowed F2 route's imaginary part, -sin(omega t)",
+    ),
 )
 
 
