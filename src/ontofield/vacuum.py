@@ -17,7 +17,12 @@ so one draw of a block feeds the estimates at every requested time: for each
 time the block, a stack of momentum fields, goes through the lattice's own
 ``spectral_evolve`` (out of place: every time reads the same draws) and
 ``to_position``, the path of a single field, and the result is added to that
-time's sums.  The sums are Hermitian (the mean) and symmetric (the second
+time's sums.  A block's grid axis with a short trailing extent (the middle
+axis of an ``(8, 8, 4)`` grid) is transformed on contiguous lines through a
+slab of the leading stack axis, not by numpy's strided pass.  Every line
+still meets the same 1-D transforms, last grid axis first, and a line's
+transform does not depend on where the line sits in memory, so each row has
+the bits ``np.fft.ifftn`` gives the single field.  The sums are Hermitian (the mean) and symmetric (the second
 moment), so only their upper triangle is accumulated, in row strips of
 ``_STRIP_SITES`` sites, and mirrored once after the last block.
 
