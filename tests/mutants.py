@@ -113,6 +113,11 @@ MUTANTS = (
         "part(math.sin, -1.0)", "part(math.sin, -1.02)",
         "the windowed F2 route's imaginary part, -sin(omega t)",
     ),
+    Mutant(
+        "transform_axis_order", "src/ontofield/lattice.py",
+        "for axis in reversed(range(first, len(shape))):", "for axis in range(first, len(shape)):",
+        "the lattice transforms give numpy's n-D bits: the same 1-D passes, last axis first",
+    ),
 )
 
 

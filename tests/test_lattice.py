@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,6 +12,7 @@ import ontofield.lattice
 from ontofield.lattice import (
     _ARRAY_MIN_ROWS,
     _VECTOR_MIN_ROWS,
+    _assemble,
     _read_body,
     ComplexField,
     build_lattice,
@@ -106,6 +107,52 @@ def test_transforms_reject_fields_in_the_wrong_space():
         to_momentum(mom, lat)
     with pytest.raises(ValueError):
         to_position(pos, lat)
+
+
+@st.composite
+def _transform_cases(draw):
+    """A grid of 1 to 3 axes, odd sizes among them, a stack of 0 to 2 axes, how ``out`` is given, and a seed."""
+    grid = tuple(draw(st.lists(st.integers(2, 10), min_size=1, max_size=3)))
+    stack = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))
+    return grid, stack, draw(st.sampled_from(["new", "distinct", "alias"])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transform_cases())
+@example(((5, 6, 7), (3,), "new", 1))
+@example(((5, 6, 7), (3,), "distinct", 2))
+@example(((5, 6, 7), (3,), "alias", 3))
+@example(((8, 8, 4), (256,), "new", 4))
+@example(((8, 8, 4), (256,), "distinct", 5))
+@example(((8, 8, 4), (256,), "alias", 6))
+@example(((4, 6, 10), (), "new", 7))
+@example(((4, 6, 10), (), "distinct", 8))
+@example(((4, 6, 10), (), "alias", 9))
+def test_transforms_give_numpys_nd_bits(case):
+    # Short trailing extents take the line route, the rest numpy's own
+    # n-D pass; both must give np.fft.ifftn's and np.fft.fftn's bits.  The
+    # transforms do not need even sizes, so odd grids are assembled directly.
+    grid, stack, given_out, seed = case
+    lattice = _assemble((1.0,) * len(grid), grid, 1.0, None)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=stack + grid) + 1j * rng.normal(size=stack + grid)
+    kept = values.copy()
+    expected = np.fft.ifftn(values, axes=tuple(range(-len(grid), 0)), norm="ortho")
+    field = ComplexField("momentum", values)
+    if given_out == "new":
+        got = to_position(field, lattice).values
+    else:
+        out = values if given_out == "alias" else np.empty_like(values)
+        got = to_position(field, lattice, out=out).values
+        assert got is out
+    assert got.tobytes() == expected.tobytes()
+    if given_out != "alias":
+        assert values.tobytes() == kept.tobytes()
+    # to_momentum takes one field, complex or real.
+    single = kept[(0,) * len(stack)]
+    for position in (single, single.real):
+        got = to_momentum(ComplexField("position", position), lattice).values
+        assert got.tobytes() == np.fft.fftn(position, norm="ortho").tobytes()
 
 
 def test_transforms_reject_mismatched_shapes():
