@@ -111,10 +111,15 @@ def test_transforms_reject_fields_in_the_wrong_space():
 
 @st.composite
 def _transform_cases(draw):
-    """A grid of 1 to 3 axes, odd sizes among them, a stack of 0 to 2 axes, how ``out`` is given, and a seed."""
+    """A grid of 1 to 3 axes, odd sizes among them, a stack of 0 to 2 axes, how ``out`` is given, and a seed.
+
+    ``out`` is None, a new array, the values themselves, or a view that is
+    not C-contiguous.
+    """
     grid = tuple(draw(st.lists(st.integers(2, 10), min_size=1, max_size=3)))
     stack = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))
-    return grid, stack, draw(st.sampled_from(["new", "distinct", "alias"])), draw(st.integers(0, 2**32 - 1))
+    given_out = draw(st.sampled_from(["new", "distinct", "alias", "strided"]))
+    return grid, stack, given_out, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,6 +130,7 @@ def _transform_cases(draw):
 @example(((8, 8, 4), (256,), "new", 4))
 @example(((8, 8, 4), (256,), "distinct", 5))
 @example(((8, 8, 4), (256,), "alias", 6))
+@example(((8, 8, 4), (256,), "strided", 6))
 @example(((4, 6, 10), (), "new", 7))
 @example(((4, 6, 10), (), "distinct", 8))
 @example(((4, 6, 10), (), "alias", 9))
@@ -142,7 +148,11 @@ def test_transforms_give_numpys_nd_bits(case):
     if given_out == "new":
         got = to_position(field, lattice).values
     else:
-        out = values if given_out == "alias" else np.empty_like(values)
+        out = {
+            "alias": values,
+            "distinct": np.empty_like(values),
+            "strided": np.empty((*values.shape, 2), dtype=complex)[..., 0],
+        }[given_out]
         got = to_position(field, lattice, out=out).values
         assert got is out
     assert got.tobytes() == expected.tobytes()
