@@ -55,19 +55,17 @@ _READ_CHUNK = 1 << 18  # bytes per read of the array route
 _READ_PAD = 32  # zero bytes ahead of each read: a cell's gathers reach 24 bytes back
 _CELL_SLOTS = 24  # mantissa bytes the array route reads per cell, as three uint64 words
 _ROW_BYTES = 64  # more than the longest row of the array route's grammar
-# A transform axis whose trailing extent (the product of the axes after it)
-# is below this is moved onto the last axis for its pass (_unitary_dft).
-# Per pass over 2**16 complex values viewed as (lead, n, trailing), n from
-# 4 to 64: numpy's strided pass took 0.65-3.2 ms at trailing extent 2 and
-# 0.48-1.8 ms at 4, against 0.43-0.63 ms through the slab.  At 8 the two
-# tied from 16-point lines on, and from 16 up the strided pass was as fast
-# or faster (process-time first quartiles, interleaved; numpy 2.4.6, 2 vCPU
-# shared host).
+# Transform axes whose trailing extent (the product of the axes after them)
+# is below this are moved onto the last axis for their pass (_unitary_dft).
+# Per pass over 2**16 complex values as (lead, n, trailing), n = 4 to 64,
+# numpy's strided pass took 0.65-3.2 ms at trailing extent 2 and 0.48-1.8 ms
+# at 4, against 0.43-0.63 ms moved; at 8 they tied from n = 16 on, and from
+# 16 up the strided pass was as fast or faster (numpy 2.4.6, 2 vCPU host).
 _LINE_MIN_TRAILING = 8
-# Bytes per slab of moved lines.  The (256, 8, 8, 4) stack's whole
-# transform took 1.27, 1.15, 1.10 and 1.11 ms with 64, 128, 256 and 512 KiB
-# slabs, and 1.26 ms with one slab of the whole stack (numpy's own n-D pass:
-# 1.64 ms).
+# Bytes per slab of moved lines.  Inside the scaled3d vacuum run, a (256, 8,
+# 8, 4) block's to_position took 1.08-1.18 ms with 256 KiB slabs, 1.11-1.14
+# with 128 KiB and 1.09-1.14 with 512 KiB, against 1.63-1.72 ms by
+# np.fft.ifftn (medians of 4 processes alternating the variants).
 _SLAB_BYTES = 1 << 18
 
 
@@ -249,25 +247,18 @@ def _moved(shape: tuple[int, ...], axis: int) -> bool:
 def _unitary_dft(values: np.ndarray, dims: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.ifftn`` (``inverse``) or ``np.fft.fftn`` over the last ``dims`` axes, ``norm="ortho"``, bit for bit.
 
-    numpy's n-D transform is a 1-D transform per axis, last axis first, each
-    pass scaled by its own ``1 / sqrt(n)``, and its 1-D transform copies
-    each line into a buffer of its own: a line's bits do not depend on
-    where the line sits in memory.  So the same passes in the same order
-    give the same bits, whatever the layout they run on.
-
-    numpy's strided pass runs one inner loop per run of the axes after the
-    transformed one, so an axis whose trailing extent is below
-    ``_LINE_MIN_TRAILING`` (axis 2 of a ``(256, 8, 8, 4)`` stack) pays that
-    loop's overhead every few lines.  Such an axis is moved onto the last
-    axis, in slabs of at most ``_SLAB_BYTES`` along the leading axes, and
-    transformed on contiguous lines and moved back (Frigo & Johnson, "The
-    Design and Implementation of FFTW3", Proc. IEEE 93(2), 2005).  An array
-    with no such axis, and an ``out`` that is not C-contiguous, keep numpy's
-    own n-D pass.
-
-    ``out`` may be ``values``, which is then transformed in place;
-    otherwise ``values`` is only read, by the first pass.  No scratch of
-    the array's size is allocated.
+    numpy runs these as one 1-D pass per axis, last axis first, each scaled
+    by its own ``1 / sqrt(n)``, and its 1-D pass copies each line into a
+    buffer of its own, so a line's bits do not depend on where it sits in
+    memory.  This runs the same passes in the same order.  numpy's strided
+    pass pays one inner loop per run of the axes after the transformed one,
+    so an axis whose trailing extent is below ``_LINE_MIN_TRAILING`` is
+    instead copied onto the last axis in slabs of at most ``_SLAB_BYTES``,
+    transformed on contiguous lines and copied back, as FFTW batches
+    contiguous 1-D transforms (Frigo & Johnson, Proc. IEEE 93(2), 2005).  An
+    array with no such axis, or an ``out`` that is not C-contiguous, keeps
+    numpy's own n-D call.  ``out`` may be ``values``; otherwise ``values``
+    is only read.
     """
     shape = values.shape
     first = len(shape) - dims
@@ -298,10 +289,7 @@ def _unitary_dft(values: np.ndarray, dims: int, inverse: bool, out: np.ndarray |
 
 
 def to_momentum(field: ComplexField, lattice: MomentumLattice) -> ComplexField:
-    """Unitary (symmetric-norm) DFT from position to momentum samples.
-
-    The bits are ``np.fft.fftn``'s, by the route :func:`_unitary_dft` takes.
-    """
+    """Unitary (symmetric-norm) DFT from position to momentum samples, with ``np.fft.fftn``'s bits."""
     _require(field, lattice, "position")
     values = _unitary_dft(field.values, lattice.dims, inverse=False)
     return ComplexField(space="momentum", values=values, time=field.time)
@@ -317,10 +305,9 @@ def to_position(field: ComplexField, lattice: MomentumLattice, *, out: np.ndarra
     in place.
 
     The bits are ``np.fft.ifftn``'s over the grid axes.  A grid axis with a
-    short trailing extent, like the ``(8, 8, 4)`` grid's middle axis, is
-    transformed on contiguous lines through a small slab instead of by
-    numpy's strided pass; the lines and their order are the same, so the
-    bits are too (:func:`_unitary_dft`).
+    short trailing extent, like the ``(8, 8, 4)`` grid's middle one, is
+    transformed on contiguous lines through a small slab, not by numpy's
+    strided pass: the same lines in the same order (:func:`_unitary_dft`).
     """
     _require(field, lattice, "momentum", stack=True)
     values = _unitary_dft(field.values, lattice.dims, inverse=True, out=out)
