@@ -239,11 +239,6 @@ def _require_finite(field: ComplexField, name: str) -> None:
         raise ValueError(f"{name} must be finite, got a NaN or infinite value")
 
 
-def _moved(shape: tuple[int, ...], axis: int) -> bool:
-    """Whether :func:`_unitary_dft` moves ``axis`` of an array of ``shape`` onto the last axis for its pass."""
-    return 0 < axis < len(shape) - 1 and math.prod(shape[axis + 1 :]) < _LINE_MIN_TRAILING
-
-
 def _unitary_dft(values: np.ndarray, dims: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.ifftn`` (``inverse``) or ``np.fft.fftn`` over the last ``dims`` axes, ``norm="ortho"``, bit for bit.
 
@@ -262,8 +257,9 @@ def _unitary_dft(values: np.ndarray, dims: int, inverse: bool, out: np.ndarray |
     """
     shape = values.shape
     first = len(shape) - dims
-    strided_out = out is not None and not out.flags.c_contiguous
-    if strided_out or not any(_moved(shape, axis) for axis in range(first, len(shape))):
+    # The leading axis has no slab to move through, and the last is contiguous.
+    moved = {axis for axis in range(max(first, 1), len(shape) - 1) if math.prod(shape[axis + 1 :]) < _LINE_MIN_TRAILING}
+    if not moved or (out is not None and not out.flags.c_contiguous):
         nd = np.fft.ifftn if inverse else np.fft.fftn
         return nd(values, axes=tuple(range(first, len(shape))), norm="ortho", out=out)
     transform = np.fft.ifft if inverse else np.fft.fft
@@ -272,7 +268,7 @@ def _unitary_dft(values: np.ndarray, dims: int, inverse: bool, out: np.ndarray |
     # Each pass reads source, the values on the first pass and out after it.
     source = values
     for axis in reversed(range(first, len(shape))):
-        if not _moved(shape, axis):
+        if axis not in moved:
             transform(source, axis=axis, norm="ortho", out=out)
         else:
             n, trailing = shape[axis], math.prod(shape[axis + 1 :])
