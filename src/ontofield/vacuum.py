@@ -22,9 +22,10 @@ axis of an ``(8, 8, 4)`` grid) is transformed on contiguous lines through a
 slab of the leading stack axis, not by numpy's strided pass.  Every line
 still meets the same 1-D transforms, last grid axis first, and a line's
 transform does not depend on where the line sits in memory, so each row has
-the bits ``np.fft.ifftn`` gives the single field.  The sums are Hermitian (the mean) and symmetric (the second
-moment), so only their upper triangle is accumulated, in row strips of
-``_STRIP_SITES`` sites, and mirrored once after the last block.
+the bits ``np.fft.ifftn`` gives the single field.  The sums are Hermitian
+(the mean) and symmetric (the second moment), so only their upper triangle
+is accumulated, in row strips of ``_STRIP_SITES`` sites, and mirrored once
+after the last block.
 
 One call allocates its per-block arrays once, as views of one workspace
 sized for ``_BATCH_ROWS`` rows (:func:`_add_blocks`, ``lattice._workspace``),
