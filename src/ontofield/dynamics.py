@@ -225,16 +225,12 @@ def gaussian_packet(
     refuse(_packet_problems(lattice.dims, k0, center, width, amplitude))
     k_vec = np.atleast_1d(np.asarray(k0, dtype=float))
     c_vec = np.atleast_1d(np.asarray(center, dtype=float))
-    axes = position_axes(lattice)
-    envelope_exponent = np.zeros(lattice.grid_points)
-    phase = np.zeros(lattice.grid_points)
-    for axis, (x, length) in enumerate(zip(axes, lattice.box_lengths)):
-        shape = [1] * lattice.dims
-        shape[axis] = lattice.grid_points[axis]
-        d = (x - c_vec[axis] + 0.5 * length) % length - 0.5 * length
-        d = d.reshape(shape)
-        envelope_exponent = envelope_exponent + d**2
-        phase = phase + k_vec[axis] * d
+    d = np.ix_(*(
+        (x - c + 0.5 * length) % length - 0.5 * length
+        for x, c, length in zip(position_axes(lattice), c_vec, lattice.box_lengths)
+    ))
+    envelope_exponent = sum(d_a**2 for d_a in d)
+    phase = sum(k * d_a for k, d_a in zip(k_vec, d))
     values = amplitude * np.exp(-envelope_exponent / (4.0 * width**2)) * np.exp(1j * phase)
     return ComplexField(space="position", values=values, time=0.0)
 

@@ -426,6 +426,8 @@ def decay_fit(table: "KernelTable") -> DecayFit:
     mag = np.abs(np.asarray(table.values))
     if z.size < _MIN_FIT_POINTS:
         raise ValueError(f"decay fit needs at least {_MIN_FIT_POINTS} points, got {z.size}")
+    if not np.all(z > 0.0):  # the basis takes log(z) and 1/z
+        raise ValueError("decay fit needs positive abscissae")
     if np.any(mag == 0.0):
         raise ValueError("decay fit needs nonzero kernel values")
     if np.ptp(z) == 0.0:

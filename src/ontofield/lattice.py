@@ -185,16 +185,11 @@ def _assemble(box_lengths, grid_points, mass: float, cutoff: float | None) -> Mo
     """The mode grid of arguments that passed :func:`_lattice_problems`; checks nothing again."""
     lengths = tuple(float(l) for l in as_tuple(box_lengths))
     points = tuple(int(n) for n in as_tuple(grid_points))
-    dims = len(points)
 
     k_axes = tuple(
         2.0 * np.pi * np.fft.fftfreq(n, d=l / n) for l, n in zip(lengths, points)
     )
-    k_sq = np.zeros(points)
-    for axis, k in enumerate(k_axes):
-        shape = [1] * dims
-        shape[axis] = points[axis]
-        k_sq = k_sq + (k.reshape(shape)) ** 2
+    k_sq = sum(k**2 for k in np.ix_(*k_axes))
     omega = np.sqrt(k_sq + mass**2)
     if cutoff is None:
         excluded = np.zeros(points, dtype=bool)
@@ -242,36 +237,31 @@ def _require_finite(field: ComplexField, name: str) -> None:
 def _unitary_dft(values: np.ndarray, dims: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.ifftn`` (``inverse``) or ``np.fft.fftn`` over the last ``dims`` axes, ``norm="ortho"``, bit for bit.
 
-    numpy runs these as one 1-D pass per axis, last axis first, each scaled
-    by its own ``1 / sqrt(n)``, and its 1-D pass copies each line into a
-    buffer of its own, so a line's bits do not depend on where it sits in
-    memory.  This runs the same passes in the same order.  numpy's strided
-    pass pays one inner loop per run of the axes after the transformed one,
-    so an axis whose trailing extent is below ``_LINE_MIN_TRAILING`` is
-    instead copied onto the last axis in slabs of at most ``_SLAB_BYTES``,
+    numpy's n-D call is this loop: one 1-D pass per axis, last axis first,
+    each scaled by its own ``1 / sqrt(n)``, but with a new array per pass
+    where this writes every pass into one ``out``.  numpy's 1-D pass copies
+    each line into a buffer of its own, so a line's bits do not depend on
+    where it sits in memory.  Its strided pass pays one inner loop per run
+    of the axes after the transformed one, so when ``out`` is C-contiguous
+    an axis whose trailing extent is below ``_LINE_MIN_TRAILING`` is instead
+    copied onto the last axis in slabs of at most ``_SLAB_BYTES``,
     transformed on contiguous lines and copied back, as FFTW batches
-    contiguous 1-D transforms (Frigo & Johnson, Proc. IEEE 93(2), 2005).  An
-    array with no such axis, or an ``out`` that is not C-contiguous, keeps
-    numpy's own n-D call.  ``out`` may be ``values``; otherwise ``values``
-    is only read.
+    contiguous 1-D transforms (Frigo & Johnson, Proc. IEEE 93(2), 2005).
+    ``out`` may be ``values``; otherwise ``values`` is only read.
     """
     shape = values.shape
     first = len(shape) - dims
-    # The leading axis has no slab to move through, and the last is contiguous.
-    moved = {axis for axis in range(max(first, 1), len(shape) - 1) if math.prod(shape[axis + 1 :]) < _LINE_MIN_TRAILING}
-    if not moved or (out is not None and not out.flags.c_contiguous):
-        nd = np.fft.ifftn if inverse else np.fft.fftn
-        return nd(values, axes=tuple(range(first, len(shape))), norm="ortho", out=out)
     transform = np.fft.ifft if inverse else np.fft.fft
     if out is None:
         out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
     # Each pass reads source, the values on the first pass and out after it.
     source = values
     for axis in reversed(range(first, len(shape))):
-        if axis not in moved:
+        n, trailing = shape[axis], math.prod(shape[axis + 1 :])
+        # The leading axis has no slab to move through, and the last is contiguous.
+        if not (0 < axis < len(shape) - 1 and trailing < _LINE_MIN_TRAILING and out.flags.c_contiguous):
             transform(source, axis=axis, norm="ortho", out=out)
         else:
-            n, trailing = shape[axis], math.prod(shape[axis + 1 :])
             lines_in, lines = source.reshape(-1, n, trailing), out.reshape(-1, n, trailing)
             rows = max(1, _SLAB_BYTES // (out.itemsize * n * trailing))
             slab = np.empty((min(rows, len(lines)), trailing, n), dtype=out.dtype)
@@ -300,10 +290,11 @@ def to_position(field: ComplexField, lattice: MomentumLattice, *, out: np.ndarra
     same bits; it may be the values themselves, which are then transformed
     in place.
 
-    The bits are ``np.fft.ifftn``'s over the grid axes.  A grid axis with a
-    short trailing extent, like the ``(8, 8, 4)`` grid's middle one, is
-    transformed on contiguous lines through a small slab, not by numpy's
-    strided pass: the same lines in the same order (:func:`_unitary_dft`).
+    The bits are ``np.fft.ifftn``'s over the grid axes: its n-D FFT is the
+    1-D pass loop of :func:`_unitary_dft`, which runs here into one array.
+    A grid axis with a short trailing extent, like the ``(8, 8, 4)`` grid's
+    middle one, is transformed on contiguous lines through a small slab, not
+    by numpy's strided pass: the same lines in the same order.
     """
     _require(field, lattice, "momentum", stack=True)
     values = _unitary_dft(field.values, lattice.dims, inverse=True, out=out)

@@ -17,15 +17,10 @@ so one draw of a block feeds the estimates at every requested time: for each
 time the block, a stack of momentum fields, goes through the lattice's own
 ``spectral_evolve`` (out of place: every time reads the same draws) and
 ``to_position``, the path of a single field, and the result is added to that
-time's sums.  A block's grid axis with a short trailing extent (the middle
-axis of an ``(8, 8, 4)`` grid) is transformed on contiguous lines through a
-slab of the leading stack axis, not by numpy's strided pass.  Every line
-still meets the same 1-D transforms, last grid axis first, and a line's
-transform does not depend on where the line sits in memory, so each row has
-the bits ``np.fft.ifftn`` gives the single field.  The sums are Hermitian
-(the mean) and symmetric (the second moment), so only their upper triangle
-is accumulated, in row strips of ``_STRIP_SITES`` sites, and mirrored once
-after the last block.
+time's sums.  Each row has the bits ``np.fft.ifftn`` gives the single field
+(``lattice._unitary_dft``).  The sums are Hermitian (the mean) and symmetric
+(the second moment), so only their upper triangle is accumulated, in row
+strips of ``_STRIP_SITES`` sites, and mirrored as the estimate is finalised.
 
 One call allocates its per-block arrays once, as views of one workspace
 sized for ``_BATCH_ROWS`` rows (:func:`_add_blocks`, ``lattice._workspace``),
@@ -47,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ontofield._rules import Problems, as_tuple, finite_entries, integer_at_least, is_integer, problems, refuse
+from ontofield._rules import Problems, as_tuple, finite_entries, is_integer, problems, refuse
 from ontofield.lattice import ComplexField, MomentumLattice, _workspace, _write_csv, spectral_evolve, to_position
 
 __all__ = [
@@ -65,7 +60,9 @@ _RULES = {
     "count": lambda count: None if is_integer(count) and count >= _MIN_SAMPLES
     else f"must be >= {_MIN_SAMPLES} samples for a correlator estimate, got {count!r}",
     "seed": lambda seed: None if is_integer(seed) else f"must be an integer, got {seed!r}",
-    "sample_index": integer_at_least(0),
+    # The index is the second word of the uint64 Philox key.
+    "sample_index": lambda index: None if is_integer(index) and 0 <= index <= _MASK64
+    else f"must be an integer in [0, 2**64), got {index!r}",
     "evolve_times": lambda times: finite_entries(times) if len(times) else "must hold at least one time",
 }
 # Samples per block.  Each block adds its BLAS products to the sums, so the
@@ -231,7 +228,7 @@ def _add_upper(total: np.ndarray, left_t: np.ndarray, right: np.ndarray, product
 
     Strip ``[lo, hi)`` adds rows ``lo:hi`` from column ``lo`` on, so the
     squares on the diagonal are added whole and the rest of the lower
-    triangle is left for :func:`_mirror`.  Each strip's product is formed in
+    triangle is left for :func:`_finalise`.  Each strip's product is formed in
     the leading entries of ``product``, a flat array of ``total``'s dtype
     with room for the first strip.
     """
@@ -242,25 +239,20 @@ def _add_upper(total: np.ndarray, left_t: np.ndarray, right: np.ndarray, product
         rows += np.matmul(left_t[lo:hi], right[:, lo:], out=strip)
 
 
-def _mirror(total: np.ndarray) -> None:
-    """Fill the lower off-diagonal blocks of ``total`` from its upper ones.
-
-    The squares on the diagonal were summed whole and are left alone.  For a
-    real ``total`` the conjugate is the array itself.
-    """
-    for lo, hi in _strips(total.shape[0]):
-        total[hi:, lo:hi] = total[lo:hi, hi:].conj().T
-
-
 def _finalise(sum_w: np.ndarray, sum_sq: np.ndarray, n_samples: int) -> CorrelatorEstimate:
-    """Turn the two sums into the estimate in place, one row strip at a time.
+    """Turn the two upper-triangle sums into the estimate in place, one row strip at a time.
 
-    Per strip, the same operations in the same order as
+    Each strip first fills the lower off-diagonal blocks below it from its
+    upper ones (for the real ``sum_sq`` the conjugate is the array itself),
+    before its own entries change; the rows below are finalised later.  Then,
+    per strip, the same operations in the same order as
     ``(sum_sq - n * |sum_w / n|**2) / (n - 1)``, with one float temporary of
     the strip's size.
     """
     zero_variance = np.empty(sum_sq.shape, dtype=bool)
     for lo, hi in _strips(sum_w.shape[0]):
+        for total in (sum_w, sum_sq):
+            total[hi:, lo:hi] = total[lo:hi, hi:].conj().T
         mean = sum_w[lo:hi]
         mean /= n_samples
         # E|w|^2 - |E w|^2 estimates Var(Re w) + Var(Im w) in one shot.
@@ -336,12 +328,7 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     n_sites = math.prod(spec.lattice.grid_points)
     sums = [(np.zeros((n_sites, n_sites), dtype=complex), np.zeros((n_sites, n_sites))) for _ in evolve_times]
     _add_blocks(spec, evolve_times, sums)
-    estimates = []
-    for sum_w, sum_sq in sums:
-        _mirror(sum_w)
-        _mirror(sum_sq)
-        estimates.append(_finalise(sum_w, sum_sq, n_samples))
-    return estimates
+    return [_finalise(sum_w, sum_sq, n_samples) for sum_w, sum_sq in sums]
 
 
 def ensemble_correlator(spec: EnsembleSpec, *, evolve_time: float = 0.0) -> CorrelatorEstimate:

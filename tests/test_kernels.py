@@ -327,6 +327,9 @@ def test_fit_refuses_a_zero_kernel_value_and_equal_abscissae():
         decay_fit(replace(table, values=np.where(np.arange(8) == 3, 0.0, table.values)))
     with pytest.raises(ValueError, match="abscissae carry zero variance"):
         decay_fit(replace(table, z=np.full(8, 2.0)))
+    for z in (np.linspace(0.0, 2.0, 8), np.linspace(-2.0, 2.0, 8)):
+        with pytest.raises(ValueError, match="positive abscissae"):
+            decay_fit(replace(table, z=z))
 
 
 def test_suppression_scan_is_monotone_with_mass_dependent_rate():

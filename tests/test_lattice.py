@@ -134,10 +134,14 @@ def _transform_cases(draw):
 @example(((4, 6, 10), (), "new", 7))
 @example(((4, 6, 10), (), "distinct", 8))
 @example(((4, 6, 10), (), "alias", 9))
+@example(((32,), (256,), "alias", 10))
+@example(((48, 48, 48), (), "new", 11))
 def test_transforms_give_numpys_nd_bits(case):
-    # Short trailing extents take the line route, the rest numpy's own
-    # n-D pass; both must give np.fft.ifftn's and np.fft.fftn's bits.  The
+    # Short trailing extents take the line route, the rest numpy's strided
+    # 1-D pass; both must give np.fft.ifftn's and np.fft.fftn's bits.  The
     # transforms do not need even sizes, so odd grids are assembled directly.
+    # The last two examples are the README vacuum block and the scaled
+    # evolve field, which move no axis.
     grid, stack, given_out, seed = case
     lattice = _assemble((1.0,) * len(grid), grid, 1.0, None)
     rng = np.random.default_rng(seed)

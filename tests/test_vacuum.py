@@ -83,8 +83,10 @@ def test_joint_pass_needs_a_time():
         ensemble_correlators(small_spec(), ())
 
 
-def test_correlator_mean_is_hermitian_with_positive_errors():
-    estimate = ensemble_correlator(small_spec())
+@pytest.mark.parametrize("lattice", [small_spec().lattice, build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5)])
+def test_correlator_mean_is_hermitian_with_positive_errors(lattice):
+    # 16 sites fill one strip; 288 fill two, so the lower blocks are mirrored.
+    estimate = ensemble_correlator(EnsembleSpec(lattice=lattice, count=400, seed=6))
     assert np.array_equal(estimate.mean, estimate.mean.conj().T)
     assert np.array_equal(estimate.stderr, estimate.stderr.T)
     assert np.all(estimate.stderr > 0.0)
@@ -334,6 +336,7 @@ def _pinned(seed):
 @given(_ensembles())
 @example(_pinned(2**63 + 5))
 @example(_pinned(-3))
+@example((_pinned(7)[0], 2**64 - 1, 2**64))  # the last index the uint64 key holds
 def test_block_draws_equal_per_sample_draws(case):
     spec, start, stop = case
     grid = spec.lattice.grid_points
