@@ -49,7 +49,6 @@ def _packet():
         ("count", lambda: EnsembleSpec(_LAT, True, 0)),
         ("seed", lambda: EnsembleSpec(_LAT, 100, False)),
         ("sample_index", lambda: sample_vacuum(EnsembleSpec(_LAT, 100, 0), 1.5)),
-        ("sample_index", lambda: sample_vacuum(EnsembleSpec(_LAT, 100, 0), 2**64)),
         ("levels", lambda: _refinement(2.5)),
         ("omega", lambda: build_mode(4, _HUGE)),
         ("t", lambda: spacelike_suppression_scan(1.0, -1.0, [2.0, 3.0])),

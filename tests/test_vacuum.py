@@ -63,6 +63,9 @@ def test_sampling_is_reproducible_and_index_separated():
     assert not np.allclose(sample_vacuum(spec, 7).values, sample_vacuum(spec, 8).values)
     reseeded = EnsembleSpec(lattice=spec.lattice, count=spec.count, seed=99)
     assert not np.allclose(sample_vacuum(spec, 7).values, sample_vacuum(reseeded, 7).values)
+    # The index is a word of the uint64 key; 2**64 - 1 draws (see the block-draw test).
+    with pytest.raises(ValueError, match=r"^sample_index must be an integer in \[0, 2\*\*64\)"):
+        sample_vacuum(spec, 2**64)
 
 
 def test_each_sample_carries_unit_power_per_mode():
@@ -83,15 +86,15 @@ def test_joint_pass_needs_a_time():
         ensemble_correlators(small_spec(), ())
 
 
-@pytest.mark.parametrize("lattice", [small_spec().lattice, build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5)])
-def test_correlator_mean_is_hermitian_with_positive_errors(lattice):
-    # 16 sites fill one strip; 288 fill two, so the lower blocks are mirrored.
-    estimate = ensemble_correlator(EnsembleSpec(lattice=lattice, count=400, seed=6))
-    assert np.array_equal(estimate.mean, estimate.mean.conj().T)
-    assert np.array_equal(estimate.stderr, estimate.stderr.T)
-    assert np.all(estimate.stderr > 0.0)
-    assert not estimate.zero_variance.any()
-    assert estimate.count == 400
+def test_correlator_mean_is_hermitian_with_positive_errors():
+    # 16 sites fill one strip; 288 fill two, so their lower blocks are mirrored.
+    for lattice in (small_spec().lattice, build_lattice([6.0, 3.0, 2.0], [12, 6, 4], 1.0, 2.5)):
+        estimate = ensemble_correlator(EnsembleSpec(lattice=lattice, count=400, seed=6))
+        assert np.array_equal(estimate.mean, estimate.mean.conj().T)
+        assert np.array_equal(estimate.stderr, estimate.stderr.T)
+        assert np.all(estimate.stderr > 0.0)
+        assert not estimate.zero_variance.any()
+        assert estimate.count == 400
 
 
 def test_correlator_approaches_the_identity():
