@@ -73,19 +73,34 @@ _SLAB_BYTES = 1 << 18
 class MomentumLattice:
     """Mode bookkeeping for a periodic box.
 
-    ``k_axes`` holds the signed wavenumbers per axis in FFT order,
-    ``omega`` the dispersion ``sqrt(k.k + mass^2)`` on the full grid, and
-    ``excluded`` marks modes beyond the radial cutoff, which spectral
-    evolution leaves untouched.
+    The fields fix the mode tables, each built on first read: ``k_axes``
+    holds the signed wavenumbers per axis in FFT order, ``omega`` the
+    dispersion ``sqrt(k.k + mass^2)`` on the full grid, and ``excluded``
+    marks modes beyond the radial cutoff, which spectral evolution leaves
+    untouched.
     """
 
     box_lengths: tuple[float, ...]
     grid_points: tuple[int, ...]
     mass: float
     cutoff: float | None
-    k_axes: tuple[np.ndarray, ...]
-    omega: np.ndarray
-    excluded: np.ndarray
+
+    @functools.cached_property
+    def k_axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(2.0 * np.pi * np.fft.fftfreq(n, d=l / n) for l, n in zip(self.box_lengths, self.grid_points))
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        return np.sqrt(self._k_sq() + self.mass**2)
+
+    @functools.cached_property
+    def excluded(self) -> np.ndarray:
+        if self.cutoff is None:
+            return np.zeros(self.grid_points, dtype=bool)
+        return np.sqrt(self._k_sq()) > self.cutoff
+
+    def _k_sq(self) -> np.ndarray:
+        return sum(k**2 for k in np.ix_(*self.k_axes))
 
     @property
     def dims(self) -> int:
@@ -171,38 +186,18 @@ def build_lattice(
     mass: float,
     cutoff: float | None = None,
 ) -> MomentumLattice:
-    """Assemble the mode grid for a periodic box.
+    """The lattice of a periodic box; its mode tables are built on first read.
 
     Scalars are accepted for one-dimensional boxes.  Grid sizes must be even
     integers so the mode set is the symmetric window ``m in [-n/2, n/2)`` per
     axis, with ``k = 2*pi*m / L``.
     """
     refuse(_lattice_problems(box_lengths, grid_points, mass, cutoff))
-    return _assemble(box_lengths, grid_points, mass, cutoff)
-
-
-def _assemble(box_lengths, grid_points, mass: float, cutoff: float | None) -> MomentumLattice:
-    """The mode grid of arguments that passed :func:`_lattice_problems`; checks nothing again."""
-    lengths = tuple(float(l) for l in as_tuple(box_lengths))
-    points = tuple(int(n) for n in as_tuple(grid_points))
-
-    k_axes = tuple(
-        2.0 * np.pi * np.fft.fftfreq(n, d=l / n) for l, n in zip(lengths, points)
-    )
-    k_sq = sum(k**2 for k in np.ix_(*k_axes))
-    omega = np.sqrt(k_sq + mass**2)
-    if cutoff is None:
-        excluded = np.zeros(points, dtype=bool)
-    else:
-        excluded = np.sqrt(k_sq) > cutoff
     return MomentumLattice(
-        box_lengths=lengths,
-        grid_points=points,
+        box_lengths=tuple(float(l) for l in as_tuple(box_lengths)),
+        grid_points=tuple(int(n) for n in as_tuple(grid_points)),
         mass=float(mass),
         cutoff=None if cutoff is None else float(cutoff),
-        k_axes=k_axes,
-        omega=omega,
-        excluded=excluded,
     )
 
 
@@ -874,9 +869,9 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
     its own.  Each step is an exact or correctly rounded IEEE operation,
     so the bits do not depend on numpy's SIMD dispatch level.
 
-    The lattice is rebuilt from the stored geometry with no cutoff; reapply
-    one via :func:`build_lattice` if needed.  The header's geometry is checked
-    once, and the mode grid is assembled only after the body has been read.
+    The lattice is rebuilt from the stored geometry with no cutoff, by one
+    :func:`build_lattice` call on the header before the body is read;
+    reapply a cutoff via :func:`build_lattice` if needed.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -892,7 +887,7 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         lengths = tuple(float(v) for v in header[1 + dims : 1 + 2 * dims])
         mass = float(header[1 + 2 * dims])
         time = float(header[2 + 2 * dims])
-        refuse(_lattice_problems(lengths, points, mass))
+        lattice = build_lattice(lengths, points, mass)
         expected = int(np.prod(points))
         # np.loadtxt only warns on a body without data; reject that here.
         body_start = fh.tell()
@@ -913,4 +908,4 @@ def load_field(path: str | Path) -> tuple[ComplexField, MomentumLattice]:
         )
     # A view keeps each (re, im) pair's bits; re + 1j*im would turn inf into nan.
     values = body.view(complex).reshape(points)
-    return ComplexField(space="position", values=values, time=time), _assemble(lengths, points, mass, None)
+    return ComplexField(space="position", values=values, time=time), lattice

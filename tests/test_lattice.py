@@ -12,9 +12,9 @@ import ontofield.lattice
 from ontofield.lattice import (
     _ARRAY_MIN_ROWS,
     _VECTOR_MIN_ROWS,
-    _assemble,
     _read_body,
     ComplexField,
+    MomentumLattice,
     build_lattice,
     evolution_phase,
     load_field,
@@ -139,11 +139,11 @@ def _transform_cases(draw):
 def test_transforms_give_numpys_nd_bits(case):
     # Short trailing extents take the line route, the rest numpy's strided
     # 1-D pass; both must give np.fft.ifftn's and np.fft.fftn's bits.  The
-    # transforms do not need even sizes, so odd grids are assembled directly.
+    # transforms do not need even sizes, so odd grids are constructed directly.
     # The last two examples are the README vacuum block and the scaled
     # evolve field, which move no axis.
     grid, stack, given_out, seed = case
-    lattice = _assemble((1.0,) * len(grid), grid, 1.0, None)
+    lattice = MomentumLattice((1.0,) * len(grid), grid, 1.0, None)
     rng = np.random.default_rng(seed)
     values = rng.normal(size=stack + grid) + 1j * rng.normal(size=stack + grid)
     kept = values.copy()
@@ -237,7 +237,7 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path, monkeypatch):
     field = ComplexField("position", values, time=2.5)
     path = tmp_path / "snap.csv"
     save_field(field, lat, path)
-    # The header's geometry is checked once per file, and the grid is built without a second check.
+    # The header's geometry is checked once per file, by the one build_lattice call.
     checks = []
     check = ontofield.lattice._lattice_problems
     monkeypatch.setattr(ontofield.lattice, "_lattice_problems", lambda *args: checks.append(args) or check(*args))
