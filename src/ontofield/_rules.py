@@ -55,6 +55,17 @@ def finite(value) -> str | None:
     return None if is_real(value) else f"must be finite, got {value!r}"
 
 
+def finite_phase(omega: float) -> Rule:
+    """A finite time ``t`` whose phase ``omega * t`` stays below half the largest double.
+
+    ``exp(-1j * omega * t)`` of an infinite phase is NaN.  The half to spare
+    covers a frequency table a few roundings above its closed form ``omega``.
+    """
+    return lambda t: finite(t) or (None if is_real(2.0 * omega * t) else (
+        f"must keep the phase omega * t finite, below half the largest double, at omega = {omega!r}; got {t!r}"
+    ))
+
+
 def finite_entries(value) -> str | None:
     """A finite real number, or a list or 1-D array of any number of them."""
     return None if all(map(is_real, as_tuple(value))) else f"must be finite, got {value!r}"

@@ -68,7 +68,9 @@ from ontofield.ladder import (
     reconstruct_a,
     truncate_from_a,
 )
-from ontofield.lattice import ComplexField, _lattice_problems, _write_csv, build_lattice, save_field
+from ontofield.lattice import (
+    ComplexField, _lattice_problems, _phase_problems, _spacings, _write_csv, build_lattice, save_field,
+)
 from ontofield.vacuum import (
     CorrelatorEstimate,
     EnsembleSpec,
@@ -431,9 +433,9 @@ class _Experiment(NamedTuple):
 
 
 # In the order validate names them.  A check reports the library's objections
-# that read several keys.  It reads the geometry from the config: building the
-# lattice would cost memory and time of the order of the run itself.  A run's
-# later objections are asked only once its lattice is sound.
+# that read several keys.  It hands the config's geometry to the library's
+# predicates, which report where build_lattice would raise.  A run's later
+# objections are asked only once its lattice is sound.
 _EXPERIMENTS: dict[str, _Experiment] = {
     "identities": _Experiment({"n_levels": _REQUIRED, "omega": _REQUIRED, "time_pairs": 10},
                               _keyed(ontofield.ladder._RULES, _SPAN, {"time_pairs": integer_at_least(1)}),
@@ -457,6 +459,8 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                           _keyed(ontofield.lattice._RULES, ontofield.vacuum._RULES, {"evolve_time": nullable(finite)}),
                           _run_vacuum,
                           lambda p: _lattice_problems(*_lattice_args(p))
+                          or [("evolve_time", message) for _, message in _phase_problems(
+                              _spacings(p["box_length"], p["points"]), p["mass"], _evolve_times(p)[-1])]
                           or _memory_problems(p["points"], len(_evolve_times(p)))),
 }
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ontofield._rules import finite, integer_at_least, is_real, one_of, positive_finite, problems, refuse
+from ontofield._rules import finite_phase, integer_at_least, is_real, one_of, positive_finite, problems, refuse
 from ontofield.cyclic import CycleConfig, basis_change, evolution_matrix
 
 __all__ = [
@@ -38,7 +38,6 @@ _RULES = {
     "omega": lambda omega: positive_finite(omega)
     or (None if is_real(2.0 * np.pi / omega) else f"must leave a finite period 2*pi/omega, got {omega!r}"),
     "kind": one_of("lowering", "raising"),
-    "t": finite,
 }
 
 
@@ -110,9 +109,10 @@ def evolve_operator(op: TimedOperator, t: float) -> np.ndarray:
     """Heisenberg evolution: a pure phase, since the spectrum is equidistant.
 
     Lowering operators pick up ``exp(-1j * omega * t)``; raising operators
-    the conjugate phase.  A non-finite ``t`` is refused.
+    the conjugate phase.  A ``t`` that is not finite, or whose phase
+    ``omega * t`` is not, is refused.
     """
-    refuse(problems(_RULES, t=t))
+    refuse(problems({"t": finite_phase(op.omega)}, t=t))
     sign = -1.0 if op.kind == "lowering" else 1.0
     return op.base * np.exp(sign * 1j * op.omega * t)
 

@@ -20,8 +20,8 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from ontofield._rules import (
-    Problems, as_tuple, finite, is_integer, is_real, nonnegative_finite, nullable, one_of, per_axis, positive_finite,
-    problems, refuse,
+    Problems, as_tuple, finite_phase, is_integer, is_real, nonnegative_finite, nullable, one_of, per_axis,
+    positive_finite, problems, refuse,
 )
 
 __all__ = [
@@ -149,7 +149,6 @@ _RULES = {
     or (None if is_real(float(mass) * float(mass)) else f"must have a square that does not overflow, got {mass!r}"),
     "cutoff": nullable(positive_finite),
     "space": one_of("position", "momentum"),
-    "t": finite,
 }
 
 
@@ -174,10 +173,23 @@ def _lattice_problems(box_lengths, grid_points, mass: float, cutoff: float | Non
     spacings = _spacings(lengths, points)
     if any(positive_finite(dx * dx) for dx in spacings):
         return [("box_lengths", f"must give spacings with positive finite squares, got spacings {list(spacings)}")]
-    omega_max = math.sqrt(sum((math.pi / dx) * (math.pi / dx) for dx in spacings) + float(mass) * float(mass))
+    omega_max = _top_frequency(spacings, mass)
     if not is_real(omega_max):
         return [("box_lengths", f"must give a finite top frequency, got {omega_max}")]
     return []
+
+
+def _top_frequency(spacings, mass: float) -> float:
+    """``sqrt(sum_a (pi / dx_a)**2 + M**2)``: the box's largest frequency, its corner mode ``k_a = -pi / dx_a``'s."""
+    return math.sqrt(sum((math.pi / dx) * (math.pi / dx) for dx in spacings) + float(mass) * float(mass))
+
+
+def _phase_problems(spacings, mass: float, t: float) -> Problems:
+    """Why :func:`evolution_phase` refuses ``t`` on a box that passed :func:`_lattice_problems`.
+
+    ``t`` must be finite, and so must every mode's phase ``omega * t``.
+    """
+    return problems({"t": finite_phase(_top_frequency(spacings, mass))}, t=t)
 
 
 def build_lattice(
@@ -300,10 +312,11 @@ def evolution_phase(lattice: MomentumLattice, t: float) -> np.ndarray:
     """Per-mode multiplier ``exp(-1j * omega * t)`` with the cutoff applied.
 
     Frozen modes get multiplier 1, so any evolution built on this array
-    treats the cutoff identically.  A non-finite ``t`` is rejected rather
+    treats the cutoff identically.  A ``t`` that is not finite, or whose
+    phase ``omega * t`` is not (:func:`_phase_problems`), is rejected rather
     than turned into a field of NaNs.
     """
-    refuse(problems(_RULES, t=t))
+    refuse(_phase_problems(lattice.spacings, lattice.mass, t))
     phase = np.exp(-1j * lattice.omega * t)
     if lattice.cutoff is not None:
         phase = np.where(lattice.excluded, 1.0 + 0.0j, phase)

@@ -43,7 +43,9 @@ from pathlib import Path
 import numpy as np
 
 from ontofield._rules import Problems, as_tuple, finite_entries, is_integer, problems, refuse
-from ontofield.lattice import ComplexField, MomentumLattice, _workspace, _write_csv, spectral_evolve, to_position
+from ontofield.lattice import (
+    ComplexField, MomentumLattice, _phase_problems, _workspace, _write_csv, spectral_evolve, to_position,
+)
 
 __all__ = [
     "CorrelatorEstimate",
@@ -318,12 +320,16 @@ def ensemble_correlators(spec: EnsembleSpec, evolve_times: Sequence[float]) -> l
     :func:`sample_vacuum`.  Each block is added by BLAS products, in
     ascending sample order, so results are bitwise reproducible for a fixed
     numpy/BLAS build, whatever its thread count, and bitwise the same
-    whichever other times share the call.  Estimates whose correlators cannot
-    fit in physical memory together raise :class:`CorrelatorMemoryError`
-    before anything is allocated.
+    whichever other times share the call.  A time whose phase ``omega * t``
+    overflows raises ``ValueError``, and estimates whose correlators cannot
+    fit in physical memory together :class:`CorrelatorMemoryError`, before
+    anything is allocated.
     """
     n_samples = spec.count
     refuse(problems(_RULES, evolve_times=evolve_times))
+    # The longest time makes the largest phases.
+    phase = _phase_problems(spec.lattice.spacings, spec.lattice.mass, max(evolve_times, key=abs))
+    refuse([("evolve_times", message) for _, message in phase])
     refuse(_memory_problems(spec.lattice.grid_points, len(evolve_times)), CorrelatorMemoryError)
     n_sites = math.prod(spec.lattice.grid_points)
     sums = [(np.zeros((n_sites, n_sites), dtype=complex), np.zeros((n_sites, n_sites))) for _ in evolve_times]

@@ -53,7 +53,7 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "lattice_omega", "src/ontofield/lattice.py",
-        "omega = np.sqrt(k_sq + mass**2)", "omega = np.sqrt(k_sq + mass**2) * 1.01",
+        "return np.sqrt(self._k_sq() + self.mass**2)", "return np.sqrt(self._k_sq() + self.mass**2) * 1.01",
         "the lattice dispersion omega(k) = sqrt(k.k + M^2)",
     ),
     Mutant(

@@ -203,6 +203,10 @@ VACUUM_TOO_LARGE = {
         ({"experiment": "kernel", "kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "direct_quadrature",
           "z_start": 0.5, "z_stop": 5.0, "z_count": 4},
          "key 'method': must be one of ('radial_reduced', 'contour')"),
+        # The README vacuum config at a finite time whose phase omega * t is not.
+        ({"experiment": "vacuum", "mass": 1.0, "box_length": 2 * np.pi, "points": 32, "cutoff": None,
+          "samples": 10000, "evolve_time": 1e308, "seed": 6},
+         "key 'evolve_time': must keep the phase omega * t finite"),
     ],
 )
 def test_validate_predicts_failures_known_before_compute(tmp_path, capsys, payload, needle):
@@ -324,6 +328,8 @@ _KERNEL = {"kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "radial_reduced
         ("evolve", {"box_length": 2e-153}, "box_length", lambda: build_lattice(2e-153, 16, 1.0)),
         ("vacuum", {"box_length": 1e300}, "box_length", lambda: build_lattice(1e300, 4, 1.0)),
         ("interact", {"points": 10**400}, "points", lambda: build_lattice(16.0, 10**400, 1.0)),
+        ("vacuum", {"evolve_time": 1e308}, "evolve_time", lambda: ensemble_correlators(
+            EnsembleSpec(build_lattice(2 * np.pi, 4, 1.0), 100, 0), (0.0, 1e308))),
     ],
 )
 def test_validate_names_the_key_with_the_library_message(experiment, edits, key, call):
@@ -949,6 +955,9 @@ _DELETE = object()
 @example(experiment="interact", edits=[("amplitude", 100), ("lambda", 100)])
 # A mass too large to square, and a packet too narrow to be finite.
 @example(experiment="vacuum", edits=[("mass", 1e300)])
+# An evolution time whose phase overflows, and one whose phase does not.
+@example(experiment="vacuum", edits=[("evolve_time", 1e308)])
+@example(experiment="vacuum", edits=[("evolve_time", 1e300)])
 @example(experiment="evolve", edits=[("width", 1e-300)])
 # Spacings whose squares overflow and underflow.
 @example(experiment="interact", edits=[("box_length", 1e300)])

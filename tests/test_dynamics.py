@@ -260,6 +260,11 @@ NON_FINITE_INPUTS = {
     "spectral_evolve": lambda lat: spectral_evolve(
         ComplexField("momentum", flawed_field(lat, np.inf).values), lat, 0.1
     ),
+    # A finite time whose phase omega * t is not.
+    "phase_spectral_evolve": lambda lat: spectral_evolve(to_momentum(zero_field(lat), lat), lat, 1e308),
+    "phase_spectral_run": lambda lat: spectral_run(zero_field(lat), lat, 1e308, 1),
+    "phase_evolve_convolution": lambda lat: evolve_convolution(zero_field(lat), lat, 1e308),
+    "phase_time_derivative_check": lambda lat: time_derivative_check(zero_field(lat), lat, 1e308),
 }
 
 

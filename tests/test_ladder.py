@@ -134,6 +134,10 @@ def test_timed_operator_validation():
     # A NaN time would make every entry NaN.
     with pytest.raises(ValueError, match="^t must be finite"):
         evolve_operator(TimedOperator(ops.b, 1.0, "lowering"), float("nan"))
+    # So would a finite time whose phase omega * t overflows; 1e300 is kept.
+    with pytest.raises(ValueError, match="^t must keep the phase omega \\* t finite"):
+        evolve_operator(TimedOperator(ops.b, 2.0, "lowering"), 1e308)
+    assert np.all(np.isfinite(evolve_operator(TimedOperator(ops.b, 2.0, "lowering"), 1e300)))
 
 
 def test_evolved_operator_carries_the_mode_phase():

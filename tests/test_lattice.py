@@ -1,6 +1,7 @@
 """Tests for the periodic momentum lattice and field transforms."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,9 @@ def test_dispersion_on_a_three_dimensional_grid():
     # Mode (3, 0, 0) with mass 4 lies on a 3-4-5 triangle.
     assert lat.omega[3, 0, 0] == pytest.approx(5.0, abs=1e-14)
     assert lat.omega[0, 0, 0] == pytest.approx(4.0)
+    # The table follows the mass: a replaced mass gives a fresh lattice's bits.
+    heavier = build_lattice([2 * np.pi] * 3, [8, 8, 8], 5.0)
+    assert replace(lat, mass=5.0).omega.tobytes() == heavier.omega.tobytes()
 
 
 def test_position_axes_are_uniform_and_start_at_zero():
@@ -207,19 +211,25 @@ def test_evolution_preserves_the_norm():
     assert np.linalg.norm(evolved.values) == pytest.approx(np.linalg.norm(field.values))
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308, -1e308])
 def test_evolution_rejects_a_non_finite_time(t):
-    lat = build_lattice(2 * np.pi, 8, 1.0)
-    field = ComplexField("momentum", np.ones(8, dtype=complex))
+    # On the README vacuum lattice (top frequency 16.03), 1e308 is finite but
+    # its phase omega * t is not; 1e300 is kept, and gives unit phases.
+    lat = build_lattice(2 * np.pi, 32, 1.0)
+    field = ComplexField("momentum", np.ones(32, dtype=complex))
     with pytest.raises(ValueError, match="finite"):
         evolution_phase(lat, t)
     with pytest.raises(ValueError, match="finite"):
         spectral_evolve(field, lat, t)
+    if np.isfinite(t):
+        assert np.allclose(np.abs(evolution_phase(lat, t / 1e8)), 1.0)
 
 
 def test_cutoff_freeze_keeps_high_modes_static():
     lat = build_lattice(2 * np.pi, 8, 1.0, cutoff=2.5)
     assert int(lat.excluded.sum()) == 3
+    # The mask follows the cutoff: one set on an uncut lattice gives the same.
+    assert np.array_equal(replace(build_lattice(2 * np.pi, 8, 1.0), cutoff=2.5).excluded, lat.excluded)
     phase = evolution_phase(lat, 1.0)
     assert np.array_equal(phase[lat.excluded], np.ones(3, dtype=complex))
     assert np.all(phase[~lat.excluded] != 1.0)
@@ -249,6 +259,8 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path, monkeypatch):
     assert loaded_lat.grid_points == lat.grid_points
     assert loaded_lat.mass == lat.mass
     assert loaded_lat.cutoff is None
+    # Neither the save nor the load built a mode table.
+    assert "omega" not in vars(lat) and "omega" not in vars(loaded_lat)
     assert np.array_equal(loaded_lat.omega, lat.omega) and not loaded_lat.excluded.any()
 
 

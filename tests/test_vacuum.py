@@ -103,7 +103,7 @@ def test_correlator_approaches_the_identity():
     assert off_pull < 3.0
 
 
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 1e300])
 def test_correlator_is_stationary_under_free_evolution(t):
     # Each mode only rotates its phase, so the equal-time statistics cannot
     # depend on the evolution time.
@@ -255,11 +255,15 @@ def test_correlator_csv_layout(tmp_path):
     assert len(lines) == 1 + 16 * 16
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308])
 def test_correlator_rejects_a_non_finite_evolve_time(monkeypatch, t):
-    # Refused with the other arguments, before any sample is drawn.
+    # Refused with the other arguments, before any sample is drawn or any sum
+    # allocated: the module's numpy is gone.  1e308 is finite, but its phase
+    # omega * t is not.
     monkeypatch.setattr(vacuum, "_draw_phases", None)
-    with pytest.raises(ValueError, match="^evolve_times must be finite"):
+    monkeypatch.setattr(vacuum, "np", None)
+    message = "must be finite" if not np.isfinite(t) else "must keep the phase omega \\* t finite"
+    with pytest.raises(ValueError, match=f"^evolve_times {message}"):
         ensemble_correlator(small_spec(), evolve_time=t)
 
 
