@@ -433,8 +433,8 @@ class _Experiment(NamedTuple):
 
 
 # In the order validate names them.  A check reports the library's objections
-# that read several keys.  It hands the config's geometry to the library's
-# predicates, which report where build_lattice would raise.  A run's later
+# that read several keys.  It hands the config's values to the library's
+# predicates, which report what the entry points would refuse.  A run's later
 # objections are asked only once its lattice is sound.
 _EXPERIMENTS: dict[str, _Experiment] = {
     "identities": _Experiment({"n_levels": _REQUIRED, "omega": _REQUIRED, "time_pairs": 10},

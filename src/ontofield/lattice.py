@@ -180,7 +180,7 @@ def _lattice_problems(box_lengths, grid_points, mass: float, cutoff: float | Non
 
 
 def _top_frequency(spacings, mass: float) -> float:
-    """``sqrt(sum_a (pi / dx_a)**2 + M**2)``: the box's largest frequency, its corner mode ``k_a = -pi / dx_a``'s."""
+    """The box's largest frequency ``sqrt(sum_a (pi / dx_a)**2 + M**2)``, the corner mode ``k_a = -pi / dx_a``'s."""
     return math.sqrt(sum((math.pi / dx) * (math.pi / dx) for dx in spacings) + float(mass) * float(mass))
 
 
