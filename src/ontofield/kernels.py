@@ -144,34 +144,47 @@ def _windowed(spec: KernelSpec, integral: Callable[[_Taper, float, float], tuple
     ``integral(taper, lo, hi)`` integrates over ``[lo, hi]`` with the
     integrand times ``taper(k)``, or bare when ``taper`` is None.  Each
     cutoff ``lam`` is two pieces: ``[0, k_start]``, where the window is 1,
-    bare (skipped at ``taper_frac == 1``), and ``[k_start, lam]`` under the
+    bare (absent at ``taper_frac == 1``), and ``[k_start, lam]`` under the
     profile, with ``k_start = (1 - taper_frac) * lam``.  The estimate adds to
     the quadrature estimates the largest shift (plus its own quadrature
     estimate) seen when the cutoff moves to each fraction in ``_PROBES``, so
     it tracks the sensitivity to the cutoff placement; it is not a bound
     (the README F1 table, whose remainder is integrated cancellation-free by
     :func:`_f1_direct`, misses its closed form by up to 1.64 times it).
+
+    The bare ranges of the cutoff and its probes nest, so only the cutoff's
+    is integrated from 0.  Going down the taper starts, each probe's bare
+    range is the one above it less the bare piece between the two starts,
+    and its quadrature estimate is the sum of the estimates of the ranges it
+    is made of.  The cutoff's value is the same sum of the same two
+    quadratures as when every range was integrated from 0; the probes'
+    values, and so the estimate, move in their last bits.
     """
     profile = WINDOWS[spec.window]
+    keep = 1.0 - spec.taper_frac
+    cutoffs = [spec.cutoff, *(frac * spec.cutoff for frac in _PROBES)]
 
-    def at(lam: float) -> tuple:
-        k_start = (1.0 - spec.taper_frac) * lam
+    def tapered(lam: float) -> tuple:
+        k_start = keep * lam
         width = lam - k_start
 
         def taper(k: float) -> float:
             return float(profile((k - k_start) / width))
 
-        value, error = integral(taper, k_start, lam)
-        if spec.taper_frac < 1.0:
-            bare, bare_error = integral(None, 0.0, k_start)
-            value, error = bare + value, bare_error + error
-        return value, error
+        return integral(taper, k_start, lam)
 
-    value, error = at(spec.cutoff)
-    shift = max(
-        abs(value - probe) + probe_error
-        for probe, probe_error in (at(frac * spec.cutoff) for frac in _PROBES)
-    )
+    parts = [tapered(lam) for lam in cutoffs]
+    if spec.taper_frac < 1.0:
+        top = keep * spec.cutoff
+        bare, bare_error = integral(None, 0.0, top)
+        below = {spec.cutoff: (bare, bare_error)}
+        for lam in sorted(cutoffs[1:], reverse=True):
+            piece, piece_error = integral(None, keep * lam, top)
+            bare, bare_error, top = bare - piece, bare_error + piece_error, keep * lam
+            below[lam] = (bare, bare_error)
+        parts = [(below[lam][0] + value, below[lam][1] + error) for lam, (value, error) in zip(cutoffs, parts)]
+    (value, error), *probes = parts
+    shift = max(abs(value - probe) + probe_error for probe, probe_error in probes)
     return value, error + shift
 
 

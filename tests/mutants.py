@@ -114,6 +114,11 @@ MUTANTS = (
         "the windowed F2 route's imaginary part, -sin(omega t)",
     ),
     Mutant(
+        "nested_bare_range", "src/ontofield/kernels.py",
+        "bare - piece", "bare + piece",
+        "a probe's bare range [0, k_start] is the cutoff's less the bare pieces between successive taper starts",
+    ),
+    Mutant(
         "transform_axis_order", "src/ontofield/lattice.py",
         "for axis in reversed(range(first, len(shape))):", "for axis in range(first, len(shape)):",
         "the lattice transforms give numpy's n-D bits: the same 1-D passes, last axis first",
