@@ -53,7 +53,7 @@ GOLDEN = {
         "spectrum.csv": "02bfe983b3165f95143c3c789f18f92ad669e829dfeddbc58e6c31741e7c13e9",
     },
     "kernel": {
-        "kernel.csv": "3ca0c7faf62cfd872b11555fc057d33cb6a04908b402096a593bef60b128dae1",
+        "kernel.csv": "013b061a3a2a434657a61b7a965934c2da61a98fd13736599c27d429701715b8",
     },
     "decay": {
         "decay.csv": "e3c5b5999570000e233cf4fa7327edaf83a35b946c7d8175e4d97abe82fe2d8b",
@@ -123,7 +123,7 @@ F2_KERNEL_CONFIGS = {
             "method": "radial_reduced", "window": "quintic", "taper_frac": 0.3,
             "t": 0.75, "z_start": 0.5, "z_stop": 3.0, "z_count": 6,
         },
-        "acb45faa8f93353880fdc11df1c97201b4782996d3077de371c833b3f6a289f2",
+        "960e6a2b401947fffc01c444d6bc450918a2df14fa5a0b11db10c5fd58480062",
     ),
     "contour": (
         {
@@ -141,7 +141,7 @@ def test_f2_kernel_csv_matches_the_golden_digest(tmp_path, case):
     assert run_digests(tmp_path, json.dumps(config)) == {"kernel.csv": digest}
 
 
-F2_SEPTIC_AT_ORIGIN = "dbb371bb6aef348d79e5b7455fbbc9211a7d63d12c2b4f9eac3d7ee76cccc469"
+F2_SEPTIC_AT_ORIGIN = "8a11f7cf491083c795209d8752cce93a32ecb6afbb038ce49e24e5dc8c13cc27"
 
 
 def test_f2_septic_table_at_the_origin_matches_the_golden_digest(tmp_path):
