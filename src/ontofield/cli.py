@@ -162,6 +162,19 @@ def _setup_problems(params: dict) -> Problems:
     return _lattice_problems(*_lattice_args(params)) + packet
 
 
+def _last_phase_problems(params: dict) -> Problems:
+    """The library's objection to a spectral run's last phase, reported under ``dt``.
+
+    The run evolves up to ``steps * dt``, and the phase grows with ``|t|``,
+    so the last time is the one to check.  A step count past the largest
+    double makes that time infinite.
+    """
+    steps, dt = params["steps"], params["dt"]
+    last = dt * steps if steps <= sys.float_info.max else math.inf
+    spacings = _spacings(params["box_length"], params["points"])
+    return [("dt", message) for _, message in _phase_problems(spacings, params["mass"], last)]
+
+
 def validate_config(raw: object) -> list[str]:
     """Full list of schema violations; empty means the config is runnable.
 
@@ -449,10 +462,11 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                          _keyed(ontofield.kernels._RULES, _Z_GRID, {"z_count": integer_at_least(_MIN_FIT_POINTS)}),
                          _run_decay, _check_kernel),
     "front": _Experiment({**_LATTICE_KEYS, **_PACKET_KEYS}, _PACKET_RULES, _run_front,
-                         lambda p: _setup_problems(p) or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"])),
+                         lambda p: _setup_problems(p) or _last_phase_problems(p)
+                         or _front_problems(len(as_tuple(p["points"])), p["k0"], p["mass"])),
     "evolve": _Experiment({**_LATTICE_KEYS, **_PACKET_KEYS, "method": "spectral"},
                           _keyed(_PACKET_RULES, {"method": one_of("spectral", "convolution_literal")}),
-                          _run_evolve, _setup_problems),
+                          _run_evolve, lambda p: _setup_problems(p) or _last_phase_problems(p)),
     "interact": _Experiment({**_LATTICE_KEYS, **_PACKET_KEYS, "lambda": _REQUIRED}, _PACKET_RULES, _run_interact,
                             lambda p: _setup_problems(p) or _leapfrog_problems(*_lattice_args(p), p["lambda"], p["dt"])),
     "vacuum": _Experiment({**_LATTICE_KEYS, "samples": _REQUIRED, "evolve_time": None},

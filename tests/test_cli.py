@@ -20,7 +20,7 @@ from ontofield.cyclic import CycleConfig
 from ontofield.dynamics import gaussian_packet, leapfrog_interact, spectral_run, stability_bound, wavefront_measure
 from ontofield.kernels import KernelSpec, f1_contour, kernel_table
 from ontofield.ladder import build_mode
-from ontofield.lattice import ComplexField, build_lattice, load_field
+from ontofield.lattice import ComplexField, build_lattice, evolution_phase, load_field
 from ontofield.vacuum import CorrelatorEstimate, EnsembleSpec, ensemble_correlators
 from fresh_interpreter import peak_bytes, with_src
 
@@ -330,6 +330,10 @@ _KERNEL = {"kind": "F1", "mass": 1.0, "cutoff": 240.0, "method": "radial_reduced
         ("interact", {"points": 10**400}, "points", lambda: build_lattice(16.0, 10**400, 1.0)),
         ("vacuum", {"evolve_time": 1e308}, "evolve_time", lambda: ensemble_correlators(
             EnsembleSpec(build_lattice(2 * np.pi, 4, 1.0), 100, 0), (0.0, 1e308))),
+        # A packet run evolves up to steps * dt: 2 * 1e308 is infinite, and
+        # 5 * 1e307 finite with a phase that overflows.
+        ("evolve", {"dt": 1e308}, "dt", lambda: evolution_phase(build_lattice(*_LATTICE_16), 2 * 1e308)),
+        ("front", {"dt": 1e307}, "dt", lambda: evolution_phase(build_lattice(64.0, 128, 1.0), 5 * 1e307)),
     ],
 )
 def test_validate_names_the_key_with_the_library_message(experiment, edits, key, call):
@@ -958,6 +962,9 @@ _DELETE = object()
 # An evolution time whose phase overflows, and one whose phase does not.
 @example(experiment="vacuum", edits=[("evolve_time", 1e308)])
 @example(experiment="vacuum", edits=[("evolve_time", 1e300)])
+# A packet run's last time steps * dt: infinite, and past the largest double by its step count.
+@example(experiment="evolve", edits=[("dt", 1e308)])
+@example(experiment="front", edits=[("steps", 10**400)])
 @example(experiment="evolve", edits=[("width", 1e-300)])
 # Spacings whose squares overflow and underflow.
 @example(experiment="interact", edits=[("box_length", 1e300)])
