@@ -43,7 +43,7 @@ _DELETE = object()
 _MULTI_EDITS = 3000
 _SEED = 17
 
-VERDICTS = "de4b33fffaf6a3d4677dc936535de284671e832c82da0a0949724a390f63d436"
+VERDICTS = "633f4a6e98860c9279412123dfb92ace43dc489775ad4f41406ccc5e60329c0e"
 
 
 def readme_configs() -> list[dict]:
