@@ -155,10 +155,12 @@ def _windowed(spec: KernelSpec, integral: Callable[[_Taper, float, float], tuple
     The bare ranges of the cutoff and its probes nest, so only the cutoff's
     is integrated from 0.  Going down the taper starts, each probe's bare
     range is the one above it less the bare piece between the two starts,
-    and its quadrature estimate is the sum of the estimates of the ranges it
-    is made of.  The cutoff's value is the same sum of the same two
-    quadratures as when every range was integrated from 0; the probes'
-    values, and so the estimate, move in their last bits.
+    and its quadrature estimate sums the estimates of the ranges it is made
+    of.  The tapered intervals come first, in the order cutoff, then
+    ``_PROBES``; each radius takes as many quadratures as when every bare
+    range started at 0, with far fewer integrand evaluations.  The cutoff's
+    value is the same sum of the same two quadratures either way; the
+    probes' values, and so the estimate, differ in their last bits.
     """
     profile = WINDOWS[spec.window]
     keep = 1.0 - spec.taper_frac
@@ -266,8 +268,10 @@ def f1_direct(
     profile.  Serves as the independent check of :func:`f1_contour`.  The
     error a :func:`kernel_table` reports (``err``) combines the quadrature
     estimates with the largest shift seen when the cutoff moves to 0.75 or
-    0.875 of itself.  It is an estimate, not a bound: against the closed form
-    in ``K_2`` the README table (M = 0.3, 1 or 2) misses by up to 1.64 times
+    0.875 of itself; the bare range is integrated once, at the cutoff, and
+    each probe's is that range less the bare pieces above the probe's taper
+    start.  It is an estimate, not a bound: against the closed form in
+    ``K_2`` the README table (M = 0.3, 1 or 2) misses by up to 1.64 times
     ``err``.
     """
     spec = KernelSpec("F1", mass, cutoff, window=window, taper_frac=taper_frac)
@@ -319,8 +323,10 @@ def f2_direct(
     realization of the spatial delta, so values away from the origin are
     window ripple by construction.  The spatial oscillation is handled by a
     sine-weighted rule; the temporal phase by adaptive subdivision.  As for
-    :func:`f1_direct`, the error a :func:`kernel_table` reports (``err``) is an
-    estimate, not a bound.
+    :func:`f1_direct`, the bare range is integrated once, at the cutoff, and
+    the probe cutoffs' bare ranges are formed from it by subtraction; the
+    error a :func:`kernel_table` reports (``err``) is an estimate, not a
+    bound.
     """
     spec = KernelSpec("F2", mass, cutoff, t, window=window, taper_frac=taper_frac)
     return _evaluate(spec, z)[0]

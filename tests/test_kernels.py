@@ -424,7 +424,7 @@ def test_direct_route_error_is_an_estimate_not_a_bound():
 @pytest.mark.parametrize("mass", [0.3, 1.0, 2.0])
 def test_twice_the_direct_route_error_covers_the_closed_form_miss(mass):
     # Measured peaks of |value - K_2 form| / err on the README z-grid:
-    # 1.46, 1.64 and 1.64 at M = 0.3, 1 and 2, all at z ~ 0.615.
+    # 1.45, 1.64 and 1.64 at M = 0.3, 1 and 2, all at z ~ 0.615.
     spec = KernelSpec("F1", mass, 240.0, window="septic", taper_frac=0.5)
     table = kernel_table(spec, np.linspace(0.5, 5.0, 40))
     miss = np.abs(table.values.real - f1_closed_form(table.z, mass))
