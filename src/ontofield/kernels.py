@@ -144,7 +144,7 @@ def _windowed(spec: KernelSpec, integral: Callable[[_Taper, float, float], tuple
     ``integral(taper, lo, hi)`` integrates over ``[lo, hi]`` with the
     integrand times ``taper(k)``, or bare when ``taper`` is None.  Each
     cutoff ``lam`` is two pieces: ``[0, k_start]``, where the window is 1,
-    bare (absent at ``taper_frac == 1``), and ``[k_start, lam]`` under the
+    bare (skipped at ``taper_frac == 1``), and ``[k_start, lam]`` under the
     profile, with ``k_start = (1 - taper_frac) * lam``.  The estimate adds to
     the quadrature estimates the largest shift (plus its own quadrature
     estimate) seen when the cutoff moves to each fraction in ``_PROBES``, so
@@ -156,11 +156,8 @@ def _windowed(spec: KernelSpec, integral: Callable[[_Taper, float, float], tuple
     is integrated from 0.  Going down the taper starts, each probe's bare
     range is the one above it less the bare piece between the two starts,
     and its quadrature estimate sums the estimates of the ranges it is made
-    of.  The tapered intervals come first, in the order cutoff, then
-    ``_PROBES``; each radius takes as many quadratures as when every bare
-    range started at 0, with far fewer integrand evaluations.  The cutoff's
-    value is the same sum of the same two quadratures either way; the
-    probes' values, and so the estimate, differ in their last bits.
+    of.  The tapered intervals are integrated first: the cutoff's, then the
+    probes' in ``_PROBES`` order.
     """
     profile = WINDOWS[spec.window]
     keep = 1.0 - spec.taper_frac
